@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use pygb_jit::json::escape_string;
+use pygb_obs::json_escape;
 
 /// One measured cell: a series name, an x value (problem size), and a
 /// time.
@@ -84,8 +84,8 @@ pub fn to_json(samples: &[Sample]) -> String {
         }
         out.push_str(&format!(
             "\n  {{\n    \"experiment\": \"{}\",\n    \"series\": \"{}\",\n    \"n\": {},\n    \"seconds\": {}\n  }}",
-            escape_string(&s.experiment),
-            escape_string(&s.series),
+            json_escape(&s.experiment),
+            json_escape(&s.series),
             s.n,
             format_json_f64(s.seconds)
         ));
@@ -139,7 +139,7 @@ pub fn bench_summary_json(entries: &[BenchSummaryEntry]) -> String {
         out.push_str(&format!(
             "\n    {{\n      \"algorithm\": \"{}\",\n      \"n\": {},\n      \
              \"wall_seconds\": {},\n      \"phases_ns\": {{",
-            escape_string(&e.algorithm),
+            json_escape(&e.algorithm),
             e.n,
             format_json_f64(e.wall_seconds)
         ));
@@ -147,14 +147,14 @@ pub fn bench_summary_json(entries: &[BenchSummaryEntry]) -> String {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\": {ns}", escape_string(phase)));
+            out.push_str(&format!("\"{}\": {ns}", json_escape(phase)));
         }
         out.push_str("},\n      \"kernels\": {");
         for (j, (kernel, count)) in e.kernels.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\": {count}", escape_string(kernel)));
+            out.push_str(&format!("\"{}\": {count}", json_escape(kernel)));
         }
         out.push_str("}\n    }");
     }

@@ -27,6 +27,7 @@ use crate::error::{PygbError, Result};
 use crate::expr::{
     identity_unary, MatOperand, MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind,
 };
+use crate::facts::KernelChoice;
 use crate::kernels::{self, MatArgs, ScalarArgs, VecArgs};
 use crate::matrix::Matrix;
 use crate::store::{MatrixStore, VectorStore};
@@ -125,6 +126,7 @@ pub(crate) fn eval_matrix(
     replace: Option<bool>,
     region: Option<(Indices, Indices)>,
     expr: MatrixExpr,
+    choice: KernelChoice,
 ) -> Result<()> {
     let replace = replace.unwrap_or(false);
 
@@ -160,9 +162,17 @@ pub(crate) fn eval_matrix(
     if region.is_some() && !matches!(expr.kind, MatrixExprKind::Ref { .. }) {
         let (r, c) = expr.result_shape();
         let mut temp = Matrix::new(r, c, target.dtype());
-        eval_matrix(&mut temp, None, None, Some(false), None, expr)?;
+        eval_matrix(&mut temp, None, None, Some(false), None, expr, choice)?;
         let temp_expr = MatrixExpr::from(&temp);
-        return eval_matrix(target, mask, accum, Some(replace), region, temp_expr);
+        return eval_matrix(
+            target,
+            mask,
+            accum,
+            Some(replace),
+            region,
+            temp_expr,
+            KernelChoice::default(),
+        );
     }
 
     // Op provenance for any downstream failure (kernel, JIT cache):
@@ -181,6 +191,7 @@ pub(crate) fn eval_matrix(
     let mut args = MatArgs::new(MatrixStore::placeholder());
     args.accum = accum;
     args.replace = replace;
+    args.choice = choice;
     if let Some((m, comp)) = &mask {
         let m_res = crate::nb::resolved_mat(m)?;
         args.mask = Some(Arc::new(m_res.to_bool_matrix()));
@@ -365,6 +376,7 @@ pub(crate) fn eval_vector(
     replace: Option<bool>,
     region: Option<Indices>,
     expr: VectorExpr,
+    choice: KernelChoice,
 ) -> Result<()> {
     let replace = replace.unwrap_or(false);
 
@@ -391,9 +403,17 @@ pub(crate) fn eval_vector(
     if region.is_some() && !matches!(expr.kind, VectorExprKind::Ref { .. }) {
         let size = expr.result_size();
         let mut temp = Vector::new(size, target.dtype());
-        eval_vector(&mut temp, None, None, Some(false), None, expr)?;
+        eval_vector(&mut temp, None, None, Some(false), None, expr, choice)?;
         let temp_expr = VectorExpr::from(&temp);
-        return eval_vector(target, mask, accum, Some(replace), region, temp_expr);
+        return eval_vector(
+            target,
+            mask,
+            accum,
+            Some(replace),
+            region,
+            temp_expr,
+            KernelChoice::default(),
+        );
     }
 
     let op_name = crate::analyze::vec_op_name(&expr);
@@ -409,6 +429,7 @@ pub(crate) fn eval_vector(
     let mut args = VecArgs::new(VectorStore::placeholder());
     args.accum = accum;
     args.replace = replace;
+    args.choice = choice;
     if let Some((m, comp)) = &mask {
         let m_res = crate::nb::resolved_vec(m)?;
         args.mask = Some(Arc::new(m_res.to_bool_vector()));

@@ -27,17 +27,16 @@
 //! are always stored, so the intervals below are sound for any operand
 //! values, not just "interesting" ones.
 //!
-//! This module also carries the plan-time kernel *hints* the runtime's
-//! sparsity pass derives from tight facts (see [`arm_spmv_hint`]) and
-//! the weak-keyed transpose cache `core::dispatch` uses to honor an
-//! SpMV direction hint that disagrees with the operand's stored
-//! orientation.
+//! This module also carries the [`KernelChoice`] the runtime's
+//! sparsity pass derives from tight facts — a value handed down the
+//! dispatch call as an argument — and the weak-keyed transpose cache
+//! `core::kernels` uses to honor an SpMV direction that disagrees with
+//! the operand's stored orientation.
 
-use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, Mutex, Weak};
 
-pub use gbtl::{MxmFamily, SpmvDirection};
+pub use gbtl::MxmFamily;
 
 use crate::dtype::DType;
 use crate::store::{MatrixStore, VectorStore};
@@ -435,43 +434,28 @@ pub fn full_iso(dim: usize) -> Fact {
 }
 
 // ---------------------------------------------------------------------
-// Plan-time kernel hints (consumed by core::kernels).
+// Plan-time kernel choice (an argument of the dispatch call).
 // ---------------------------------------------------------------------
 
-thread_local! {
-    static SPMV_HINT: Cell<Option<SpmvDirection>> = const { Cell::new(None) };
-    static MXM_HINT: Cell<Option<MxmFamily>> = const { Cell::new(None) };
+/// A pre-decided SpMV direction.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SpmvDirection {
+    /// Row-parallel gather over the logical matrix (dense operand).
+    Pull,
+    /// Frontier-driven scatter over the transposed rows (sparse
+    /// operand).
+    Push,
 }
 
-/// Arm a one-shot SpMV direction hint for the next `mxv`/`vxm` kernel
-/// dispatched on this thread (the runtime's sparsity pass arms one per
-/// node right before running it).
-pub fn arm_spmv_hint(dir: SpmvDirection) {
-    SPMV_HINT.with(|h| h.set(Some(dir)));
-}
-
-/// Take (and clear) the calling thread's SpMV direction hint.
-pub fn take_spmv_hint() -> Option<SpmvDirection> {
-    SPMV_HINT.with(|h| h.take())
-}
-
-/// Arm a one-shot masked-SpGEMM family hint for the next `mxm` kernel
-/// dispatched on this thread.
-pub fn arm_mxm_hint(family: MxmFamily) {
-    MXM_HINT.with(|h| h.set(Some(family)));
-}
-
-/// Take (and clear) the calling thread's masked-SpGEMM family hint.
-pub fn take_mxm_hint() -> Option<MxmFamily> {
-    MXM_HINT.with(|h| h.take())
-}
-
-/// Clear both hints (called after a node runs so an unconsumed hint —
-/// e.g. for a node whose kernel never reached selection — cannot leak
-/// into the next node on this pool thread).
-pub fn clear_hints() {
-    SPMV_HINT.with(|h| h.set(None));
-    MXM_HINT.with(|h| h.set(None));
+/// What plan-time analysis decided about one node's kernel. `None`
+/// fields (the default) leave the decision to the orientation and the
+/// run-time probes, as every blocking dispatch does.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct KernelChoice {
+    /// SpMV direction for `mxv`/`vxm` and their fused-apply forms.
+    pub spmv: Option<SpmvDirection>,
+    /// Masked-SpGEMM family for `mxm`.
+    pub mxm: Option<MxmFamily>,
 }
 
 // ---------------------------------------------------------------------
@@ -620,17 +604,6 @@ mod tests {
         assert!(!write_back(&iso_t, &c, Some((&m, false)), false, false).iso);
         // Apply preserves the pattern flags.
         assert!(apply(&iso_t).iso);
-    }
-
-    #[test]
-    fn hints_are_one_shot() {
-        assert_eq!(take_spmv_hint(), None);
-        arm_spmv_hint(SpmvDirection::Push);
-        assert_eq!(take_spmv_hint(), Some(SpmvDirection::Push));
-        assert_eq!(take_spmv_hint(), None);
-        arm_mxm_hint(MxmFamily::MaskedDot);
-        clear_hints();
-        assert_eq!(take_mxm_hint(), None);
     }
 
     #[test]

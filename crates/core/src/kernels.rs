@@ -21,6 +21,7 @@ use pygb_jit::kernel::FnKernel;
 use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
 
 use crate::dtype::DType;
+use crate::facts::{KernelChoice, SpmvDirection};
 use crate::store::{Element, MatrixStore, VectorStore};
 use crate::value::DynScalar;
 
@@ -56,6 +57,8 @@ pub(crate) struct MatArgs {
     pub cols: Option<Indices>,
     /// Constant value (assign-constant).
     pub value: Option<DynScalar>,
+    /// Plan-time kernel choice (default: the probes decide).
+    pub choice: KernelChoice,
 }
 
 impl MatArgs {
@@ -76,6 +79,7 @@ impl MatArgs {
             rows: None,
             cols: None,
             value: None,
+            choice: KernelChoice::default(),
         }
     }
 }
@@ -118,6 +122,8 @@ pub(crate) struct VecArgs {
     pub value: Option<DynScalar>,
     /// Scalar result (fused eWise-reduce), written by the kernel.
     pub out: Option<DynScalar>,
+    /// Plan-time kernel choice (default: the orientation decides).
+    pub choice: KernelChoice,
 }
 
 impl VecArgs {
@@ -141,6 +147,7 @@ impl VecArgs {
             ix: None,
             value: None,
             out: None,
+            choice: KernelChoice::default(),
         }
     }
 }
@@ -309,28 +316,25 @@ fn view<T: gbtl::Scalar>(m: &gbtl::Matrix<T>, transposed: bool) -> gbtl::MatrixA
     }
 }
 
-/// Resolve the SpMV operand under a plan-time direction hint.
+/// Resolve the SpMV operand under a plan-time direction choice.
 ///
 /// At this layer orientation is *forced*: a plain operand always runs
 /// pull, a transposed one always runs push (there is no dual view, so
-/// the gbtl density probe never fires). A hint that agrees with the
-/// forced direction changes nothing; a hint that disagrees swaps in the
+/// the gbtl density probe never fires). A choice that agrees with the
+/// forced direction changes nothing; one that disagrees swaps in the
 /// memoized transpose of the store ([`crate::facts::cached_transpose`])
 /// with the orientation flag flipped — same logical operand, opposite
-/// kernel direction. `natural_pull` is whether the un-hinted selection
+/// kernel direction. `natural_pull` is whether the undecided selection
 /// pulls (`!at` for mxv, `at` for vxm).
-fn spmv_hint_operand(
-    a: &Option<Arc<MatrixStore>>,
-    at: bool,
-    natural_pull: bool,
-) -> (Option<Arc<MatrixStore>>, bool) {
-    let Some(dir) = crate::facts::take_spmv_hint() else {
+fn spmv_operand(args: &VecArgs, natural_pull: bool) -> (Option<Arc<MatrixStore>>, bool) {
+    let (a, at) = (&args.a, args.at);
+    let Some(dir) = args.choice.spmv else {
         return (a.clone(), at);
     };
     pygb_obs::registry()
         .counter("opt/static_kernel_hints")
         .inc();
-    let want_pull = dir == gbtl::SpmvDirection::Pull;
+    let want_pull = dir == SpmvDirection::Pull;
     match a {
         Some(src) if want_pull != natural_pull => (Some(crate::facts::cached_transpose(src)), !at),
         _ => (a.clone(), at),
@@ -375,13 +379,9 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let mut c = take_c_m::<T>(args)?;
     let a = typed_m::<T>(&args.a, "a")?;
     let b = typed_m::<T>(&args.b, "b")?;
-    // Forward a plan-time family hint to the substrate's selection; it
-    // only takes effect when both masked families are legal there.
-    let family_hint = crate::facts::take_mxm_hint();
-    if let Some(family) = family_hint {
-        gbtl::set_mxm_family_hint(family);
-    }
-    let r = gbtl::operations::mxm(
+    let family = args.choice.mxm;
+    let r = gbtl::operations::mxm_with(
+        family,
         &mut c,
         &mmask(&args.mask, args.complemented),
         MaybeAccum(args.accum),
@@ -393,7 +393,7 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     args.c = T::wrap_matrix(c);
     let kernel = r.map_err(JitError::op)?;
     let honored = matches!(
-        (family_hint, kernel),
+        (family, kernel),
         (Some(gbtl::MxmFamily::MaskedDot), gbtl::MxmKernel::MaskedDot)
             | (
                 Some(gbtl::MxmFamily::MaskedGustavson),
@@ -532,7 +532,7 @@ fn k_assign_m_const<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
 fn k_mxv<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
     let sr = args.semiring.ok_or_else(|| bad("semiring"))?;
     let mut c = take_c_v::<T>(args)?;
-    let (astore, at) = spmv_hint_operand(&args.a, args.at, !args.at);
+    let (astore, at) = spmv_operand(args, !args.at);
     let a = typed_m::<T>(&astore, "a")?;
     let u = typed_v::<T>(&args.u, "u")?;
     let r = gbtl::operations::mxv(
@@ -552,7 +552,7 @@ fn k_mxv<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
 fn k_vxm<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
     let sr = args.semiring.ok_or_else(|| bad("semiring"))?;
     let mut c = take_c_v::<T>(args)?;
-    let (astore, at) = spmv_hint_operand(&args.a, args.at, args.at);
+    let (astore, at) = spmv_operand(args, args.at);
     let a = typed_m::<T>(&astore, "a")?;
     let u = typed_v::<T>(&args.u, "u")?;
     let r = gbtl::operations::vxm(
@@ -687,7 +687,7 @@ fn fused_mxv_apply<T: Element>(args: &mut VecArgs, vxm: bool) -> Result<(), JitE
     let op = KindUnaryOp(args.unary.ok_or_else(|| bad("unary"))?);
     let mut c = take_c_v::<T>(args)?;
     let natural_pull = if vxm { args.at } else { !args.at };
-    let (astore, at) = spmv_hint_operand(&args.a, args.at, natural_pull);
+    let (astore, at) = spmv_operand(args, natural_pull);
     let a = typed_m::<T>(&astore, "a")?;
     let u = typed_v::<T>(&args.u, "u")?;
     let mut temp = gbtl::Vector::<T>::new(c.size());

@@ -149,7 +149,15 @@ impl Matrix {
     pub fn from_expr(expr: MatrixExpr) -> Result<Matrix> {
         let (nrows, ncols) = expr.result_shape();
         let mut out = Matrix::new(nrows, ncols, expr.result_dtype());
-        crate::dispatch::eval_matrix(&mut out, None, None, None, None, expr)?;
+        crate::dispatch::eval_matrix(
+            &mut out,
+            None,
+            None,
+            None,
+            None,
+            expr,
+            crate::facts::KernelChoice::default(),
+        )?;
         Ok(out)
     }
 

@@ -40,6 +40,7 @@ use gbtl::Indices;
 
 use crate::error::{PygbError, Result};
 use crate::expr::{MatrixExpr, VectorExpr};
+use crate::facts::KernelChoice;
 use crate::matrix::Matrix;
 use crate::store::{MatrixStore, VectorStore};
 use crate::value::DynScalar;
@@ -449,8 +450,9 @@ pub(crate) fn try_fused_reduce(
 /// path and return the resulting store. The descriptor's operand
 /// handles must already be substituted with resolved stores; deferral
 /// and flushing are suspended for the duration so the evaluation
-/// cannot re-enter the engine.
-pub fn run_vec_op(desc: VecOpDesc) -> Result<VectorStore> {
+/// cannot re-enter the engine. `choice` is the engine's plan-time
+/// kernel decision for this node (default: none made).
+pub fn run_vec_op(desc: VecOpDesc, choice: KernelChoice) -> Result<VectorStore> {
     suspend(|| {
         let mut target = Vector { store: desc.target };
         match desc.rhs {
@@ -461,6 +463,7 @@ pub fn run_vec_op(desc: VecOpDesc) -> Result<VectorStore> {
                 Some(desc.replace),
                 desc.region,
                 expr,
+                choice,
             )?,
             VecRhs::Scalar(value) => crate::dispatch::assign_vector_scalar(
                 &mut target,
@@ -476,7 +479,7 @@ pub fn run_vec_op(desc: VecOpDesc) -> Result<VectorStore> {
 }
 
 /// Matrix analog of [`run_vec_op`].
-pub fn run_mat_op(desc: MatOpDesc) -> Result<MatrixStore> {
+pub fn run_mat_op(desc: MatOpDesc, choice: KernelChoice) -> Result<MatrixStore> {
     suspend(|| {
         let mut target = Matrix { store: desc.target };
         match desc.rhs {
@@ -487,6 +490,7 @@ pub fn run_mat_op(desc: MatOpDesc) -> Result<MatrixStore> {
                 Some(desc.replace),
                 desc.region,
                 expr,
+                choice,
             )?,
             MatRhs::Scalar(value) => crate::dispatch::assign_matrix_scalar(
                 &mut target,

@@ -285,9 +285,9 @@ impl MatrixStore {
     }
 
     /// Materialize the transpose as a new store of the same dtype (a
-    /// typed counting sort; no per-element boxing). Used by the
-    /// plan-time kernel hints to honor an SpMV direction that disagrees
-    /// with the stored orientation (see [`crate::facts::cached_transpose`]).
+    /// typed counting sort; no per-element boxing). Used to honor a
+    /// plan-time SpMV direction that disagrees with the stored
+    /// orientation (see [`crate::facts::cached_transpose`]).
     pub fn transposed(&self) -> MatrixStore {
         dispatch_matrix!(self, |m| Element::wrap_matrix(m.transpose_owned()))
     }

@@ -19,6 +19,7 @@ use crate::context;
 use crate::dispatch;
 use crate::error::{PygbError, Result};
 use crate::expr::{MatrixExpr, VectorExpr};
+use crate::facts::KernelChoice;
 use crate::matrix::Matrix;
 use crate::store::{MatrixStore, VectorStore};
 use crate::value::DynScalar;
@@ -79,6 +80,7 @@ impl<'a> MatrixAssign<'a> {
             Some(replace),
             self.region,
             expr.into(),
+            KernelChoice::default(),
         )
     }
 
@@ -97,6 +99,7 @@ impl<'a> MatrixAssign<'a> {
             Some(replace),
             self.region,
             expr.into(),
+            KernelChoice::default(),
         )
     }
 
@@ -178,6 +181,7 @@ impl<'a> VectorAssign<'a> {
             Some(replace),
             self.region,
             expr.into(),
+            KernelChoice::default(),
         )
     }
 
@@ -195,6 +199,7 @@ impl<'a> VectorAssign<'a> {
             Some(replace),
             self.region,
             expr.into(),
+            KernelChoice::default(),
         )
     }
 

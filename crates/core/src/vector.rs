@@ -135,7 +135,15 @@ impl Vector {
     pub fn from_expr(expr: VectorExpr) -> Result<Vector> {
         let size = expr.result_size();
         let mut out = Vector::new(size, expr.result_dtype());
-        crate::dispatch::eval_vector(&mut out, None, None, None, None, expr)?;
+        crate::dispatch::eval_vector(
+            &mut out,
+            None,
+            None,
+            None,
+            None,
+            expr,
+            crate::facts::KernelChoice::default(),
+        )?;
         Ok(out)
     }
 

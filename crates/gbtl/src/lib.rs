@@ -60,7 +60,6 @@
 pub mod algorithms;
 pub mod delta;
 pub mod error;
-pub mod hints;
 pub mod hooks;
 pub mod index;
 pub mod mask;
@@ -77,17 +76,10 @@ pub mod write;
 
 pub use delta::{DeltaMatrix, EdgeOp, MergePolicy};
 pub use error::{GblasError, Result};
-pub use hints::{
-    set_mxm_family_hint, set_spmv_direction_hint, take_mxm_family_hint, take_spmv_direction_hint,
-    MxmFamily, SpmvDirection,
-};
 pub use index::{IndexType, Indices};
 pub use mask::{MaskProbe, MatrixMask, NoMask, VectorMask};
 pub use matrix::Matrix;
-pub use operations::{
-    push_pull_density, reset_push_pull_density, set_push_pull_density, MxmKernel, SpmvKernel,
-    PUSH_PULL_DENSITY,
-};
+pub use operations::{push_pull_density, MxmFamily, MxmKernel, SpmvKernel, PUSH_PULL_DENSITY};
 pub use ops::accum::{Accum, NoAccumulate};
 pub use ops::{BinaryOp, Monoid, Semiring, UnaryOp};
 pub use scalar::Scalar;

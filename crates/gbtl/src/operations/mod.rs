@@ -37,10 +37,7 @@ pub use apply::{apply_matrix, apply_vector};
 pub use assign::{assign_matrix, assign_matrix_constant, assign_vector, assign_vector_constant};
 pub use ewise::{e_wise_add_matrix, e_wise_add_vector, e_wise_mult_matrix, e_wise_mult_vector};
 pub use extract::{extract_matrix, extract_vector};
-pub use mxm::{mxm, mxm_masked_dot, MxmKernel};
-pub use mxv::{
-    mxv, push_pull_density, reset_push_pull_density, set_push_pull_density, vxm, SpmvKernel,
-    PUSH_PULL_DENSITY,
-};
+pub use mxm::{mxm, mxm_masked_dot, mxm_with, MxmFamily, MxmKernel};
+pub use mxv::{mxv, push_pull_density, vxm, SpmvKernel, PUSH_PULL_DENSITY};
 pub use reduce::{reduce_matrix_scalar, reduce_matrix_to_vector, reduce_vector_scalar};
 pub use transpose_op::transpose_into;

@@ -19,6 +19,12 @@
 //!   the inner scatter loop skips disallowed columns, so the sparse
 //!   accumulator never holds entries the write step would discard.
 //!
+//! This `match` on the mask probe is the only place the kernel is
+//! selected. Where both masked families are legal (plain structural
+//! mask, `Bᵀ` rows available) a caller that already knows the mask's
+//! density passes its decision as the `family` argument of
+//! [`mxm_with`]; [`mxm`] passes `None`.
+//!
 //! Confining the computed product `T` to the mask is always legal: the
 //! write step (`C⟨M, z⟩ = C ⊙ T`) never reads `T` outside the mask, and
 //! accumulated `C`-only entries survive through the union merge.
@@ -55,11 +61,48 @@ pub enum MxmKernel {
     MaskedDot,
 }
 
+/// A masked-SpGEMM family a caller may pre-decide (see [`mxm_with`]).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum MxmFamily {
+    /// Dot-product kernel confined to the mask's stored positions
+    /// (wins when the mask is sparse).
+    MaskedDot,
+    /// Row-wise Gustavson with the mask filtering the accumulator
+    /// (wins when the mask is dense).
+    MaskedGustavson,
+}
+
 /// `C⟨M, z⟩ = C ⊙ (A ⊕.⊗ B)` — GraphBLAS `mxm`.
 ///
 /// Returns which kernel was selected (see [`MxmKernel`]); callers that
 /// don't care can discard it.
 pub fn mxm<'a, 'b, T, Mk, A, S>(
+    c: &mut Matrix<T>,
+    mask: &Mk,
+    accum: A,
+    semiring: &S,
+    a: impl Into<MatrixArg<'a, T>>,
+    b: impl Into<MatrixArg<'b, T>>,
+    replace: Replace,
+) -> Result<MxmKernel>
+where
+    T: Scalar,
+    Mk: MatrixMask + ?Sized,
+    A: Accum<T>,
+    S: Semiring<T>,
+{
+    mxm_with(None, c, mask, accum, semiring, a, b, replace)
+}
+
+/// [`mxm`] with the masked family optionally pre-decided by a caller
+/// that knows the mask's density before the operands exist (the
+/// `pygb-runtime` sparsity pass). `family` only has effect when both
+/// masked families are legal — a plain structural mask with `Bᵀ` rows
+/// available; otherwise the probes decide, and the kernel actually run
+/// is the one reported.
+#[allow(clippy::too_many_arguments)]
+pub fn mxm_with<'a, 'b, T, Mk, A, S>(
+    family: Option<MxmFamily>,
     c: &mut Matrix<T>,
     mask: &Mk,
     accum: A,
@@ -97,17 +140,12 @@ where
     check_matrix_mask(mask, c.nrows(), c.ncols())?;
     let timer = crate::hooks::KernelTimer::start();
 
-    // The family hint is taken unconditionally so a stale one never
-    // leaks into a later operation; it only has effect when both masked
-    // families are legal — structural mask with `Bᵀ` rows available
-    // (see `crate::hints`).
-    let family_hint = crate::hints::take_mxm_family_hint();
     let probe = mask.probe();
     let kernel = match probe {
         MaskProbe::All => MxmKernel::Gustavson,
-        MaskProbe::Structural if b.transposed_rows().is_some() => match family_hint {
-            Some(crate::hints::MxmFamily::MaskedGustavson) => MxmKernel::MaskedGustavson,
-            _ => MxmKernel::MaskedDot,
+        MaskProbe::Structural if b.transposed_rows().is_some() => match family {
+            Some(MxmFamily::MaskedGustavson) => MxmKernel::MaskedGustavson,
+            Some(MxmFamily::MaskedDot) | None => MxmKernel::MaskedDot,
         },
         MaskProbe::Structural | MaskProbe::StructuralComplement => MxmKernel::MaskedGustavson,
         MaskProbe::Opaque => MxmKernel::Gustavson,

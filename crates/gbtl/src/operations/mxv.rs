@@ -1,10 +1,12 @@
 //! Matrix-vector and vector-matrix multiply over a semiring:
 //! `w⟨m, z⟩ = w ⊙ (A ⊕.⊗ u)` and `w⟨m, z⟩ = w ⊙ (uᵀ ⊕.⊗ A)`.
 //!
-//! Two kernel directions, chosen by operand orientation — or, for a
-//! [`crate::views::dual`] operand, by the frontier's density
-//! ([`PUSH_PULL_DENSITY`], the GraphBLAST direction-optimization
-//! heuristic):
+//! Two kernel directions, chosen in one place ([`mxv`]) by operand
+//! orientation — or, for a [`crate::views::dual`] operand, by the
+//! frontier's density against [`push_pull_density`] (default
+//! [`PUSH_PULL_DENSITY`], the GraphBLAST direction-optimization
+//! heuristic). A caller that wants a particular direction passes the
+//! operand in that orientation:
 //!
 //! * **pull** (gather, `A·u`): `u` is scattered into a dense buffer
 //!   once, then each output row is a `O(nnz(row))` gather-dot —
@@ -24,7 +26,6 @@
 // below is exempt).
 #![warn(clippy::disallowed_methods)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::error::{GblasError, Result};
@@ -46,32 +47,14 @@ use crate::write::write_vector;
 /// the frontier. 5% follows the direction-optimizing SpMV literature
 /// (GraphBLAST's default switch point is in the same regime).
 ///
-/// This is the *default* of a runtime tunable: override it per process
-/// with the `PYGB_PUSH_PULL_DENSITY` environment variable (read once,
-/// on first kernel selection) or at any time with
-/// [`set_push_pull_density`]. [`push_pull_density`] reports the value
-/// currently in effect.
+/// This is the *default* of a process tunable: override it with the
+/// `PYGB_PUSH_PULL_DENSITY` environment variable (read once, on first
+/// use). [`push_pull_density`] reports the value in effect.
 pub const PUSH_PULL_DENSITY: f64 = 0.05;
 
-/// The effective threshold, stored as `f64` bits. Zero is the unset
-/// sentinel (a zero threshold would be stored as the bits of a tiny
-/// positive epsilon; see [`set_push_pull_density`]).
-static PUSH_PULL_DENSITY_BITS: AtomicU64 = AtomicU64::new(0);
-
-/// Encode a threshold so that `0.0` survives the unset-sentinel check.
-fn encode_density(d: f64) -> u64 {
-    let d = if d <= 0.0 { f64::MIN_POSITIVE } else { d };
-    d.to_bits()
-}
-
-/// The push/pull switch threshold currently in effect: the last value
-/// passed to [`set_push_pull_density`], else `PYGB_PUSH_PULL_DENSITY`
+/// The push/pull switch threshold in effect: `PYGB_PUSH_PULL_DENSITY`
 /// from the environment (parsed once), else [`PUSH_PULL_DENSITY`].
 pub fn push_pull_density() -> f64 {
-    let bits = PUSH_PULL_DENSITY_BITS.load(Ordering::Relaxed);
-    if bits != 0 {
-        return f64::from_bits(bits);
-    }
     static ENV: OnceLock<f64> = OnceLock::new();
     *ENV.get_or_init(|| {
         std::env::var("PYGB_PUSH_PULL_DENSITY")
@@ -80,20 +63,6 @@ pub fn push_pull_density() -> f64 {
             .filter(|d| d.is_finite() && *d >= 0.0)
             .unwrap_or(PUSH_PULL_DENSITY)
     })
-}
-
-/// Set the push/pull switch threshold for the whole process, overriding
-/// the environment and the built-in default. Values ≤ 0 mean "always
-/// pull"; values > 1 mean "always push". Takes effect on the next
-/// kernel selection; thread-safe.
-pub fn set_push_pull_density(density: f64) {
-    PUSH_PULL_DENSITY_BITS.store(encode_density(density), Ordering::Relaxed);
-}
-
-/// Reset the threshold to the environment/default resolution order (for
-/// tests that must not leak a programmatic override).
-pub fn reset_push_pull_density() {
-    PUSH_PULL_DENSITY_BITS.store(0, Ordering::Relaxed);
 }
 
 /// Which SpMV kernel [`mxv`]/[`vxm`] selected, reported back to the
@@ -151,26 +120,19 @@ where
     let timer = crate::hooks::KernelTimer::start();
 
     // Direction: pull iterates output rows of the logical matrix; push
-    // iterates the stored entries of `u` and scatters rows of Aᵀ. The
-    // hint is taken unconditionally so a stale one never leaks into a
-    // later operation; it only has effect on a dual operand, where both
-    // directions are legal (hint > env > default, see `crate::hints`).
-    let dir_hint = crate::hints::take_spmv_direction_hint();
+    // iterates the stored entries of `u` and scatters rows of Aᵀ. Only
+    // a dual operand leaves both legal; the frontier's density decides.
     let pull_rows: Option<&Matrix<T>> = match a {
         MatrixArg::Plain(m) => Some(m),
         MatrixArg::Transposed(_) => None,
-        MatrixArg::Dual { rows, .. } => match dir_hint {
-            Some(crate::hints::SpmvDirection::Pull) => Some(rows),
-            Some(crate::hints::SpmvDirection::Push) => None,
-            None => {
-                let density = if u.size() == 0 {
-                    1.0
-                } else {
-                    u.nvals() as f64 / u.size() as f64
-                };
-                (density >= push_pull_density()).then_some(rows)
-            }
-        },
+        MatrixArg::Dual { rows, .. } => {
+            let density = if u.size() == 0 {
+                1.0
+            } else {
+                u.nvals() as f64 / u.size() as f64
+            };
+            (density >= push_pull_density()).then_some(rows)
+        }
     };
 
     let probe = mask.probe();
@@ -563,58 +525,8 @@ mod tests {
         assert_eq!(next.extract_indices(), vec![0, 2]);
     }
 
-    /// Tests that read or write the process-wide push/pull threshold
-    /// take this lock so `cargo test` parallelism cannot interleave a
-    /// `set_push_pull_density` with a selection assertion.
-    static DENSITY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn density_threshold_is_tunable() {
-        let _g = DENSITY_LOCK.lock().unwrap();
-        let big = Matrix::from_triples(40, 40, (0..40usize).map(|i| (i, (i * 7 + 1) % 40, 1i64)))
-            .unwrap();
-        let bigt = big.transpose_owned();
-        let sr = ArithmeticSemiring::new();
-        let dense_u = Vector::from_pairs(40, (0..20usize).map(|i| (i * 2, 1i64))).unwrap(); // 50%
-        let sparse_u = Vector::from_pairs(40, [(3usize, 1i64)]).unwrap(); // 2.5%
-
-        let select = |u: &Vector<i64>| {
-            let mut w = Vector::<i64>::new(40);
-            mxv(
-                &mut w,
-                &NoMask,
-                NoAccumulate,
-                &sr,
-                crate::views::dual(&big, &bigt),
-                u,
-                MERGE,
-            )
-            .unwrap()
-        };
-
-        // Default resolution (no env override in the test harness).
-        assert_eq!(push_pull_density(), PUSH_PULL_DENSITY);
-        assert_eq!(select(&dense_u), SpmvKernel::Pull);
-
-        // Raising the threshold above 50% flips the dense frontier to
-        // the push direction.
-        set_push_pull_density(0.8);
-        assert_eq!(push_pull_density(), 0.8);
-        assert_eq!(select(&dense_u), SpmvKernel::Push);
-
-        // A zero threshold means "always pull", even for one entry.
-        set_push_pull_density(0.0);
-        assert_eq!(select(&sparse_u), SpmvKernel::Pull);
-
-        // Reset restores the default resolution order.
-        reset_push_pull_density();
-        assert_eq!(push_pull_density(), PUSH_PULL_DENSITY);
-        assert_eq!(select(&sparse_u), SpmvKernel::Push);
-    }
-
     #[test]
     fn dual_switches_direction_on_density() {
-        let _lock = DENSITY_LOCK.lock().unwrap();
         let g = graph().cast::<i64>();
         let gt = g.transpose_owned();
         let sr = ArithmeticSemiring::new();

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use gbtl::ops::accum::Accumulate;
 use gbtl::prelude::*;
 use gbtl::reference;
+use gbtl::MxmFamily;
 
 const N: usize = 8;
 
@@ -161,7 +162,51 @@ fn run_spmv_suite<T: Scalar, S: Semiring<T>>(
 // mxm
 // ---------------------------------------------------------------------
 
+/// The pre-decided family is one more generated input of the mxm
+/// properties: `None` is plain [`operations::mxm`].
+fn family_model() -> impl Strategy<Value = Option<MxmFamily>> {
+    (0usize..3).prop_map(|i| {
+        [
+            None,
+            Some(MxmFamily::MaskedDot),
+            Some(MxmFamily::MaskedGustavson),
+        ][i]
+    })
+}
+
+/// A mask kernels cannot consult structurally (the trait's default
+/// probe), so every masked family is illegal for it.
+struct OpaqueMask<'m>(&'m Matrix<i64>);
+
+impl MatrixMask for OpaqueMask<'_> {
+    fn mask_shape(&self) -> (IndexType, IndexType) {
+        self.0.shape()
+    }
+    fn allows(&self, i: IndexType, j: IndexType) -> bool {
+        self.0.allows(i, j)
+    }
+}
+
+/// The kernel `mxm_with` must report: `family` decides only where both
+/// masked families are legal (plain structural mask, `Bᵀ` rows there);
+/// everywhere else it falls back to what the probes select.
+fn expected_mxm_kernel<T: Scalar>(
+    probe: MaskProbe,
+    b: &MatrixArg<'_, T>,
+    family: Option<MxmFamily>,
+) -> MxmKernel {
+    match probe {
+        MaskProbe::All | MaskProbe::Opaque => MxmKernel::Gustavson,
+        MaskProbe::Structural if b.transposed_rows().is_some() => match family {
+            Some(MxmFamily::MaskedGustavson) => MxmKernel::MaskedGustavson,
+            Some(MxmFamily::MaskedDot) | None => MxmKernel::MaskedDot,
+        },
+        MaskProbe::Structural | MaskProbe::StructuralComplement => MxmKernel::MaskedGustavson,
+    }
+}
+
 fn mxm_case<T, Mk>(
+    family: Option<MxmFamily>,
     c: &Matrix<T>,
     mask: &Mk,
     a: MatrixArg<'_, T>,
@@ -173,20 +218,25 @@ where
     Mk: MatrixMask + ?Sized,
 {
     let sr = ArithmeticSemiring::<T>::new();
+    let kernel = expected_mxm_kernel(mask.probe(), &b, family);
     for replace in [Replace(false), Replace(true)] {
         {
             let mut got = c.clone();
-            operations::mxm(&mut got, mask, NoAccumulate, &sr, a, b, replace)
-                .map_err(op_err(ctx))?;
+            let ran =
+                operations::mxm_with(family, &mut got, mask, NoAccumulate, &sr, a, b, replace)
+                    .map_err(op_err(ctx))?;
             let want = reference::mxm(c, mask, &NoAccumulate, &sr, a, b, replace);
             prop_assert_eq!(&got, &want, "{} no-accum z={}", ctx, replace.0);
+            prop_assert_eq!(ran, kernel, "{} {:?}", ctx, family);
         }
         {
             let acc = Accumulate(Plus::<T>::new());
             let mut got = c.clone();
-            operations::mxm(&mut got, mask, acc, &sr, a, b, replace).map_err(op_err(ctx))?;
+            let ran = operations::mxm_with(family, &mut got, mask, acc, &sr, a, b, replace)
+                .map_err(op_err(ctx))?;
             let want = reference::mxm(c, mask, &acc, &sr, a, b, replace);
             prop_assert_eq!(&got, &want, "{} plus-accum z={}", ctx, replace.0);
+            prop_assert_eq!(ran, kernel, "{} {:?}", ctx, family);
         }
     }
     Ok(())
@@ -197,6 +247,7 @@ fn run_mxm_suite<T: Scalar>(
     bm: &MatModel,
     cm: &MatModel,
     km: &MatModel,
+    family: Option<MxmFamily>,
 ) -> TestCaseResult {
     let a = to_matrix(am).cast::<T>();
     let at = a.transpose_owned();
@@ -219,9 +270,12 @@ fn run_mxm_suite<T: Scalar>(
     for (an, aarg) in a_args {
         for (bn, barg) in b_args {
             let ctx = format!("mxm/{an}x{bn}");
-            mxm_case(&c, &NoMask, aarg, barg, &format!("{ctx}/nomask"))?;
-            mxm_case(&c, &mask, aarg, barg, &format!("{ctx}/mask"))?;
-            mxm_case(&c, &complement(&mask), aarg, barg, &format!("{ctx}/comp"))?;
+            mxm_case(family, &c, &NoMask, aarg, barg, &format!("{ctx}/nomask"))?;
+            mxm_case(family, &c, &mask, aarg, barg, &format!("{ctx}/mask"))?;
+            let comp = complement(&mask);
+            mxm_case(family, &c, &comp, aarg, barg, &format!("{ctx}/comp"))?;
+            let opaque = OpaqueMask(&mask);
+            mxm_case(family, &c, &opaque, aarg, barg, &format!("{ctx}/opaque"))?;
         }
     }
     Ok(())
@@ -511,16 +565,16 @@ proptest! {
     }
 
     #[test]
-    fn spgemm_matches_oracle(a in mat_model(), b in mat_model(), c in mat_model(), k in mat_mask_model()) {
-        run_mxm_suite::<i64>(&a, &b, &c, &k)?;
+    fn spgemm_matches_oracle(a in mat_model(), b in mat_model(), c in mat_model(), k in mat_mask_model(), family in family_model()) {
+        run_mxm_suite::<i64>(&a, &b, &c, &k, family)?;
     }
 
     #[test]
-    fn spgemm_oracle_dtype_sweep(a in mat_model(), b in mat_model(), c in mat_model(), k in mat_mask_model()) {
-        run_mxm_suite::<f64>(&a, &b, &c, &k)?;
-        run_mxm_suite::<i32>(&a, &b, &c, &k)?;
-        run_mxm_suite::<u8>(&a, &b, &c, &k)?;
-        run_mxm_suite::<bool>(&a, &b, &c, &k)?;
+    fn spgemm_oracle_dtype_sweep(a in mat_model(), b in mat_model(), c in mat_model(), k in mat_mask_model(), family in family_model()) {
+        run_mxm_suite::<f64>(&a, &b, &c, &k, family)?;
+        run_mxm_suite::<i32>(&a, &b, &c, &k, family)?;
+        run_mxm_suite::<u8>(&a, &b, &c, &k, family)?;
+        run_mxm_suite::<bool>(&a, &b, &c, &k, family)?;
     }
 
     #[test]
@@ -640,4 +694,52 @@ proptest! {
             extract_case(&w, &complement(&mask), &u, &ix, "extract/comp")?;
         }
     }
+}
+
+/// The family is an argument, not state: a pre-decided call that fails
+/// its dimension check leaves nothing behind for the next `mxm` on the
+/// thread, which selects as if the failed call never happened.
+#[test]
+fn failed_mxm_with_does_not_affect_next_mxm() {
+    let sr = ArithmeticSemiring::<i64>::new();
+    let a = Matrix::from_triples(N, N, (0..N).map(|i| (i, (i + 1) % N, 2i64))).unwrap();
+    let at = a.transpose_owned();
+    let mask = Matrix::from_triples(N, N, (0..N).map(|i| (i, (i + 2) % N, 1i64))).unwrap();
+
+    let mut wrong_shape = Matrix::<i64>::new(N + 1, N);
+    let err = operations::mxm_with(
+        Some(MxmFamily::MaskedGustavson),
+        &mut wrong_shape,
+        &mask,
+        NoAccumulate,
+        &sr,
+        &a,
+        transpose(&at),
+        Replace(false),
+    );
+    assert!(err.is_err());
+
+    let c = Matrix::<i64>::new(N, N);
+    let mut got = c.clone();
+    let ran = operations::mxm(
+        &mut got,
+        &mask,
+        NoAccumulate,
+        &sr,
+        &a,
+        transpose(&at),
+        Replace(false),
+    )
+    .unwrap();
+    assert_eq!(ran, MxmKernel::MaskedDot);
+    let want = reference::mxm(
+        &c,
+        &mask,
+        &NoAccumulate,
+        &sr,
+        &a,
+        transpose(&at),
+        Replace(false),
+    );
+    assert_eq!(got, want);
 }

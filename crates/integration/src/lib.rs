@@ -86,6 +86,15 @@ pub struct StatsDelta {
     pub sel_masked_push: u64,
 }
 
+/// Serialize the tests of one binary whose assertions difference the
+/// process-wide JIT counters: every test of such a file holds this
+/// guard for its whole body, so no sibling's dispatches (libtest runs
+/// them on parallel threads) land in another's delta.
+pub fn stats_serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Run `f` and report how the global JIT counters moved across it.
 pub fn measure_dispatches<R>(f: impl FnOnce() -> R) -> (R, StatsDelta) {
     let stats = pygb::runtime().cache().stats();

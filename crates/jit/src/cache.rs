@@ -220,8 +220,8 @@ fn persist_index(path: &Path, known: &HashMap<u64, ModuleRecord>) {
         }
         out.push_str(&format!(
             "\n  {{\n    \"module\": \"{}\",\n    \"key\": \"{}\",\n    \"compile_ns\": {}\n  }}",
-            json::escape_string(&r.module),
-            json::escape_string(&r.key),
+            pygb_obs::json_escape(&r.module),
+            pygb_obs::json_escape(&r.key),
             r.compile_ns
         ));
     }

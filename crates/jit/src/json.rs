@@ -4,10 +4,9 @@
 //! is no serde).
 //!
 //! Supports the full JSON value grammar on input; writing is done with
-//! [`escape_string`] plus ordinary formatting at the call site.
+//! [`pygb_obs::json_escape`] plus ordinary formatting at the call site.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,25 +210,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     Err("unterminated string".into())
 }
 
-/// Escape `text` as the body of a JSON string (no surrounding quotes).
-pub fn escape_string(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +244,7 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() {
         let original = "quote \" slash \\ newline \n tab \t unicode µ";
-        let parsed = parse(&format!("\"{}\"", escape_string(original))).unwrap();
+        let parsed = parse(&format!("\"{}\"", pygb_obs::json_escape(original))).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
     }
 

@@ -55,7 +55,8 @@ pub use recorder::{
     recorder, FlightRecorder, Outcome, RecordedRequest, RequestRecord, NAME_CAP, RECORDER_CAPACITY,
 };
 pub use trace::{
-    chrome_trace_json, clear_events, events, phase_totals, span, span_labeled, Cat, Span, SpanEvent,
+    chrome_trace_json, clear_events, events, json_escape, phase_totals, span, span_labeled, Cat,
+    Span, SpanEvent,
 };
 
 /// The process-wide tracing flag. Every instrumentation point loads

@@ -341,15 +341,16 @@ impl MetricsSnapshot {
     /// "buckets": [{"le_ns", "count"}, ...]}, ...}}`.
     /// BTreeMap ordering makes the output deterministic.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    \"{}\": {}", esc(name), value));
+            out.push_str(&format!(
+                "\n    \"{}\": {}",
+                crate::json_escape(name),
+                value
+            ));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
@@ -358,7 +359,7 @@ impl MetricsSnapshot {
             }
             out.push_str(&format!(
                 "\n    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"buckets\": [",
-                esc(name),
+                crate::json_escape(name),
                 h.count,
                 h.sum
             ));

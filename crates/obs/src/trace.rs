@@ -249,7 +249,10 @@ fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
-fn escape(s: &str) -> String {
+/// Escape `s` as the body of a JSON string (no surrounding quotes) —
+/// the workspace's one escaper; every hand-written JSON emitter calls
+/// it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -282,7 +285,7 @@ pub fn chrome_trace_json() -> String {
         out.push_str(&format!(
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
+            json_escape(name)
         ));
     }
     for ev in events.iter() {
@@ -294,7 +297,7 @@ pub fn chrome_trace_json() -> String {
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"cat\":\"{}\",\
              \"ts\":{},\"dur\":{}",
             ev.tid,
-            escape(&ev.name),
+            json_escape(&ev.name),
             ev.cat.name(),
             us(ev.ts_ns),
             us(ev.dur_ns.max(1)),
@@ -305,7 +308,7 @@ pub fn chrome_trace_json() -> String {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
+                out.push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
             }
             out.push('}');
         }
@@ -318,6 +321,12 @@ pub fn chrome_trace_json() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_escape_handles_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1}"), "\\u0001");
+    }
 
     #[test]
     fn spans_nest_by_time_containment() {

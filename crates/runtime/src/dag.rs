@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use gbtl::ops::kind::KindMonoid;
 use pygb::expr::{MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
+use pygb::facts::KernelChoice;
 use pygb::nb::{MatOpDesc, MatRhs, Resolution, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use pygb::{DynScalar, PygbError, Result};
@@ -321,9 +322,10 @@ fn flush_inner() -> Result<()> {
 
     // With the sparsity pass enabled, re-analyze the post-pipeline DAG
     // (fused/folded descriptors included) once, before any wave runs:
-    // each surviving node's fact arms the checked interpretation and
-    // any static kernel hint on the thread that executes it. Slot
-    // indices stay stable across waves, so the map survives the loop.
+    // each surviving node's fact arms the checked interpretation on
+    // the thread that executes it and carries the node's static kernel
+    // choice. Slot indices stay stable across waves, so the map
+    // survives the loop.
     let mut node_facts =
         if crate::passes::enabled_passes().contains(&crate::passes::PassKind::Sparsity) {
             DAG.with(|d| crate::sparsity::analyze(&d.borrow(), false).facts)
@@ -397,13 +399,13 @@ fn flush_inner() -> Result<()> {
                 move || {
                     let t0 = timed.then(std::time::Instant::now);
                     let sp = label.map(|l| pygb_obs::span_labeled(pygb_obs::Cat::Exec, || l));
-                    // Arm the checked interpretation and any static
-                    // kernel hint on the thread the node runs on; the
-                    // dispatch layer consumes hints one-shot.
-                    if let Some(nf) = &nf {
-                        crate::sparsity::arm_prediction(nf);
+                    // Arm the checked interpretation on the thread the
+                    // node runs on.
+                    if nf.is_some() {
+                        crate::sparsity::arm_prediction();
                     }
-                    let done = run_node(node);
+                    let choice = nf.as_ref().map(|nf| nf.choice).unwrap_or_default();
+                    let done = run_node(node, choice);
                     drop(sp);
                     if let Some(nf) = &nf {
                         let ok = match &done {
@@ -462,15 +464,15 @@ enum Done {
     M(Arc<MatrixStore>, Result<MatrixStore>),
 }
 
-fn run_node(node: Node) -> Done {
+fn run_node(node: Node, choice: KernelChoice) -> Done {
     match node {
         Node::Vec(desc) => {
             let out = Arc::clone(&desc.out);
-            Done::V(out, pygb::nb::run_vec_op(desc))
+            Done::V(out, pygb::nb::run_vec_op(desc, choice))
         }
         Node::Mat(desc) => {
             let out = Arc::clone(&desc.out);
-            Done::M(out, pygb::nb::run_mat_op(desc))
+            Done::M(out, pygb::nb::run_mat_op(desc, choice))
         }
     }
 }

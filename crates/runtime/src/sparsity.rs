@@ -10,10 +10,11 @@
 //!
 //! 1. the `sparsity` pipeline pass ([`crate::passes`]) folds nodes
 //!    whose write-back fact is provably empty;
-//! 2. kernel hints: when a fact is tight enough to decide push/pull
-//!    SpMV or the masked-SpGEMM family *statically*, the hint is armed
-//!    on the executing thread and consumed by `pygb::kernels` —
-//!    counted under `opt/static_kernel_hints`;
+//! 2. kernel choice: when a fact is tight enough to decide push/pull
+//!    SpMV or the masked-SpGEMM family *statically*, the node's
+//!    [`KernelChoice`] says so and travels as an argument of
+//!    `pygb::nb::run_{vec,mat}_op` down to `pygb::kernels` — counted
+//!    under `opt/static_kernel_hints`;
 //! 3. [`crate::plan`] renders each node's fact next to its kernel
 //!    verdict, and the analysis emits lints (provably-empty result
 //!    consumed downstream, mask provably disjoint) through
@@ -38,7 +39,7 @@
 use std::collections::HashMap;
 
 use pygb::expr::{MatOperand, MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
-use pygb::facts::{self, Fact};
+use pygb::facts::{self, Fact, KernelChoice};
 use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use std::sync::Arc;
@@ -51,19 +52,17 @@ use crate::dataflow::{mat_rhs_ops_present, node_out_ptr, vec_rhs_ops_present};
 // ---------------------------------------------------------------------
 
 /// The analysis verdict for one DAG node: its write-back fact plus any
-/// kernel hint the fact was tight enough to justify.
+/// kernel choice the fact was tight enough to justify.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeFacts {
     /// The abstract fact describing the node's output container after
     /// mask/accumulate/replace write-back.
     pub(crate) fact: Fact,
-    /// Statically decided SpMV direction, when the multiplied vector's
-    /// density interval falls entirely on one side of the push/pull
-    /// threshold.
-    pub(crate) spmv_hint: Option<facts::SpmvDirection>,
-    /// Statically decided masked-SpGEMM family, when the mask's
-    /// density interval is decisive.
-    pub(crate) mxm_hint: Option<facts::MxmFamily>,
+    /// Statically decided kernel: the SpMV direction when the
+    /// multiplied vector's density interval falls entirely on one side
+    /// of the push/pull threshold, the masked-SpGEMM family when the
+    /// mask's density interval is decisive.
+    pub(crate) choice: KernelChoice,
 }
 
 /// The whole-DAG analysis: slot index → [`NodeFacts`] for every live
@@ -352,22 +351,20 @@ pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
         let nf = match node {
             Node::Vec(d) => {
                 let fact = vec_node_fact(dag, &env, d);
-                let spmv_hint = vec_node_spmv_hint(dag, &env, d);
+                let spmv = vec_node_spmv_hint(dag, &env, d);
                 env.vec.insert(vptr(&d.out), fact);
                 NodeFacts {
                     fact,
-                    spmv_hint,
-                    mxm_hint: None,
+                    choice: KernelChoice { spmv, mxm: None },
                 }
             }
             Node::Mat(d) => {
                 let fact = mat_node_fact(dag, &env, d);
-                let mxm_hint = mat_node_mxm_hint(dag, &env, d);
+                let mxm = mat_node_mxm_hint(dag, &env, d);
                 env.mat.insert(mptr(&d.out), fact);
                 NodeFacts {
                     fact,
-                    spmv_hint: None,
-                    mxm_hint,
+                    choice: KernelChoice { spmv: None, mxm },
                 }
             }
         };
@@ -383,13 +380,13 @@ pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
 /// any statically decided kernel hint.
 pub(crate) fn render_facts(nf: &NodeFacts) -> String {
     let mut s = nf.fact.to_string();
-    if let Some(dir) = nf.spmv_hint {
+    if let Some(dir) = nf.choice.spmv {
         s.push_str(match dir {
             facts::SpmvDirection::Pull => " hint=pull",
             facts::SpmvDirection::Push => " hint=push",
         });
     }
-    if let Some(fam) = nf.mxm_hint {
+    if let Some(fam) = nf.choice.mxm {
         s.push_str(match fam {
             facts::MxmFamily::MaskedDot => " hint=dot",
             facts::MxmFamily::MaskedGustavson => " hint=gustavson",
@@ -500,26 +497,17 @@ pub(crate) fn record_write(nvals: usize, dim: usize) {
 }
 
 /// Arm a node's prediction on the executing thread, just before its
-/// kernel dispatches: clear the write recorder and hand any static
-/// kernel hints to the dispatch layer.
-pub(crate) fn arm_prediction(nf: &NodeFacts) {
+/// kernel dispatches: clear the write recorder.
+pub(crate) fn arm_prediction() {
     LAST_WRITE.with(|c| c.set(None));
-    if let Some(dir) = nf.spmv_hint {
-        facts::arm_spmv_hint(dir);
-    }
-    if let Some(fam) = nf.mxm_hint {
-        facts::arm_mxm_hint(fam);
-    }
 }
 
 /// Check a node's prediction after its kernel ran: the recorded
 /// concrete `nvals` must lie inside the fact's interval (`γ`
 /// membership). A miss bumps `opt/fact_misses` and debug-asserts —
 /// release builds keep running with the sound-but-wrong counter
-/// visible. Always clears any hint the dispatch layer did not take,
-/// so a stale hint can never leak into an unrelated kernel.
+/// visible.
 pub(crate) fn check_prediction(nf: &NodeFacts, kernel_ok: bool) {
-    facts::clear_hints();
     let Some((nvals, dim)) = LAST_WRITE.with(|c| c.take()) else {
         return;
     };
@@ -547,22 +535,21 @@ mod tests {
     fn prediction_checker_flags_interval_violations() {
         let nf = NodeFacts {
             fact: Fact::exact(3, 10),
-            spmv_hint: None,
-            mxm_hint: None,
+            choice: KernelChoice::default(),
         };
-        arm_prediction(&nf);
+        arm_prediction();
         // No write recorded: silently passes.
         check_prediction(&nf, true);
         // In-interval write: passes.
-        arm_prediction(&nf);
+        arm_prediction();
         record_write(3, 10);
         check_prediction(&nf, true);
         // Mismatched dim (fused intermediate): skipped.
-        arm_prediction(&nf);
+        arm_prediction();
         record_write(7, 4);
         check_prediction(&nf, true);
         // Failed kernel: skipped even with a recorded write.
-        arm_prediction(&nf);
+        arm_prediction();
         record_write(9, 10);
         check_prediction(&nf, false);
     }
@@ -573,10 +560,9 @@ mod tests {
     fn prediction_checker_asserts_on_miss() {
         let nf = NodeFacts {
             fact: Fact::exact(3, 10),
-            spmv_hint: None,
-            mxm_hint: None,
+            choice: KernelChoice::default(),
         };
-        arm_prediction(&nf);
+        arm_prediction();
         record_write(9, 10);
         check_prediction(&nf, true);
     }
@@ -585,8 +571,10 @@ mod tests {
     fn render_facts_includes_hints() {
         let nf = NodeFacts {
             fact: Fact::exact(0, 5),
-            spmv_hint: Some(facts::SpmvDirection::Push),
-            mxm_hint: None,
+            choice: KernelChoice {
+                spmv: Some(facts::SpmvDirection::Push),
+                mxm: None,
+            },
         };
         let s = render_facts(&nf);
         assert!(s.contains("nnz=[0,0]"), "got: {s}");

@@ -20,7 +20,7 @@ use pygb::{EdgeUpdate, Matrix, PygbError, StreamingMatrix};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::wire::json_escape;
+use pygb_obs::json_escape;
 
 /// How many lost publish races [`Catalog::update_edges`] re-applies a
 /// batch before giving up. Each retry replays the delta on the racing

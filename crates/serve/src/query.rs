@@ -63,7 +63,8 @@ use std::result::Result;
 use std::sync::Arc;
 
 use crate::catalog::{Catalog, Snapshot};
-use crate::wire::{json_escape, ErrCode};
+use crate::wire::ErrCode;
+use pygb_obs::json_escape;
 
 /// Entry cap on serialized result collections (levels, ranks, triples).
 /// Larger results are truncated and flagged `"truncated":true`.

@@ -519,7 +519,7 @@ fn run_batch(
         Err((code, msg)) => format!(
             "{{\"err\":{{\"code\":\"{}\",\"msg\":\"{}\"}}}}",
             code.name(),
-            wire::json_escape(&msg)
+            pygb_obs::json_escape(&msg)
         ),
     };
     let groupable = |r: &Request| matches!(r, Request::Expr(s) if s.into.is_none());

@@ -2,6 +2,7 @@
 //! verified: `f(A ⊕.⊗ u)` as one module vs. two.
 
 use pygb::prelude::*;
+use pygb_integration::stats_serial;
 
 fn graph() -> Matrix {
     Matrix::from_dense(&[
@@ -14,6 +15,7 @@ fn graph() -> Matrix {
 
 #[test]
 fn fused_chain_matches_two_step_evaluation() {
+    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[0.3f64, 0.3, 0.4]);
 
@@ -43,6 +45,7 @@ fn fused_chain_matches_two_step_evaluation() {
 
 #[test]
 fn fused_chain_is_one_dispatch() {
+    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
     let _sr = ArithmeticSemiring.enter();
@@ -66,6 +69,7 @@ fn fused_chain_is_one_dispatch() {
 
 #[test]
 fn fused_chain_respects_mask_accum_replace() {
+    let _serial = stats_serial();
     // The write controls apply to the *applied* result, once.
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
@@ -83,6 +87,7 @@ fn fused_chain_respects_mask_accum_replace() {
 
 #[test]
 fn mxv_and_vxm_orientations() {
+    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 2.0, 3.0]);
     let _sr = ArithmeticSemiring.enter();
@@ -97,6 +102,7 @@ fn mxv_and_vxm_orientations() {
 
 #[test]
 fn fusion_requires_a_product_head() {
+    let _serial = stats_serial();
     let u = Vector::from_dense(&[1.0f64]);
     let v = Vector::from_dense(&[2.0f64]);
     let err = (&u + &v).then_apply().unwrap_err();
@@ -105,6 +111,7 @@ fn fusion_requires_a_product_head() {
 
 #[test]
 fn fusion_without_unary_in_context_errors_at_eval() {
+    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
     let _sr = ArithmeticSemiring.enter();

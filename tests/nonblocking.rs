@@ -9,6 +9,7 @@ use pygb::{
 };
 use pygb_integration::{
     assert_matrices_identical, assert_vectors_identical, fig1_graph, measure_dispatches,
+    stats_serial,
 };
 
 fn dense(vals: &[f64]) -> Vector {
@@ -24,6 +25,7 @@ fn dense(vals: &[f64]) -> Vector {
 /// masked SpMV dispatch.
 #[test]
 fn ref_collapse_fuses_masked_spmv() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let run = |frontier: &mut Vector, levels: &Vector| {
         let _nb = pygb_runtime::nonblocking().unwrap();
@@ -74,6 +76,7 @@ fn ref_collapse_fuses_masked_spmv() {
 /// single `vxm_apply` composite dispatch.
 #[test]
 fn apply_after_mxv_fuses() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let u = dense(&[1.0; 7]);
     let run = |out: &mut Vector| {
@@ -107,6 +110,7 @@ fn apply_after_mxv_fuses() {
 /// becomes one `fused_ewise_chain` dispatch.
 #[test]
 fn ewise_chain_with_third_operand_fuses() {
+    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0]);
     let v = dense(&[10.0, 20.0, 30.0]);
     let x = dense(&[2.0, 2.0, 2.0]);
@@ -131,6 +135,7 @@ fn ewise_chain_with_third_operand_fuses() {
 /// vector for later reads.
 #[test]
 fn reduce_after_ewise_fuses() {
+    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0, 4.0]);
     let mut d_vec = Vector::new(4, DType::Fp64);
     let mut run = || {
@@ -151,6 +156,7 @@ fn reduce_after_ewise_fuses() {
 /// bitwise-identical containers to blocking mode.
 #[test]
 fn masked_accumulated_ops_match_blocking() {
+    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0, 4.0, 5.0]);
     let v = dense(&[10.0, 0.0, 30.0, 0.0, 50.0]);
     let mut mask = Vector::new(5, DType::Bool);
@@ -183,6 +189,7 @@ fn masked_accumulated_ops_match_blocking() {
 /// A deferred matrix product chain matches blocking mode.
 #[test]
 fn deferred_matrix_chain_matches_blocking() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let body = |b: &mut Matrix| -> pygb::Result<()> {
         let _sr = ArithmeticSemiring.enter();
@@ -208,6 +215,7 @@ fn deferred_matrix_chain_matches_blocking() {
 /// parallel scheduler.
 #[test]
 fn independent_wave_executes_in_parallel_correctly() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let inputs: Vec<Vector> = (0..8).map(|k| dense(&[k as f64 + 1.0; 7])).collect();
 
@@ -235,6 +243,7 @@ fn independent_wave_executes_in_parallel_correctly() {
 /// Dtype promotion through deferred expressions matches blocking mode.
 #[test]
 fn promotion_matches_blocking() {
+    let _serial = stats_serial();
     let mut a = Vector::new(4, DType::Int32);
     let mut b = Vector::new(4, DType::Int64);
     for i in 0..4 {
@@ -261,6 +270,7 @@ fn promotion_matches_blocking() {
 /// deferred writes.
 #[test]
 fn nvals_is_a_flush_point() {
+    let _serial = stats_serial();
     let u = dense(&[1.0, 0.0, 3.0]);
     let mut w = Vector::new(3, DType::Fp64);
     let _nb = pygb_runtime::nonblocking().unwrap();
@@ -272,6 +282,7 @@ fn nvals_is_a_flush_point() {
 /// is fully resolved once the scope exits, and can be read anywhere.
 #[test]
 fn worker_thread_scope_resolves_before_handoff() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let handle = std::thread::spawn(move || {
         let u = dense(&[1.0; 7]);
@@ -292,6 +303,7 @@ fn worker_thread_scope_resolves_before_handoff() {
 /// the Fig. 1 graph.
 #[test]
 fn algorithms_match_blocking_on_fig1() {
+    let _serial = stats_serial();
     let g = fig1_graph();
 
     let bfs_b = pygb_algorithms::bfs_dsl_loops(&g, 3).unwrap();
@@ -322,6 +334,7 @@ fn algorithms_match_blocking_on_fig1() {
 /// the valid operations around it.
 #[test]
 fn invalid_op_is_rejected_at_enqueue_with_provenance() {
+    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0]);
     let bad = dense(&[1.0, 2.0, 3.0]);
     let mut w = Vector::new(2, DType::Fp64);
@@ -349,6 +362,7 @@ fn invalid_op_is_rejected_at_enqueue_with_provenance() {
 /// and the unfused execution still matches blocking mode exactly.
 #[test]
 fn aliased_output_refuses_fusion_then_executes_correctly() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let u = dense(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
 
@@ -398,6 +412,7 @@ fn aliased_output_refuses_fusion_then_executes_correctly() {
 /// dependencies, and fusion decisions of the pending DAG — read-only.
 #[test]
 fn plan_reports_shapes_kernels_and_fusion_decisions() {
+    let _serial = stats_serial();
     let g = fig1_graph();
     let mut f = Vector::new(7, DType::Bool);
     f.set(3, true).unwrap();
