@@ -20,7 +20,9 @@
 //!   (non-decreasing in `le` order), an `le="+Inf"` bucket exists,
 //!   and it equals the series' `_count`;
 //! * the scrape carries live serve data: at least one `pygb_serve_`
-//!   family and the mirrored `pygb_tunables_slow_ns` threshold.
+//!   family, the mirrored `pygb_tunables_slow_ns` threshold, and the
+//!   four `pygb_views_*` operand-view counters (a server that answered
+//!   a mixed-dtype query has converted an operand).
 
 use std::collections::BTreeMap;
 
@@ -253,6 +255,14 @@ fn main() {
     }
     if !families.contains_key("pygb_tunables_slow_ns") {
         fail("pygb_tunables_slow_ns missing — the slow threshold is not mirrored");
+    }
+    for view in ["cast_built", "cast_hit", "transpose_built", "transpose_hit"] {
+        let family = format!("pygb_views_{view}");
+        if families.get(&family).map(String::as_str) != Some("counter") {
+            fail(&format!(
+                "counter {family} missing — no operand view was ever requested"
+            ));
+        }
     }
 
     println!(

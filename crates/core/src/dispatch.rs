@@ -76,15 +76,15 @@ fn flag(b: bool) -> &'static str {
     }
 }
 
+/// The operand as dtype `to`: the store itself or its memoized cast
+/// (converted once per store, not once per op). The Rust analog of the
+/// element-wise conversion GBTL's templates do inside the kernel.
 fn cast_m(store: &Arc<MatrixStore>, to: DType) -> Result<Arc<MatrixStore>> {
     // Operands may be deferred placeholders in nonblocking mode; read
-    // through the runtime's resolution map (flushing if necessary).
-    let store = crate::nb::resolved_mat(store)?;
-    Ok(if store.dtype() == to {
-        store
-    } else {
-        Arc::new(store.cast(to))
-    })
+    // through the runtime's resolution map (flushing if necessary)
+    // *before* asking for a view, so a view is only ever memoized on
+    // the real store, never on the empty placeholder naming it.
+    Ok(crate::nb::resolved_mat(store)?.cast_view(to))
 }
 
 fn cast_v(store: &Arc<VectorStore>, to: DType) -> Result<Arc<VectorStore>> {
@@ -193,8 +193,7 @@ pub(crate) fn eval_matrix(
     args.replace = replace;
     args.choice = choice;
     if let Some((m, comp)) = &mask {
-        let m_res = crate::nb::resolved_mat(m)?;
-        args.mask = Some(Arc::new(m_res.to_bool_matrix()));
+        args.mask = Some(cast_m(m, DType::Bool)?);
         args.complemented = *comp;
         common_key_flags(&mut key, accum, replace, Some(m.dtype()), *comp);
     } else {
@@ -343,8 +342,7 @@ pub(crate) fn assign_matrix_scalar(
         args.cols = Some(cols);
     }
     if let Some((m, comp)) = &mask {
-        let m = crate::nb::resolved_mat(m)?;
-        args.mask = Some(Arc::new(m.to_bool_matrix()));
+        args.mask = Some(cast_m(m, DType::Bool)?);
         args.complemented = *comp;
         common_key_flags(&mut key, accum, replace, Some(m.dtype()), *comp);
     } else {

@@ -29,12 +29,9 @@
 //!
 //! This module also carries the [`KernelChoice`] the runtime's
 //! sparsity pass derives from tight facts — a value handed down the
-//! dispatch call as an argument — and the weak-keyed transpose cache
-//! `core::kernels` uses to honor an SpMV direction that disagrees with
-//! the operand's stored orientation.
+//! dispatch call as an argument.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, Weak};
 
 pub use gbtl::MxmFamily;
 
@@ -458,53 +455,6 @@ pub struct KernelChoice {
     pub mxm: Option<MxmFamily>,
 }
 
-// ---------------------------------------------------------------------
-// Weak-keyed transpose cache.
-// ---------------------------------------------------------------------
-
-static TRANSPOSE_CACHE: Mutex<Vec<(Weak<MatrixStore>, Arc<MatrixStore>)>> = Mutex::new(Vec::new());
-const TRANSPOSE_CACHE_CAP: usize = 32;
-
-fn cache_guard() -> std::sync::MutexGuard<'static, Vec<(Weak<MatrixStore>, Arc<MatrixStore>)>> {
-    match TRANSPOSE_CACHE.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// The transpose of `a`, memoized per store identity so a BFS loop that
-/// pulls the same graph every dense ply pays the counting sort once.
-/// Entries are weak-keyed: a dropped source store frees its transpose
-/// on the next lookup. Bounded at `TRANSPOSE_CACHE_CAP` sources
-/// (oldest evicted first).
-pub fn cached_transpose(a: &Arc<MatrixStore>) -> Arc<MatrixStore> {
-    {
-        let mut cache = cache_guard();
-        cache.retain(|(w, _)| w.strong_count() > 0);
-        if let Some((_, t)) = cache
-            .iter()
-            .find(|(w, _)| std::ptr::eq(w.as_ptr(), Arc::as_ptr(a)))
-        {
-            return Arc::clone(t);
-        }
-    }
-    // Compute outside the lock: a duplicate race costs one extra
-    // transpose, never a deadlock or a stalled pool thread.
-    let t = Arc::new(a.transposed());
-    let mut cache = cache_guard();
-    if let Some((_, cached)) = cache
-        .iter()
-        .find(|(w, _)| std::ptr::eq(w.as_ptr(), Arc::as_ptr(a)))
-    {
-        return Arc::clone(cached);
-    }
-    if cache.len() >= TRANSPOSE_CACHE_CAP {
-        cache.remove(0);
-    }
-    cache.push((Arc::downgrade(a), Arc::clone(&t)));
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,35 +554,5 @@ mod tests {
         assert!(!write_back(&iso_t, &c, Some((&m, false)), false, false).iso);
         // Apply preserves the pattern flags.
         assert!(apply(&iso_t).iso);
-    }
-
-    #[test]
-    fn transpose_cache_hits_by_identity() {
-        let m = Arc::new(
-            MatrixStore::from_dyn_triples(
-                2,
-                3,
-                &[(0, 2, crate::value::DynScalar::Int64(7))],
-                DType::Int64,
-            )
-            .unwrap(),
-        );
-        let t1 = cached_transpose(&m);
-        let t2 = cached_transpose(&m);
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!((t1.nrows(), t1.ncols()), (3, 2));
-        assert_eq!(t1.get(2, 0).map(|v| v.as_i64()), Some(7));
-        // A distinct store with equal contents is a different key.
-        let m2 = Arc::new(
-            MatrixStore::from_dyn_triples(
-                2,
-                3,
-                &[(0, 2, crate::value::DynScalar::Int64(7))],
-                DType::Int64,
-            )
-            .unwrap(),
-        );
-        let t3 = cached_transpose(&m2);
-        assert!(!Arc::ptr_eq(&t1, &t3));
     }
 }

@@ -29,8 +29,8 @@ use crate::value::DynScalar;
 pub(crate) struct MatArgs {
     /// The output container (taken from the target; put back after).
     pub c: MatrixStore,
-    /// Optional boolean mask pattern.
-    pub mask: Option<Arc<gbtl::Matrix<bool>>>,
+    /// Optional boolean mask pattern (a `Bool` store).
+    pub mask: Option<Arc<MatrixStore>>,
     /// Whether the mask is complemented.
     pub complemented: bool,
     /// First matrix operand.
@@ -207,12 +207,16 @@ impl MatrixMask for MMask<'_> {
     }
 }
 
-fn mmask<'x>(mask: &'x Option<Arc<gbtl::Matrix<bool>>>, complemented: bool) -> MMask<'x> {
-    match (mask, complemented) {
-        (None, _) => MMask::None,
-        (Some(m), false) => MMask::Plain(m),
-        (Some(m), true) => MMask::Comp(m),
+fn mmask(mask: &Option<Arc<MatrixStore>>, complemented: bool) -> Result<MMask<'_>, JitError> {
+    if mask.is_none() {
+        return Ok(MMask::None);
     }
+    let m = typed_m::<bool>(mask, "mask")?;
+    Ok(if complemented {
+        MMask::Comp(m)
+    } else {
+        MMask::Plain(m)
+    })
 }
 
 enum VMask<'x> {
@@ -322,7 +326,7 @@ fn view<T: gbtl::Scalar>(m: &gbtl::Matrix<T>, transposed: bool) -> gbtl::MatrixA
 /// pull, a transposed one always runs push (there is no dual view, so
 /// the gbtl density probe never fires). A choice that agrees with the
 /// forced direction changes nothing; one that disagrees swaps in the
-/// memoized transpose of the store ([`crate::facts::cached_transpose`])
+/// memoized transpose of the store ([`MatrixStore::transpose_view`])
 /// with the orientation flag flipped — same logical operand, opposite
 /// kernel direction. `natural_pull` is whether the undecided selection
 /// pulls (`!at` for mxv, `at` for vxm).
@@ -336,7 +340,7 @@ fn spmv_operand(args: &VecArgs, natural_pull: bool) -> (Option<Arc<MatrixStore>>
         .inc();
     let want_pull = dir == SpmvDirection::Pull;
     match a {
-        Some(src) if want_pull != natural_pull => (Some(crate::facts::cached_transpose(src)), !at),
+        Some(src) if want_pull != natural_pull => (Some(src.transpose_view()), !at),
         _ => (a.clone(), at),
     }
 }
@@ -383,7 +387,7 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let r = gbtl::operations::mxm_with(
         family,
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         &sr,
         view(a, args.at),
@@ -416,7 +420,7 @@ fn k_ewise_add_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let b = typed_m::<T>(&args.b, "b")?;
     let r = gbtl::operations::e_wise_add_matrix(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         op,
         view(a, args.at),
@@ -434,7 +438,7 @@ fn k_ewise_mult_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let b = typed_m::<T>(&args.b, "b")?;
     let r = gbtl::operations::e_wise_mult_matrix(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         op,
         view(a, args.at),
@@ -451,7 +455,7 @@ fn k_apply_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let a = typed_m::<T>(&args.a, "a")?;
     let r = gbtl::operations::apply_matrix(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         op,
         view(a, args.at),
@@ -466,7 +470,7 @@ fn k_transpose_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let a = typed_m::<T>(&args.a, "a")?;
     let r = gbtl::operations::transpose_into(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         view(a, args.at),
         gbtl::Replace(args.replace),
@@ -482,7 +486,7 @@ fn k_extract_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let cols = args.cols.clone().ok_or_else(|| bad("cols"))?;
     let r = gbtl::operations::extract_matrix(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         view(a, args.at),
         &rows,
@@ -500,7 +504,7 @@ fn k_assign_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let cols = args.cols.clone().unwrap_or(Indices::All);
     let r = gbtl::operations::assign_matrix(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         a,
         &rows,
@@ -518,7 +522,7 @@ fn k_assign_m_const<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let mut c = take_c_m::<T>(args)?;
     let r = gbtl::operations::assign_matrix_constant(
         &mut c,
-        &mmask(&args.mask, args.complemented),
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
         value,
         &rows,

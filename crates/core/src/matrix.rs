@@ -230,10 +230,12 @@ impl Matrix {
         }
     }
 
-    /// A copy cast to another dtype.
+    /// A copy cast to another dtype: a handle on the store's memoized
+    /// view (copy-on-write, like `clone`), so casting the same matrix
+    /// again converts nothing.
     pub fn cast(&self, dtype: DType) -> Matrix {
         Matrix {
-            store: Arc::new(self.read_store().cast(dtype)),
+            store: self.read_store().cast_view(dtype),
         }
     }
 

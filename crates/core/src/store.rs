@@ -7,15 +7,111 @@
 //! containers, with the [`Element`] trait providing the typed
 //! wrap/unwrap bridge kernels use after the JIT layer has selected the
 //! right instantiation.
+//!
+//! A [`MatrixStore`] also owns its *derived views* — the same matrix
+//! cast to another dtype ([`MatrixStore::cast_view`]) or transposed
+//! ([`MatrixStore::transpose_view`]) — each built on first use and kept
+//! until the store is dropped, so an operand that dispatch must convert
+//! is converted once per store, not once per operation. A view can
+//! never be stale: the matrix is reachable for writing only through
+//! `MatrixStore::data_mut`, which empties the views, and a `clone`
+//! (what `Arc::make_mut` does to a shared handle) starts with none.
+
+use std::sync::{Arc, OnceLock};
 
 use gbtl::{Matrix as GMatrix, Vector as GVector};
+use pygb_obs::Counter;
 
-use crate::dtype::DType;
+use crate::dtype::{DType, ALL_DTYPES};
 use crate::value::DynScalar;
 
-/// A dtype-tagged sparse matrix.
+/// A dtype-tagged sparse matrix together with its memoized views.
+pub struct MatrixStore {
+    data: MatrixData,
+    views: Views,
+}
+
+/// The views derived from one store's matrix. A view is a store of its
+/// own (a cast view memoizes its own transpose), owned by its source
+/// and never pointing back at it, so there is no `Arc` cycle: dropping
+/// the source frees every view no other handle still uses.
+#[derive(Default)]
+struct Views {
+    /// Slot `d as usize`: the matrix cast to dtype `d`.
+    cast: [OnceLock<Arc<MatrixStore>>; ALL_DTYPES.len()],
+    transpose: OnceLock<Arc<MatrixStore>>,
+}
+
+/// The `views/*` registry counters, resolved once so a lookup costs one
+/// relaxed increment.
+struct ViewCounters {
+    cast_built: Arc<Counter>,
+    cast_hit: Arc<Counter>,
+    transpose_built: Arc<Counter>,
+    transpose_hit: Arc<Counter>,
+}
+
+fn view_counters() -> &'static ViewCounters {
+    static COUNTERS: OnceLock<ViewCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let reg = pygb_obs::registry();
+        ViewCounters {
+            cast_built: reg.counter("views/cast_built"),
+            cast_hit: reg.counter("views/cast_hit"),
+            transpose_built: reg.counter("views/transpose_built"),
+            transpose_hit: reg.counter("views/transpose_hit"),
+        }
+    })
+}
+
+/// The slot's view, built by `build` if this is the first request.
+/// Concurrent first requests block on the one build.
+fn view_or_build(
+    slot: &OnceLock<Arc<MatrixStore>>,
+    built: &Counter,
+    hit: &Counter,
+    build: impl FnOnce() -> MatrixStore,
+) -> Arc<MatrixStore> {
+    let mut fresh = false;
+    let view = slot.get_or_init(|| {
+        fresh = true;
+        Arc::new(build())
+    });
+    if fresh { built } else { hit }.inc();
+    Arc::clone(view)
+}
+
+impl From<MatrixData> for MatrixStore {
+    fn from(data: MatrixData) -> MatrixStore {
+        MatrixStore {
+            data,
+            views: Views::default(),
+        }
+    }
+}
+
+impl Clone for MatrixStore {
+    /// Copies the matrix; the copy builds its own views on demand.
+    fn clone(&self) -> MatrixStore {
+        MatrixStore::from(self.data.clone())
+    }
+}
+
+impl PartialEq for MatrixStore {
+    fn eq(&self, other: &MatrixStore) -> bool {
+        self.data == other.data
+    }
+}
+
+impl std::fmt::Debug for MatrixStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.data.fmt(f)
+    }
+}
+
+/// The matrix inside a [`MatrixStore`]: one variant per dtype.
 #[derive(Clone, Debug, PartialEq)]
-pub enum MatrixStore {
+pub(crate) enum MatrixData {
     /// `bool` storage.
     Bool(GMatrix<bool>),
     /// `int8` storage.
@@ -67,21 +163,21 @@ pub enum VectorStore {
     Fp64(GVector<f64>),
 }
 
-/// Run `$body` with `$m` bound to the typed matrix inside the store.
+/// Run `$body` with `$m` bound to the typed matrix inside `$data`.
 macro_rules! dispatch_matrix {
-    ($store:expr, |$m:ident| $body:expr) => {
-        match $store {
-            MatrixStore::Bool($m) => $body,
-            MatrixStore::Int8($m) => $body,
-            MatrixStore::Int16($m) => $body,
-            MatrixStore::Int32($m) => $body,
-            MatrixStore::Int64($m) => $body,
-            MatrixStore::UInt8($m) => $body,
-            MatrixStore::UInt16($m) => $body,
-            MatrixStore::UInt32($m) => $body,
-            MatrixStore::UInt64($m) => $body,
-            MatrixStore::Fp32($m) => $body,
-            MatrixStore::Fp64($m) => $body,
+    ($data:expr, |$m:ident| $body:expr) => {
+        match $data {
+            MatrixData::Bool($m) => $body,
+            MatrixData::Int8($m) => $body,
+            MatrixData::Int16($m) => $body,
+            MatrixData::Int32($m) => $body,
+            MatrixData::Int64($m) => $body,
+            MatrixData::UInt8($m) => $body,
+            MatrixData::UInt16($m) => $body,
+            MatrixData::UInt32($m) => $body,
+            MatrixData::UInt64($m) => $body,
+            MatrixData::Fp32($m) => $body,
+            MatrixData::Fp64($m) => $body,
         }
     };
 }
@@ -133,17 +229,17 @@ macro_rules! impl_element {
         impl Element for $t {
             const DTYPE: DType = $dtype;
             fn wrap_matrix(m: GMatrix<Self>) -> MatrixStore {
-                MatrixStore::$variant(m)
+                MatrixData::$variant(m).into()
             }
             fn unwrap_matrix(s: &MatrixStore) -> Option<&GMatrix<Self>> {
-                match s {
-                    MatrixStore::$variant(m) => Some(m),
+                match &s.data {
+                    MatrixData::$variant(m) => Some(m),
                     _ => None,
                 }
             }
             fn unwrap_matrix_owned(s: MatrixStore) -> Option<GMatrix<Self>> {
-                match s {
-                    MatrixStore::$variant(m) => Some(m),
+                match s.data {
+                    MatrixData::$variant(m) => Some(m),
                     _ => None,
                 }
             }
@@ -209,92 +305,127 @@ impl MatrixStore {
     pub fn new(nrows: usize, ncols: usize, dtype: DType) -> MatrixStore {
         macro_rules! make {
             ($variant:ident, $t:ty) => {
-                MatrixStore::$variant(GMatrix::<$t>::new(nrows, ncols))
+                MatrixData::$variant(GMatrix::<$t>::new(nrows, ncols))
             };
         }
-        construct_for_dtype!(dtype, make)
+        construct_for_dtype!(dtype, make).into()
+    }
+
+    /// Take the matrix out, leaving the views behind.
+    pub(crate) fn into_data(self) -> MatrixData {
+        self.data
+    }
+
+    /// The only write access to the matrix. Whatever the caller writes,
+    /// the views no longer describe it: they are dropped here.
+    fn data_mut(&mut self) -> &mut MatrixData {
+        self.views = Views::default();
+        &mut self.data
     }
 
     /// The dtype tag.
     pub fn dtype(&self) -> DType {
-        match self {
-            MatrixStore::Bool(_) => DType::Bool,
-            MatrixStore::Int8(_) => DType::Int8,
-            MatrixStore::Int16(_) => DType::Int16,
-            MatrixStore::Int32(_) => DType::Int32,
-            MatrixStore::Int64(_) => DType::Int64,
-            MatrixStore::UInt8(_) => DType::UInt8,
-            MatrixStore::UInt16(_) => DType::UInt16,
-            MatrixStore::UInt32(_) => DType::UInt32,
-            MatrixStore::UInt64(_) => DType::UInt64,
-            MatrixStore::Fp32(_) => DType::Fp32,
-            MatrixStore::Fp64(_) => DType::Fp64,
+        match &self.data {
+            MatrixData::Bool(_) => DType::Bool,
+            MatrixData::Int8(_) => DType::Int8,
+            MatrixData::Int16(_) => DType::Int16,
+            MatrixData::Int32(_) => DType::Int32,
+            MatrixData::Int64(_) => DType::Int64,
+            MatrixData::UInt8(_) => DType::UInt8,
+            MatrixData::UInt16(_) => DType::UInt16,
+            MatrixData::UInt32(_) => DType::UInt32,
+            MatrixData::UInt64(_) => DType::UInt64,
+            MatrixData::Fp32(_) => DType::Fp32,
+            MatrixData::Fp64(_) => DType::Fp64,
         }
     }
 
     /// Row count.
     pub fn nrows(&self) -> usize {
-        dispatch_matrix!(self, |m| m.nrows())
+        dispatch_matrix!(&self.data, |m| m.nrows())
     }
 
     /// Column count.
     pub fn ncols(&self) -> usize {
-        dispatch_matrix!(self, |m| m.ncols())
+        dispatch_matrix!(&self.data, |m| m.ncols())
     }
 
     /// Stored element count.
     pub fn nvals(&self) -> usize {
-        dispatch_matrix!(self, |m| m.nvals())
+        dispatch_matrix!(&self.data, |m| m.nvals())
     }
 
     /// Boxed element access.
     pub fn get(&self, i: usize, j: usize) -> Option<DynScalar> {
-        dispatch_matrix!(self, |m| m.get(i, j).map(Element::to_dyn))
+        dispatch_matrix!(&self.data, |m| m.get(i, j).map(Element::to_dyn))
     }
 
     /// Boxed element write.
     pub fn set(&mut self, i: usize, j: usize, v: DynScalar) -> gbtl::Result<()> {
-        dispatch_matrix!(self, |m| m.set(i, j, Element::from_dyn(v)))
+        dispatch_matrix!(self.data_mut(), |m| m.set(i, j, Element::from_dyn(v)))
     }
 
-    /// Cast to another dtype (no-op clone of structure when equal).
+    /// A fresh copy cast to another dtype, sharing the index arrays
+    /// with this store. Operands go through [`MatrixStore::cast_view`],
+    /// which keeps the copy.
     pub fn cast(&self, to: DType) -> MatrixStore {
-        if self.dtype() == to {
-            return self.clone();
-        }
         macro_rules! make {
             ($variant:ident, $t:ty) => {
-                MatrixStore::$variant(dispatch_matrix!(self, |m| m.cast::<$t>()))
+                MatrixData::$variant(dispatch_matrix!(&self.data, |m| m.cast::<$t>()))
             };
         }
-        construct_for_dtype!(to, make)
+        construct_for_dtype!(to, make).into()
     }
 
-    /// The boolean pattern matrix masks use (`to_bool` coercion of
-    /// every stored value).
-    pub fn to_bool_matrix(&self) -> GMatrix<bool> {
-        dispatch_matrix!(self, |m| m.cast::<bool>())
+    /// This matrix as dtype `to`: the store itself when it already has
+    /// that dtype, else the memoized cast. The `Bool` view is the
+    /// pattern matrix masks use (`to_bool` coercion of every stored
+    /// value).
+    pub fn cast_view(self: &Arc<Self>, to: DType) -> Arc<MatrixStore> {
+        if self.dtype() == to {
+            return Arc::clone(self);
+        }
+        let c = view_counters();
+        view_or_build(
+            &self.views.cast[to as usize],
+            &c.cast_built,
+            &c.cast_hit,
+            || self.cast(to),
+        )
     }
 
     /// Boxed triples (row, col, value) in row-major order.
     pub fn extract_triples_dyn(&self) -> Vec<(usize, usize, DynScalar)> {
-        dispatch_matrix!(self, |m| m
+        dispatch_matrix!(&self.data, |m| m
             .iter()
             .map(|(i, j, v)| (i, j, Element::to_dyn(v)))
             .collect())
     }
 
     /// Materialize the transpose as a new store of the same dtype (a
-    /// typed counting sort; no per-element boxing). Used to honor a
-    /// plan-time SpMV direction that disagrees with the stored
-    /// orientation (see [`crate::facts::cached_transpose`]).
+    /// typed counting sort; no per-element boxing).
     pub fn transposed(&self) -> MatrixStore {
-        dispatch_matrix!(self, |m| Element::wrap_matrix(m.transpose_owned()))
+        dispatch_matrix!(&self.data, |m| Element::wrap_matrix(m.transpose_owned()))
+    }
+
+    /// The memoized [`MatrixStore::transposed`]. Kernels use it to
+    /// honor a plan-time SpMV direction that disagrees with the stored
+    /// orientation, so a loop that pulls the same graph every ply pays
+    /// the counting sort once. The view's own transpose slot starts
+    /// empty — it does not point back here.
+    pub fn transpose_view(&self) -> Arc<MatrixStore> {
+        let c = view_counters();
+        view_or_build(
+            &self.views.transpose,
+            &c.transpose_built,
+            &c.transpose_hit,
+            || self.transposed(),
+        )
     }
 
     /// Placeholder store used when temporarily taking ownership.
     pub(crate) fn placeholder() -> MatrixStore {
-        MatrixStore::Bool(GMatrix::new(0, 0))
+        MatrixData::Bool(GMatrix::new(0, 0)).into()
     }
 
     /// Build from boxed triples: every value crosses the dynamic
@@ -315,7 +446,7 @@ impl MatrixStore {
                     .map(|&(i, j, v)| (i, j, <$t as Element>::from_dyn(v)))
                     .collect();
                 GMatrix::from_triples_dedup_with(nrows, ncols, typed, |_, b| b)
-                    .map(MatrixStore::$variant)
+                    .map(|m| MatrixData::$variant(m).into())
             }};
         }
         construct_for_dtype!(dtype, make)
@@ -453,6 +584,79 @@ mod tests {
         // Same-dtype cast is a plain clone.
         let same = m.cast(DType::Fp64);
         assert_eq!(same, m);
+    }
+
+    fn one_entry() -> Arc<MatrixStore> {
+        Arc::new(
+            MatrixStore::from_dyn_triples(2, 3, &[(0, 2, DynScalar::Int64(7))], DType::Int64)
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn transpose_view_is_memoized_per_store() {
+        let m = one_entry();
+        let t1 = m.transpose_view();
+        let t2 = m.transpose_view();
+        assert!(Arc::ptr_eq(&t1, &t2));
+        assert_eq!((t1.nrows(), t1.ncols()), (3, 2));
+        assert_eq!(t1.get(2, 0).map(|v| v.as_i64()), Some(7));
+        // A distinct store with equal contents has views of its own.
+        assert!(!Arc::ptr_eq(&t1, &one_entry().transpose_view()));
+        // The view does not point back: its transpose is a third store.
+        assert!(!Arc::ptr_eq(&t1.transpose_view(), &m));
+        assert_eq!(*t1.transpose_view(), *m);
+    }
+
+    #[test]
+    fn cast_view_is_memoized_and_is_the_store_itself_for_its_own_dtype() {
+        let m = one_entry();
+        assert!(Arc::ptr_eq(&m.cast_view(DType::Int64), &m));
+        let b1 = m.cast_view(DType::Bool);
+        let b2 = m.cast_view(DType::Bool);
+        assert!(Arc::ptr_eq(&b1, &b2));
+        assert_eq!(*b1, m.cast(DType::Bool));
+        assert_eq!(b1.get(0, 2), Some(DynScalar::Bool(true)));
+        assert!(!Arc::ptr_eq(&b1, &m.cast_view(DType::Fp32)));
+    }
+
+    #[test]
+    fn dropping_the_store_frees_its_views() {
+        let m = one_entry();
+        let cast = Arc::downgrade(&m.cast_view(DType::Fp64));
+        let transpose = Arc::downgrade(&m.transpose_view());
+        let nested = Arc::downgrade(&m.cast_view(DType::Fp64).transpose_view());
+        assert!(cast.upgrade().is_some() && transpose.upgrade().is_some());
+        drop(m);
+        assert!(cast.upgrade().is_none());
+        assert!(transpose.upgrade().is_none());
+        assert!(nested.upgrade().is_none());
+    }
+
+    #[test]
+    fn a_write_or_a_clone_starts_with_no_views() {
+        let mut m = one_entry();
+        let stale = m.cast_view(DType::Bool);
+        let stale_t = m.transpose_view();
+        // A shared handle copies on write; the copy has no views yet.
+        let snapshot = Arc::clone(&m);
+        Arc::make_mut(&mut m)
+            .set(1, 0, DynScalar::Int64(0))
+            .unwrap();
+        assert!(Arc::ptr_eq(&snapshot.cast_view(DType::Bool), &stale));
+        assert_eq!(m.cast_view(DType::Bool).nvals(), 2);
+        assert_eq!(stale.nvals(), 1);
+        // An unshared handle is written in place: `set` drops its views.
+        drop(snapshot);
+        let before = m.cast_view(DType::Bool);
+        Arc::make_mut(&mut m)
+            .set(1, 1, DynScalar::Int64(5))
+            .unwrap();
+        let after = m.cast_view(DType::Bool);
+        assert!(!Arc::ptr_eq(&before, &after));
+        assert_eq!((before.nvals(), after.nvals()), (2, 3));
+        assert_eq!(m.transpose_view().get(1, 1), Some(DynScalar::Int64(5)));
+        assert_eq!(stale_t.nvals(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::analyze;
 use crate::dtype::DType;
 use crate::error::Result;
 use crate::matrix::Matrix;
-use crate::store::MatrixStore;
+use crate::store::{MatrixData, MatrixStore};
 use crate::value::DynScalar;
 
 /// One dynamic edge mutation: `Some(val)` inserts or overwrites,
@@ -77,7 +77,7 @@ enum DeltaStore {
     Fp64(DeltaMatrix<f64>),
 }
 
-/// Expand `$mac!` over every (MatrixStore variant, DeltaStore variant)
+/// Expand `$mac!` over every (MatrixData variant, DeltaStore variant)
 /// pair — the dtype-erasure boilerplate in one place.
 macro_rules! for_each_dtype {
     ($mac:ident, $($extra:tt)*) => {
@@ -108,8 +108,8 @@ impl DeltaStore {
     fn from_matrix_store(store: MatrixStore, policy: MergePolicy) -> DeltaStore {
         macro_rules! convert {
             (; $($v:ident),*) => {
-                match store {
-                    $(MatrixStore::$v(m) => DeltaStore::$v(DeltaMatrix::with_policy(m, policy)),)*
+                match store.into_data() {
+                    $(MatrixData::$v(m) => DeltaStore::$v(DeltaMatrix::with_policy(m, policy)),)*
                 }
             };
         }
@@ -120,7 +120,7 @@ impl DeltaStore {
         macro_rules! convert {
             (; $($v:ident),*) => {
                 match self {
-                    $(DeltaStore::$v(d) => MatrixStore::$v(d.into_settled()),)*
+                    $(DeltaStore::$v(d) => MatrixData::$v(d.into_settled()).into(),)*
                 }
             };
         }
@@ -131,7 +131,7 @@ impl DeltaStore {
         macro_rules! convert {
             (; $($v:ident),*) => {
                 match self {
-                    $(DeltaStore::$v(d) => MatrixStore::$v(d.merged()),)*
+                    $(DeltaStore::$v(d) => MatrixData::$v(d.merged()).into(),)*
                 }
             };
         }

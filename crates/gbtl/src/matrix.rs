@@ -6,32 +6,57 @@
 //! transposed operand is either handled by a specialized kernel or
 //! materialized with [`Matrix::transpose_owned`] (a counting sort,
 //! `O(nnz + n)`), mirroring GBTL's handling of `TransposeView`.
+//!
+//! The index arrays (`row_ptr`, `col_idx`) sit behind one `Arc`, apart
+//! from the values: [`Matrix::cast`] and `clone` share them and copy
+//! only `nnz` values, and a structural write (`set`, `remove`, `clear`)
+//! unshares them first (`Arc::make_mut`), so sharing is never
+//! observable.
+
+use std::sync::Arc;
 
 use crate::error::{GblasError, Result};
 use crate::index::IndexType;
 use crate::scalar::Scalar;
+
+/// The CSR index arrays: the part of a matrix that does not depend on
+/// its element type.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Csr {
+    /// `row_ptr[i]..row_ptr[i+1]` is the slice of row `i` in
+    /// `col_idx` / `values`. Length `nrows + 1`.
+    row_ptr: Vec<IndexType>,
+    col_idx: Vec<IndexType>,
+}
 
 /// A sparse `nrows × ncols` matrix in CSR format.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix<T> {
     nrows: IndexType,
     ncols: IndexType,
-    /// `row_ptr[i]..row_ptr[i+1]` is the slice of row `i` in
-    /// `col_idx` / `values`. Length `nrows + 1`.
-    row_ptr: Vec<IndexType>,
-    col_idx: Vec<IndexType>,
+    csr: Arc<Csr>,
+    /// Parallel to `csr.col_idx`.
     values: Vec<T>,
 }
 
 impl<T: Scalar> Matrix<T> {
     /// An empty matrix of the given shape.
     pub fn new(nrows: IndexType, ncols: IndexType) -> Self {
+        Self::from_parts(nrows, ncols, vec![0; nrows + 1], Vec::new(), Vec::new())
+    }
+
+    fn from_parts(
+        nrows: IndexType,
+        ncols: IndexType,
+        row_ptr: Vec<IndexType>,
+        col_idx: Vec<IndexType>,
+        values: Vec<T>,
+    ) -> Self {
         Matrix {
             nrows,
             ncols,
-            row_ptr: vec![0; nrows + 1],
-            col_idx: Vec::new(),
-            values: Vec::new(),
+            csr: Arc::new(Csr { row_ptr, col_idx }),
+            values,
         }
     }
 
@@ -109,13 +134,7 @@ impl<T: Scalar> Matrix<T> {
         for i in 0..nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
-        Ok(Matrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::from_parts(nrows, ncols, row_ptr, col_idx, values))
     }
 
     /// Build from dense row data, storing *every* element (PyGB's
@@ -141,13 +160,7 @@ impl<T: Scalar> Matrix<T> {
             values.extend_from_slice(r);
             row_ptr.push(col_idx.len());
         }
-        Ok(Matrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        })
+        Ok(Self::from_parts(nrows, ncols, row_ptr, col_idx, values))
     }
 
     /// Internal: assemble from per-row sorted `(col, value)` lists.
@@ -171,13 +184,7 @@ impl<T: Scalar> Matrix<T> {
             }
             row_ptr.push(col_idx.len());
         }
-        Matrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        Self::from_parts(nrows, ncols, row_ptr, col_idx, values)
     }
 
     /// Internal: assemble directly from validated CSR arrays. The
@@ -191,13 +198,7 @@ impl<T: Scalar> Matrix<T> {
         col_idx: Vec<IndexType>,
         values: Vec<T>,
     ) -> Self {
-        let m = Matrix {
-            nrows,
-            ncols,
-            row_ptr,
-            col_idx,
-            values,
-        };
+        let m = Self::from_parts(nrows, ncols, row_ptr, col_idx, values);
         debug_assert!(m.is_valid());
         m
     }
@@ -223,7 +224,7 @@ impl<T: Scalar> Matrix<T> {
     /// Number of stored elements.
     #[inline]
     pub fn nvals(&self) -> IndexType {
-        self.col_idx.len()
+        self.csr.col_idx.len()
     }
 
     /// The stored value at `(i, j)`, if present.
@@ -255,14 +256,16 @@ impl<T: Scalar> Matrix<T> {
                 bound: self.ncols,
             });
         }
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        match self.col_idx[lo..hi].binary_search(&j) {
+        let lo = self.csr.row_ptr[i];
+        let hi = self.csr.row_ptr[i + 1];
+        match self.csr.col_idx[lo..hi].binary_search(&j) {
+            // Overwriting a value leaves shared structure shared.
             Ok(p) => self.values[lo + p] = v,
             Err(p) => {
-                self.col_idx.insert(lo + p, j);
+                let csr = Arc::make_mut(&mut self.csr);
+                csr.col_idx.insert(lo + p, j);
                 self.values.insert(lo + p, v);
-                for rp in &mut self.row_ptr[i + 1..] {
+                for rp in &mut csr.row_ptr[i + 1..] {
                     *rp += 1;
                 }
             }
@@ -275,12 +278,13 @@ impl<T: Scalar> Matrix<T> {
         if i >= self.nrows {
             return;
         }
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        if let Ok(p) = self.col_idx[lo..hi].binary_search(&j) {
-            self.col_idx.remove(lo + p);
+        let lo = self.csr.row_ptr[i];
+        let hi = self.csr.row_ptr[i + 1];
+        if let Ok(p) = self.csr.col_idx[lo..hi].binary_search(&j) {
+            let csr = Arc::make_mut(&mut self.csr);
+            csr.col_idx.remove(lo + p);
             self.values.remove(lo + p);
-            for rp in &mut self.row_ptr[i + 1..] {
+            for rp in &mut csr.row_ptr[i + 1..] {
                 *rp -= 1;
             }
         }
@@ -288,23 +292,24 @@ impl<T: Scalar> Matrix<T> {
 
     /// Remove every stored element, keeping the shape.
     pub fn clear(&mut self) {
-        self.row_ptr.iter_mut().for_each(|p| *p = 0);
-        self.col_idx.clear();
+        let csr = Arc::make_mut(&mut self.csr);
+        csr.row_ptr.iter_mut().for_each(|p| *p = 0);
+        csr.col_idx.clear();
         self.values.clear();
     }
 
     /// The sorted column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: IndexType) -> (&[IndexType], &[T]) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        (&self.col_idx[lo..hi], &self.values[lo..hi])
+        let lo = self.csr.row_ptr[i];
+        let hi = self.csr.row_ptr[i + 1];
+        (&self.csr.col_idx[lo..hi], &self.values[lo..hi])
     }
 
     /// Number of stored elements in row `i`.
     #[inline]
     pub fn row_nvals(&self, i: IndexType) -> IndexType {
-        self.row_ptr[i + 1] - self.row_ptr[i]
+        self.csr.row_ptr[i + 1] - self.csr.row_ptr[i]
     }
 
     /// Iterate over stored `(row, col, value)` triples in row-major order.
@@ -327,7 +332,7 @@ impl<T: Scalar> Matrix<T> {
     /// `O(nnz + nrows + ncols)`).
     pub fn transpose_owned(&self) -> Matrix<T> {
         let mut row_ptr = vec![0; self.ncols + 1];
-        for &c in &self.col_idx {
+        for &c in &self.csr.col_idx {
             row_ptr[c + 1] += 1;
         }
         for i in 0..self.ncols {
@@ -345,13 +350,7 @@ impl<T: Scalar> Matrix<T> {
                 values[p] = v;
             }
         }
-        Matrix {
-            nrows: self.ncols,
-            ncols: self.nrows,
-            row_ptr,
-            col_idx,
-            values,
-        }
+        Self::from_parts(self.ncols, self.nrows, row_ptr, col_idx, values)
     }
 
     /// Densify into row-major `Vec<Vec<T>>` with `fill` at unstored
@@ -364,13 +363,13 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Element-wise cast into another scalar domain.
+    /// Element-wise cast into another scalar domain. The result shares
+    /// this matrix's index arrays: only `nvals` values are allocated.
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
         Matrix {
             nrows: self.nrows,
             ncols: self.ncols,
-            row_ptr: self.row_ptr.clone(),
-            col_idx: self.col_idx.clone(),
+            csr: Arc::clone(&self.csr),
             values: self.values.iter().map(|&v| U::cast_from(v)).collect(),
         }
     }
@@ -384,27 +383,27 @@ impl<T: Scalar> Matrix<T> {
                 other.shape()
             )));
         }
-        self.row_ptr.clone_from(&other.row_ptr);
-        self.col_idx.clone_from(&other.col_idx);
+        self.csr = Arc::clone(&other.csr);
         self.values.clone_from(&other.values);
         Ok(())
     }
 
     /// Check structural invariants (for tests and property checks).
     pub fn is_valid(&self) -> bool {
-        if self.row_ptr.len() != self.nrows + 1 {
+        let Csr { row_ptr, col_idx } = &*self.csr;
+        if row_ptr.len() != self.nrows + 1 {
             return false;
         }
-        if *self.row_ptr.first().unwrap_or(&1) != 0 {
+        if *row_ptr.first().unwrap_or(&1) != 0 {
             return false;
         }
-        if self.row_ptr.windows(2).any(|w| w[0] > w[1]) {
+        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
             return false;
         }
-        if *self.row_ptr.last().unwrap() != self.col_idx.len() {
+        if *row_ptr.last().unwrap() != col_idx.len() {
             return false;
         }
-        if self.col_idx.len() != self.values.len() {
+        if col_idx.len() != self.values.len() {
             return false;
         }
         for i in 0..self.nrows {
@@ -515,6 +514,46 @@ mod tests {
         let b: Matrix<bool> = m.cast();
         assert_eq!(b.get(0, 1), Some(false)); // stored false, still stored
         assert_eq!(b.nvals(), 2);
+    }
+
+    #[test]
+    fn cast_and_clone_share_structure_until_a_structural_write() {
+        let m = fixture();
+        let mut b: Matrix<bool> = m.cast();
+        let mut c = m.clone();
+        assert!(Arc::ptr_eq(&m.csr, &b.csr));
+        assert!(Arc::ptr_eq(&m.csr, &c.csr));
+        assert!(b.is_valid() && c.is_valid());
+        assert_eq!(c, m);
+
+        // Overwriting a stored value changes no index: still shared,
+        // and the source keeps its value.
+        c.set(0, 1, 11).unwrap();
+        assert!(Arc::ptr_eq(&m.csr, &c.csr));
+        assert_eq!(m.get(0, 1), Some(10));
+        assert_ne!(c, m);
+
+        // Inserting, removing and clearing unshare first: the source
+        // and the other sharer never see the write.
+        c.set(2, 3, 1).unwrap();
+        assert!(!Arc::ptr_eq(&m.csr, &c.csr));
+        b.remove(0, 1);
+        assert!(!Arc::ptr_eq(&m.csr, &b.csr));
+        assert_eq!((m.nvals(), b.nvals(), c.nvals()), (4, 3, 5));
+        let mut d: Matrix<f64> = m.cast();
+        d.clear();
+        assert_eq!((m.nvals(), d.nvals()), (4, 0));
+        assert_eq!(m, fixture());
+        assert!(m.is_valid() && b.is_valid() && c.is_valid() && d.is_valid());
+
+        // Equal contents compare equal whether or not they share.
+        let rebuilt = Matrix::from_triples(3, 4, m.extract_triples()).unwrap();
+        assert!(!Arc::ptr_eq(&m.csr, &rebuilt.csr));
+        assert_eq!(rebuilt, m);
+        let mut e = Matrix::<i32>::new(3, 4);
+        e.assign_from(&m).unwrap();
+        assert!(Arc::ptr_eq(&m.csr, &e.csr));
+        assert_eq!(e, m);
     }
 
     #[test]

@@ -214,11 +214,12 @@ where
     let ncols = bt.nrows();
     let sr = *semiring;
     let rows = row_map(nrows, Vec::<IndexType>::new, move |scratch, i| {
+        let a_row = a.row(i);
         scratch.clear();
         mask.truthy_cols_in_row(i, scratch);
         let mut row: Vec<(IndexType, T)> = Vec::with_capacity(scratch.len());
         for &j in scratch.iter() {
-            if let Some(dot) = sparse_dot(&sr, a.row(i), bt.row(j)) {
+            if let Some(dot) = sparse_dot(&sr, a_row, bt.row(j)) {
                 row.push((j, dot));
             }
         }

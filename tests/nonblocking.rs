@@ -449,3 +449,39 @@ fn plan_reports_shapes_kernels_and_fusion_decisions() {
     f.settle().unwrap();
     assert_eq!(f.nvals(), 2, "one BFS step from vertex 3 reaches {{0, 2}}");
 }
+
+/// A handle left naming a deferred result (flushed, never settled) is
+/// read through the resolution map *before* any memoized view is
+/// consulted: as a mixed-dtype operand, as a mask and under `cast` it
+/// yields the computed store's views, never a view of the empty
+/// placeholder that names it.
+#[test]
+fn views_come_from_the_resolved_store_not_its_placeholder() {
+    let _serial = stats_serial();
+    let g = fig1_graph();
+    let mut a = Matrix::new(7, 7, DType::Fp64);
+    {
+        let _nb = pygb_runtime::nonblocking().unwrap();
+        let _op = BinaryOp::new("Plus").unwrap().enter();
+        a.no_mask().assign(&g + &g).unwrap();
+    } // flushed on scope exit; `a` still holds the placeholder handle
+
+    // int64 ← fp64 operands under an fp64 mask: `a` needs its int64
+    // view and its Bool pattern.
+    let product = |a: &Matrix| {
+        let _sr = ArithmeticSemiring.enter();
+        let mut c = Matrix::new(7, 7, DType::Int64);
+        c.masked(a).assign(a.matmul(&g)).unwrap();
+        c
+    };
+    let building = product(&a);
+    let memoized = product(&a);
+    assert_eq!(a.cast(DType::Int64).nvals(), 12);
+
+    let mut settled = a.clone();
+    settled.settle().unwrap();
+    let want = product(&settled.dup());
+    assert!(want.nvals() > 0);
+    assert_matrices_identical(&building, &want, "unsettled operand, views built");
+    assert_matrices_identical(&memoized, &want, "unsettled operand, views reused");
+}
