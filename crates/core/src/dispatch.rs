@@ -45,7 +45,10 @@ pub fn runtime() -> &'static Arc<JitRuntime> {
 
 // --- key-string helpers (operator names, not values) ---
 
-fn semiring_key(sr: KindSemiring) -> String {
+/// The key's `semiring` parameter for a triple
+/// (`Min_MinIdentity_Plus`): what the SpMV factories resolve to a
+/// semiring type.
+pub fn semiring_key(sr: KindSemiring) -> String {
     format!(
         "{}_{}_{}",
         sr.add.op.name(),

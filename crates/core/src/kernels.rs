@@ -4,10 +4,29 @@
 //! name. A factory reads the output dtype from the [`ModuleKey`]
 //! (`-DC_TYPE=...` in the paper's pipeline) and monomorphizes the
 //! generic kernel body for exactly that type — the Rust analog of
-//! instantiating `operation_binding.cpp`. Operator kinds travel in the
-//! argument bundle (they are runtime constructor arguments in GBTL,
-//! e.g. `BinaryOp_Bind2nd(damping)`), while their *names* are part of
-//! the key so the module space matches the paper's.
+//! instantiating `operation_binding.cpp`.
+//!
+//! How much of the key a module is compiled *for* depends on the
+//! operation, and the split is set by measurement (EXPERIMENTS.md,
+//! "operator-specialized SpMV modules"):
+//!
+//! * **The SpMV family** (`mxv`, `vxm`, `mxv_apply`, `vxm_apply`) is
+//!   instantiated on the dtype *and* the key's `semiring` triple
+//!   (`-DADD_BINOP=Min -DIDENTITY=MinIdentity -DMULT_BINOP=Plus`): the
+//!   eight named semirings of `gbtl::ops::semiring` become the
+//!   zero-sized type argument of the one generic kernel body, so the
+//!   inner loop contains the operators. Such a module checks that the
+//!   bundle it is called with carries the triple it was built for and
+//!   refuses any other. Every other triple — user-defined operators,
+//!   `(Max, MaxIdentity, Plus)`, … — instantiates the same body on
+//!   [`KindSemiring`], which interprets the bundle's operator kinds
+//!   per element.
+//! * **Everything else** (`mxm`, eWise, apply, reduce, assign, the
+//!   accumulator of every operation) is instantiated on the dtype only
+//!   and interprets its operator kinds from the bundle; their *names*
+//!   are still part of the key, so the module space matches the
+//!   paper's. Bound constants (`BinaryOp_Bind2nd(damping)`) are runtime
+//!   constructor arguments in GBTL too and always travel in the bundle.
 //!
 //! Operand stores arrive pre-cast to the kernel's domain; masks arrive
 //! pre-coerced to boolean pattern containers.
@@ -15,8 +34,11 @@
 use std::sync::Arc;
 
 use gbtl::ops::accum::MaybeAccum;
-use gbtl::ops::kind::{AppliedUnaryKind, BinaryOpKind, KindMonoid, KindSemiring, KindUnaryOp};
-use gbtl::{Indices, MatrixMask, VectorMask};
+use gbtl::ops::kind::{
+    AppliedUnaryKind, BinaryOpKind, IdentityKind, KindMonoid, KindSemiring, KindUnaryOp,
+};
+use gbtl::ops::semiring as named;
+use gbtl::{Indices, MatrixMask, Semiring, VectorMask};
 use pygb_jit::kernel::FnKernel;
 use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
 
@@ -84,8 +106,11 @@ impl MatArgs {
     }
 }
 
-/// Argument bundle for kernels producing a vector.
-pub(crate) struct VecArgs {
+/// Argument bundle for kernels producing a vector. Public so a proof
+/// suite outside the crate can invoke two instantiations of one key —
+/// the registered factory's and [`interpreted_spmv`]'s — on the same
+/// bundle.
+pub struct VecArgs {
     /// The output container.
     pub c: VectorStore,
     /// Optional boolean mask pattern.
@@ -127,7 +152,8 @@ pub(crate) struct VecArgs {
 }
 
 impl VecArgs {
-    pub(crate) fn new(c: VectorStore) -> Self {
+    /// A bundle around output container `c` with every other slot empty.
+    pub fn new(c: VectorStore) -> Self {
         VecArgs {
             c,
             mask: None,
@@ -533,41 +559,175 @@ fn k_assign_m_const<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     r.map_err(JitError::op)
 }
 
-fn k_mxv<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
-    let sr = args.semiring.ok_or_else(|| bad("semiring"))?;
-    let mut c = take_c_v::<T>(args)?;
-    let (astore, at) = spmv_operand(args, !args.at);
-    let a = typed_m::<T>(&astore, "a")?;
-    let u = typed_v::<T>(&args.u, "u")?;
-    let r = gbtl::operations::mxv(
-        &mut c,
-        &vmask(&args.mask, args.complemented),
-        MaybeAccum(args.accum),
-        &sr,
-        view(a, at),
-        u,
-        gbtl::Replace(args.replace),
-    );
-    args.c = T::wrap_vector(c);
-    record_spmv_select(r.map_err(JitError::op)?);
-    Ok(())
+/// Which member of the SpMV family a module is: read from the key's
+/// function name at instantiation, captured by the module's closure.
+#[derive(Copy, Clone)]
+struct SpmvForm {
+    /// `uᵀ ⊕.⊗ A` (`vxm`, `vxm_apply`) rather than `A ⊕.⊗ u`.
+    vxm: bool,
+    /// Section V's deferred-chain module (`mxv_apply`, `vxm_apply`): the
+    /// product and the subsequent `apply` run inside ONE kernel
+    /// invocation — the intermediate lives only as a local, and the
+    /// mask/accumulate/replace write happens once, on the applied
+    /// result.
+    apply: bool,
 }
 
-fn k_vxm<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
-    let sr = args.semiring.ok_or_else(|| bad("semiring"))?;
+impl SpmvForm {
+    fn of(key: &ModuleKey) -> Result<Self, JitError> {
+        let (vxm, apply) = match key.func() {
+            "mxv" => (false, false),
+            "vxm" => (true, false),
+            "mxv_apply" => (false, true),
+            "vxm_apply" => (true, true),
+            other => {
+                return Err(JitError::bad_key(format!(
+                    "`{other}` is not an SpMV module"
+                )))
+            }
+        };
+        Ok(SpmvForm { vxm, apply })
+    }
+}
+
+/// A semiring type the SpMV body can be instantiated on, and how a call
+/// obtains its value from the bundle it arrives with.
+trait ModuleSemiring<T: gbtl::Scalar>: Semiring<T> {
+    /// Whether the operators are part of the type (compiled into the
+    /// inner loop) rather than read from the bundle per element.
+    const SPECIALIZED: bool;
+    fn from_bundle(bundle: Option<KindSemiring>) -> Result<Self, JitError>;
+}
+
+/// The interpreter: whatever triple the bundle carries.
+impl<T: gbtl::Scalar> ModuleSemiring<T> for KindSemiring {
+    const SPECIALIZED: bool = false;
+    fn from_bundle(bundle: Option<KindSemiring>) -> Result<Self, JitError> {
+        bundle.ok_or_else(|| bad("semiring"))
+    }
+}
+
+/// The operator-specialized semirings: each zero-sized `gbtl` type with
+/// the `(add, identity, mult)` triple it computes. The triple is matched,
+/// not the DSL-level name, so `Semiring::new(Monoid("Plus", "Zero"),
+/// "Times")` lands on `ArithmeticSemiring` like the predefined constant
+/// does (both produce the key `Plus_Zero_Times`).
+macro_rules! specialized_semirings {
+    ($($ty:ident = ($add:ident, $identity:ident, $mult:ident)),* $(,)?) => {
+        $(
+            /// Zero-sized: nothing to read from the bundle, but a module
+            /// must refuse a bundle it was not built for — the key's
+            /// operator *names* can collide (a user operator registered
+            /// as `"Plus"`), the kinds cannot.
+            impl<T: gbtl::Scalar> ModuleSemiring<T> for named::$ty<T> {
+                const SPECIALIZED: bool = true;
+                fn from_bundle(bundle: Option<KindSemiring>) -> Result<Self, JitError> {
+                    const BUILT_FOR: KindSemiring = KindSemiring {
+                        add: KindMonoid {
+                            op: BinaryOpKind::$add,
+                            identity: IdentityKind::$identity,
+                        },
+                        mult: BinaryOpKind::$mult,
+                    };
+                    match bundle {
+                        Some(BUILT_FOR) => Ok(Self::new()),
+                        Some(other) => Err(JitError::bad_key(format!(
+                            "bundle carries semiring `{}` but the module was \
+                             instantiated for {}",
+                            crate::dispatch::semiring_key(other),
+                            stringify!($ty)
+                        ))),
+                        None => Err(bad("semiring")),
+                    }
+                }
+            }
+        )*
+
+        /// The registered factory's instantiation for dtype `T`: the
+        /// key's `semiring` parameter resolved to one of the
+        /// specialized semirings when the triple names it, to the
+        /// interpreter otherwise.
+        fn spmv_module_for_key<T: Element>(
+            form: SpmvForm,
+            key: &ModuleKey,
+        ) -> Result<Box<dyn Kernel>, JitError> {
+            let triple = key.require("semiring")?;
+            $(
+                if triple
+                    == concat!(stringify!($add), "_", stringify!($identity), "_", stringify!($mult))
+                {
+                    return counted_spmv_module::<T, named::$ty<T>>(form, key);
+                }
+            )*
+            counted_spmv_module::<T, KindSemiring>(form, key)
+        }
+
+        #[cfg(test)]
+        const SPECIALIZED_SEMIRING_NAMES: &[&str] = &[$(stringify!($ty)),*];
+    };
+}
+
+specialized_semirings! {
+    ArithmeticSemiring = (Plus, Zero, Times),
+    LogicalSemiring = (LogicalOr, Zero, LogicalAnd),
+    MinPlusSemiring = (Min, MinIdentity, Plus),
+    MaxTimesSemiring = (Max, MaxIdentity, Times),
+    MinSelect1stSemiring = (Min, MinIdentity, First),
+    MinSelect2ndSemiring = (Min, MinIdentity, Second),
+    MaxSelect1stSemiring = (Max, MaxIdentity, First),
+    MaxSelect2ndSemiring = (Max, MaxIdentity, Second),
+}
+
+/// The one SpMV body: `w⟨m, z⟩ = w ⊙ (A ⊕.⊗ u)` in either operand
+/// order, optionally with a unary `apply` fused onto the product. `S`
+/// is the module's semiring type — operators in the type, or the
+/// interpreter.
+fn k_spmv<T: Element, S: ModuleSemiring<T>>(
+    args: &mut VecArgs,
+    form: SpmvForm,
+) -> Result<(), JitError> {
+    let sr = S::from_bundle(args.semiring)?;
+    let post = if form.apply {
+        Some(KindUnaryOp(args.unary.ok_or_else(|| bad("unary"))?))
+    } else {
+        None
+    };
     let mut c = take_c_v::<T>(args)?;
-    let (astore, at) = spmv_operand(args, args.at);
+    let natural_pull = if form.vxm { args.at } else { !args.at };
+    let (astore, at) = spmv_operand(args, natural_pull);
     let a = typed_m::<T>(&astore, "a")?;
     let u = typed_v::<T>(&args.u, "u")?;
-    let r = gbtl::operations::vxm(
-        &mut c,
-        &vmask(&args.mask, args.complemented),
-        MaybeAccum(args.accum),
-        &sr,
-        u,
-        view(a, at),
-        gbtl::Replace(args.replace),
-    );
+    // u·A = Aᵀ·u: `vxm` is `mxv` on the flipped view.
+    let a = if form.vxm {
+        view(a, at).flip()
+    } else {
+        view(a, at)
+    };
+    let mask = vmask(&args.mask, args.complemented);
+    let (accum, replace) = (MaybeAccum(args.accum), gbtl::Replace(args.replace));
+    let r = match post {
+        None => gbtl::operations::mxv(&mut c, &mask, accum, &sr, a, u, replace),
+        Some(op) => {
+            // The unmasked product goes through the same `mxv`
+            // instantiation as the masked one (an absent mask and
+            // accumulator are values of `VMask` / `MaybeAccum`), so a
+            // `(T, S)` pair costs one copy of the kernels, not two.
+            let mut temp = gbtl::Vector::<T>::new(c.size());
+            gbtl::operations::mxv(
+                &mut temp,
+                &VMask::None,
+                MaybeAccum(None),
+                &sr,
+                a,
+                u,
+                gbtl::Replace(false),
+            )
+            .and_then(|sel| {
+                gbtl::operations::apply_vector(&mut c, &mask, accum, op, &temp, replace)
+                    .map(|()| sel)
+            })
+        }
+    };
     args.c = T::wrap_vector(c);
     record_spmv_select(r.map_err(JitError::op)?);
     Ok(())
@@ -671,65 +831,6 @@ fn k_assign_v_const<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
     );
     args.c = T::wrap_vector(c);
     r.map_err(JitError::op)
-}
-
-/// Section V's deferred-chain module: the matrix-vector product and the
-/// subsequent `apply` run inside ONE kernel invocation — the
-/// intermediate lives only as a local, and the mask/accumulate/replace
-/// write happens once, on the applied result.
-fn k_mxv_apply<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
-    fused_mxv_apply::<T>(args, false)
-}
-
-/// The `vxm` orientation of [`k_mxv_apply`].
-fn k_vxm_apply<T: Element>(args: &mut VecArgs) -> Result<(), JitError> {
-    fused_mxv_apply::<T>(args, true)
-}
-
-fn fused_mxv_apply<T: Element>(args: &mut VecArgs, vxm: bool) -> Result<(), JitError> {
-    let sr = args.semiring.ok_or_else(|| bad("semiring"))?;
-    let op = KindUnaryOp(args.unary.ok_or_else(|| bad("unary"))?);
-    let mut c = take_c_v::<T>(args)?;
-    let natural_pull = if vxm { args.at } else { !args.at };
-    let (astore, at) = spmv_operand(args, natural_pull);
-    let a = typed_m::<T>(&astore, "a")?;
-    let u = typed_v::<T>(&args.u, "u")?;
-    let mut temp = gbtl::Vector::<T>::new(c.size());
-    let product = if vxm {
-        gbtl::operations::vxm(
-            &mut temp,
-            &gbtl::NoMask,
-            gbtl::NoAccumulate,
-            &sr,
-            u,
-            view(a, at),
-            gbtl::Replace(false),
-        )
-    } else {
-        gbtl::operations::mxv(
-            &mut temp,
-            &gbtl::NoMask,
-            gbtl::NoAccumulate,
-            &sr,
-            view(a, at),
-            u,
-            gbtl::Replace(false),
-        )
-    };
-    let r = product.and_then(|sel| {
-        gbtl::operations::apply_vector(
-            &mut c,
-            &vmask(&args.mask, args.complemented),
-            MaybeAccum(args.accum),
-            op,
-            &temp,
-            gbtl::Replace(args.replace),
-        )
-        .map(|()| sel)
-    });
-    args.c = T::wrap_vector(c);
-    record_spmv_select(r.map_err(JitError::op)?);
-    Ok(())
 }
 
 /// The nonblocking runtime's fused eWise-chain module: two chained
@@ -894,53 +995,100 @@ impl KindUnaryWrap {
 // Factories.
 // ---------------------------------------------------------------------
 
-/// Instantiate a kernel whose body is `$body::<T>` for the dtype named
-/// by the key's `c_type` parameter — the `-DC_TYPE=...` template
-/// selection of the paper's `operation_binding.cpp`.
+/// The dtype a module is instantiated for: the key's `c_type`.
+fn key_dtype(key: &ModuleKey) -> Result<DType, JitError> {
+    DType::from_name(key.require("c_type")?).map_err(|e| JitError::bad_key(e.to_string()))
+}
+
+/// Evaluate `$e` with `$T` bound to the Rust type of dtype `$ct` — the
+/// `-DC_TYPE=...` template selection of the paper's
+/// `operation_binding.cpp`.
+macro_rules! with_dtype {
+    ($ct:expr, $T:ident => $e:expr) => {
+        with_dtype!(@arms $ct, $T, $e;
+            Bool bool, Int8 i8, Int16 i16, Int32 i32, Int64 i64, UInt8 u8,
+            UInt16 u16, UInt32 u32, UInt64 u64, Fp32 f32, Fp64 f64)
+    };
+    (@arms $ct:expr, $T:ident, $e:expr; $($dtype:ident $ty:ty),*) => {
+        match $ct {
+            $(DType::$dtype => {
+                type $T = $ty;
+                $e
+            })*
+        }
+    };
+}
+
+/// Instantiate a kernel whose body is `$body::<T>` for the key's dtype.
 macro_rules! dtype_factory {
     ($fname:literal, $argty:ty, $body:ident) => {{
         fn factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
-            let ct = DType::from_name(key.require("c_type")?)
-                .map_err(|e| JitError::bad_key(e.to_string()))?;
+            let ct = key_dtype(key)?;
             let desc = format!("{}<{}> [{}]", $fname, ct, key.module_name());
-            Ok(match ct {
-                DType::Bool => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<bool>(a)
-                })) as Box<dyn Kernel>,
-                DType::Int8 => {
-                    Box::new(FnKernel::new($fname, desc, |a: &mut $argty| $body::<i8>(a)))
-                }
-                DType::Int16 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<i16>(a)
-                })),
-                DType::Int32 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<i32>(a)
-                })),
-                DType::Int64 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<i64>(a)
-                })),
-                DType::UInt8 => {
-                    Box::new(FnKernel::new($fname, desc, |a: &mut $argty| $body::<u8>(a)))
-                }
-                DType::UInt16 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<u16>(a)
-                })),
-                DType::UInt32 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<u32>(a)
-                })),
-                DType::UInt64 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<u64>(a)
-                })),
-                DType::Fp32 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<f32>(a)
-                })),
-                DType::Fp64 => Box::new(FnKernel::new($fname, desc, |a: &mut $argty| {
-                    $body::<f64>(a)
-                })),
-            })
+            Ok(with_dtype!(ct, T => Box::new(FnKernel::new(
+                $fname,
+                desc,
+                |a: &mut $argty| $body::<T>(a),
+            )) as Box<dyn Kernel>))
         }
         factory
     }};
+}
+
+/// One SpMV-family module: [`k_spmv`] monomorphized on `(T, S)`.
+fn spmv_module<T: Element, S: ModuleSemiring<T> + 'static>(
+    form: SpmvForm,
+    key: &ModuleKey,
+) -> Result<Box<dyn Kernel>, JitError> {
+    let desc = format!(
+        "{}<{}, {}{}> [{}]",
+        key.func(),
+        T::DTYPE,
+        if S::SPECIALIZED { "" } else { "interpreted " },
+        key.require("semiring")?,
+        key.module_name()
+    );
+    Ok(Box::new(FnKernel::new(
+        key.func(),
+        desc,
+        move |a: &mut VecArgs| k_spmv::<T, S>(a, form),
+    )))
+}
+
+/// [`spmv_module`], counted in the metrics registry by which way it
+/// went.
+fn counted_spmv_module<T: Element, S: ModuleSemiring<T> + 'static>(
+    form: SpmvForm,
+    key: &ModuleKey,
+) -> Result<Box<dyn Kernel>, JitError> {
+    let module = spmv_module::<T, S>(form, key)?;
+    pygb_obs::registry()
+        .counter(if S::SPECIALIZED {
+            "jit/specialized_modules"
+        } else {
+            "jit/interpreted_modules"
+        })
+        .inc();
+    Ok(module)
+}
+
+/// Factory for `mxv`, `vxm`, `mxv_apply` and `vxm_apply`: besides the
+/// dtype, the key's `semiring` triple picks the module's semiring type
+/// (`-DADD_BINOP=… -DIDENTITY=… -DMULT_BINOP=…`). Runs once per key, on
+/// the cold path.
+fn spmv_factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
+    let form = SpmvForm::of(key)?;
+    with_dtype!(key_dtype(key)?, T => spmv_module_for_key::<T>(form, key))
+}
+
+/// The SpMV-family module for `key` with the operator interpreter as
+/// its semiring whatever triple the key names — the instantiation every
+/// unlisted triple gets from the registered factory. Exists so a proof
+/// suite can run a specialized module and the interpreter on one
+/// bundle; dispatch never calls it.
+pub fn interpreted_spmv(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
+    let form = SpmvForm::of(key)?;
+    with_dtype!(key_dtype(key)?, T => spmv_module::<T, KindSemiring>(form, key))
 }
 
 /// Factory for the nonblocking runtime's fused eWise-chain module. The
@@ -949,8 +1097,7 @@ macro_rules! dtype_factory {
 /// the intermediate feeds the outer op's left slot, `square` whether it
 /// feeds both slots.
 fn fused_ewise_chain_factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
-    let ct =
-        DType::from_name(key.require("c_type")?).map_err(|e| JitError::bad_key(e.to_string()))?;
+    let ct = key_dtype(key)?;
     let (inner_add, outer_add) = match key.require("chain")? {
         "add_add" => (true, true),
         "add_mult" => (true, false),
@@ -965,65 +1112,28 @@ fn fused_ewise_chain_factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitErro
     let tleft = key.require("tleft")? == "1";
     let square = key.require("square")? == "1";
     let desc = format!("fused_ewise_chain<{ct}> [{}]", key.module_name());
-    macro_rules! inst {
-        ($t:ty) => {
-            Box::new(FnKernel::new(
-                "fused_ewise_chain",
-                desc.clone(),
-                move |a: &mut VecArgs| {
-                    k_fused_ewise_chain::<$t>(a, inner_add, outer_add, tleft, square)
-                },
-            )) as Box<dyn Kernel>
-        };
-    }
-    Ok(match ct {
-        DType::Bool => inst!(bool),
-        DType::Int8 => inst!(i8),
-        DType::Int16 => inst!(i16),
-        DType::Int32 => inst!(i32),
-        DType::Int64 => inst!(i64),
-        DType::UInt8 => inst!(u8),
-        DType::UInt16 => inst!(u16),
-        DType::UInt32 => inst!(u32),
-        DType::UInt64 => inst!(u64),
-        DType::Fp32 => inst!(f32),
-        DType::Fp64 => inst!(f64),
-    })
+    Ok(with_dtype!(ct, T => Box::new(FnKernel::new(
+        "fused_ewise_chain",
+        desc,
+        move |a: &mut VecArgs| k_fused_ewise_chain::<T>(a, inner_add, outer_add, tleft, square),
+    )) as Box<dyn Kernel>))
 }
 
 /// Factory for the fused eWise-then-reduce module; the key's `ewise`
 /// parameter picks the element-wise family (`add` / `mult`).
 fn fused_ewise_reduce_factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
-    let ct =
-        DType::from_name(key.require("c_type")?).map_err(|e| JitError::bad_key(e.to_string()))?;
+    let ct = key_dtype(key)?;
     let is_add = match key.require("ewise")? {
         "add" => true,
         "mult" => false,
         other => return Err(JitError::bad_key(format!("unknown eWise family `{other}`"))),
     };
     let desc = format!("fused_ewise_reduce<{ct}> [{}]", key.module_name());
-    macro_rules! inst {
-        ($t:ty) => {
-            Box::new(FnKernel::new(
-                "fused_ewise_reduce",
-                desc.clone(),
-                move |a: &mut VecArgs| k_fused_ewise_reduce::<$t>(a, is_add),
-            )) as Box<dyn Kernel>
-        };
-    }
-    Ok(match ct {
-        DType::Bool => inst!(bool),
-        DType::Int8 => inst!(i8),
-        DType::Int16 => inst!(i16),
-        DType::Int32 => inst!(i32),
-        DType::Int64 => inst!(i64),
-        DType::UInt8 => inst!(u8),
-        DType::UInt16 => inst!(u16),
-        DType::UInt32 => inst!(u32),
-        DType::UInt64 => inst!(u64),
-        DType::Fp32 => inst!(f32),
-        DType::Fp64 => inst!(f64),
-    })
+    Ok(with_dtype!(ct, T => Box::new(FnKernel::new(
+        "fused_ewise_reduce",
+        desc,
+        move |a: &mut VecArgs| k_fused_ewise_reduce::<T>(a, is_add),
+    )) as Box<dyn Kernel>))
 }
 
 /// Register every PyGB operation's factory into `registry`. Public so
@@ -1048,8 +1158,9 @@ pub fn register_all(registry: &FactoryRegistry) {
     }
     pygb_obs::registry().register_source("tunables", std::sync::Arc::new(Tunables));
     registry.register("mxm", dtype_factory!("mxm", MatArgs, k_mxm));
-    registry.register("mxv", dtype_factory!("mxv", VecArgs, k_mxv));
-    registry.register("vxm", dtype_factory!("vxm", VecArgs, k_vxm));
+    for func in ["mxv", "vxm", "mxv_apply", "vxm_apply"] {
+        registry.register(func, spmv_factory);
+    }
     registry.register(
         "ewise_add_m",
         dtype_factory!("ewise_add_m", MatArgs, k_ewise_add_m),
@@ -1095,14 +1206,6 @@ pub fn register_all(registry: &FactoryRegistry) {
         dtype_factory!("reduce_rows", VecArgs, k_reduce_rows),
     );
     registry.register(
-        "mxv_apply",
-        dtype_factory!("mxv_apply", VecArgs, k_mxv_apply),
-    );
-    registry.register(
-        "vxm_apply",
-        dtype_factory!("vxm_apply", VecArgs, k_vxm_apply),
-    );
-    registry.register(
         "reduce_m_scalar",
         dtype_factory!("reduce_m_scalar", ScalarArgs, k_reduce_m_scalar),
     );
@@ -1123,7 +1226,6 @@ pub const NUM_REGISTERED_OPERATIONS: usize = 23;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gbtl::ops::kind::IdentityKind;
 
     fn fp64_key(func: &str) -> ModuleKey {
         ModuleKey::new(func).with("c_type", "fp64")
@@ -1165,6 +1267,108 @@ mod tests {
         args.semiring = KindSemiring::from_name("ArithmeticSemiring");
         let err = kernel.invoke(&mut args).unwrap_err();
         assert!(err.to_string().contains("int32"));
+    }
+
+    /// A 2-vertex `mxv` bundle over `sr`: `A = [[·, 2], [·, ·]]`, `u = [·, 3]`.
+    fn mxv_args(sr: KindSemiring) -> VecArgs {
+        let a = gbtl::Matrix::from_triples(2, 2, [(0usize, 1usize, 2.0f64)]).unwrap();
+        let u = gbtl::Vector::from_pairs(2, [(1usize, 3.0f64)]).unwrap();
+        let mut args = VecArgs::new(VectorStore::new(2, DType::Fp64));
+        args.a = Some(Arc::new(f64::wrap_matrix(a)));
+        args.u = Some(Arc::new(f64::wrap_vector(u)));
+        args.semiring = Some(sr);
+        args
+    }
+
+    fn mxv_key(sr: KindSemiring) -> ModuleKey {
+        fp64_key("mxv").with("semiring", crate::dispatch::semiring_key(sr))
+    }
+
+    #[test]
+    fn semiring_mismatch_rejected() {
+        let reg = FactoryRegistry::new();
+        register_all(&reg);
+        let min_plus = KindSemiring::from_name("MinPlusSemiring").unwrap();
+        let kernel = reg.instantiate(&mxv_key(min_plus)).unwrap();
+        // The bundle it was built for runs: 2 + 3.
+        let mut args = mxv_args(min_plus);
+        kernel.invoke(&mut args).unwrap();
+        assert_eq!(args.c.get(0), Some(DynScalar::Fp64(5.0)));
+        // Any other bundle is refused, and the output container is
+        // still in the bundle (nothing was taken).
+        let mut other = mxv_args(KindSemiring::from_name("ArithmeticSemiring").unwrap());
+        let err = kernel.invoke(&mut other).unwrap_err();
+        assert!(matches!(err, JitError::BadKey { .. }), "{err}");
+        assert!(err.to_string().contains("MinPlusSemiring"), "{err}");
+        assert_eq!(other.c.size(), 2);
+        let mut none = mxv_args(min_plus);
+        none.semiring = None;
+        assert!(kernel.invoke(&mut none).is_err());
+        // What the check exists for: operator *names* make the key, and
+        // a user operator may take a built-in's name; the kinds differ.
+        let fake_plus = gbtl::ops::kind::register_user_binary_op(
+            "Plus",
+            |a, b| a - b,
+            Some(IdentityKind::Zero),
+        );
+        let fake = KindSemiring::new(
+            KindMonoid::new(fake_plus, IdentityKind::Zero),
+            BinaryOpKind::Times,
+        );
+        assert_eq!(mxv_key(fake).get("semiring"), Some("Plus_Zero_Times"));
+        let arithmetic = reg.instantiate(&mxv_key(fake)).unwrap();
+        assert!(arithmetic.invoke(&mut mxv_args(fake)).is_err());
+        // The interpreter reads whatever the bundle carries.
+        let interp = interpreted_spmv(&mxv_key(min_plus)).unwrap();
+        let mut args = mxv_args(KindSemiring::from_name("ArithmeticSemiring").unwrap());
+        interp.invoke(&mut args).unwrap();
+        assert_eq!(args.c.get(0), Some(DynScalar::Fp64(6.0)));
+    }
+
+    #[test]
+    fn specialization_table_is_the_named_semirings() {
+        // Every predefined semiring name resolves to a specialized
+        // module whose built-for triple is the one `from_name` assembles.
+        assert_eq!(SPECIALIZED_SEMIRING_NAMES.len(), 8);
+        for name in SPECIALIZED_SEMIRING_NAMES {
+            let sr = KindSemiring::from_name(name).unwrap();
+            for func in ["mxv", "vxm", "mxv_apply", "vxm_apply"] {
+                let key = fp64_key(func).with("semiring", crate::dispatch::semiring_key(sr));
+                let kernel = spmv_factory(&key).unwrap();
+                let triple = key.get("semiring").unwrap();
+                assert!(
+                    kernel
+                        .describe()
+                        .starts_with(&format!("{func}<fp64, {triple}> [")),
+                    "{name}: {}",
+                    kernel.describe()
+                );
+            }
+            spmv_factory(&mxv_key(sr))
+                .unwrap()
+                .invoke(&mut mxv_args(sr))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        // An unlisted triple gets the interpreter, and says so.
+        let max_plus = KindSemiring::new(
+            KindMonoid::new(BinaryOpKind::Max, IdentityKind::MaxIdentity),
+            BinaryOpKind::Plus,
+        );
+        let kernel = spmv_factory(&mxv_key(max_plus)).unwrap();
+        assert!(
+            kernel
+                .describe()
+                .starts_with("mxv<fp64, interpreted Max_MaxIdentity_Plus> ["),
+            "{}",
+            kernel.describe()
+        );
+        let mut args = mxv_args(max_plus);
+        kernel.invoke(&mut args).unwrap();
+        assert_eq!(args.c.get(0), Some(DynScalar::Fp64(5.0)));
+        // No semiring in the key is a malformed key, found at
+        // instantiation rather than at the first call.
+        assert!(spmv_factory(&fp64_key("mxv")).is_err());
+        assert!(interpreted_spmv(&fp64_key("mxm")).is_err());
     }
 
     #[test]

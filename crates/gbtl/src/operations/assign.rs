@@ -14,6 +14,11 @@
 //!
 //! The mask and replace flag then apply over the whole output, via
 //! [`crate::write::finalize_vector`] / [`crate::write::finalize_matrix`].
+//!
+//! When the region is the whole vector (`w[:] = u`, `Indices::All`)
+//! there is no "outside": `Z = w ⊙ u` is the standard write step, so the
+//! input goes straight to [`crate::write::write_vector`] instead of
+//! being rebuilt entry by entry as a region.
 
 use crate::error::{GblasError, Result};
 use crate::index::{IndexType, Indices};
@@ -23,7 +28,7 @@ use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use crate::views::Replace;
-use crate::write::{finalize_matrix, finalize_vector};
+use crate::write::{finalize_matrix, finalize_vector, write_vector};
 
 /// `w⟨m, z⟩(i) = w(i) ⊙ u` — assign vector `u` into positions `ix` of `w`.
 pub fn assign_vector<T, Mk, A>(
@@ -49,6 +54,10 @@ where
             region_len
         )));
     }
+    if matches!(ix, Indices::All) {
+        write_vector(w, mask, &accum, u.clone(), replace);
+        return Ok(());
+    }
     let region = build_vector_region(ix, w.size(), |k| u.get(k))?;
     let z = merge_region_vector(w, &region, &accum);
     finalize_vector(w, mask, z, replace);
@@ -73,6 +82,12 @@ where
 {
     ix.validate(w.size())?;
     check_vector_mask(mask, w.size())?;
+    if matches!(ix, Indices::All) {
+        let n = w.size();
+        let t = Vector::from_sorted_entries(n, (0..n).collect(), vec![value; n]);
+        write_vector(w, mask, &accum, t, replace);
+        return Ok(());
+    }
     let region = build_vector_region(ix, w.size(), |_| Some(value))?;
     let z = merge_region_vector(w, &region, &accum);
     finalize_vector(w, mask, z, replace);
@@ -336,8 +351,9 @@ fn merge_region_row<T: Scalar, A: Accum<T>>(
 mod tests {
     use super::*;
     use crate::mask::NoMask;
-    use crate::ops::accum::{Accumulate, NoAccumulate};
+    use crate::ops::accum::{Accumulate, MaybeAccum, NoAccumulate};
     use crate::ops::binary::Plus;
+    use crate::ops::kind::BinaryOpKind;
     use crate::views::{MERGE, REPLACE};
 
     fn v(pairs: &[(usize, i32)]) -> Vector<i32> {
@@ -421,6 +437,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(w, v(&[(1, 57), (2, 8)]));
+    }
+
+    #[test]
+    fn whole_vector_assign_is_the_region_path_over_the_full_range() {
+        // `w[:] = u` feeds `u` straight to the write step; `w[0:5] = u`
+        // builds the same region entry by entry. Every combination of
+        // mask, accumulator and replace must agree, for vector and
+        // constant inputs.
+        fn check<Mk: VectorMask>(mask: &Mk, label: &str) {
+            let w0 = v(&[(0, 7), (2, 8), (4, 9)]);
+            let u = v(&[(1, 10), (2, 20)]);
+            let full = Indices::Range(0, 5);
+            for replace in [MERGE, REPLACE] {
+                for accum in [None, Some(BinaryOpKind::Plus)].map(MaybeAccum) {
+                    let context = format!("{label} {accum:?} {replace:?}");
+                    let (mut all, mut ranged) = (w0.clone(), w0.clone());
+                    assign_vector(&mut all, mask, accum, &u, &Indices::All, replace).unwrap();
+                    assign_vector(&mut ranged, mask, accum, &u, &full, replace).unwrap();
+                    assert_eq!(all, ranged, "vector: {context}");
+                    let (mut all, mut ranged) = (w0.clone(), w0.clone());
+                    assign_vector_constant(&mut all, mask, accum, 5, &Indices::All, replace)
+                        .unwrap();
+                    assign_vector_constant(&mut ranged, mask, accum, 5, &full, replace).unwrap();
+                    assert_eq!(all, ranged, "constant: {context}");
+                }
+            }
+        }
+        let m = v(&[(0, 1), (1, 1), (3, 1)]);
+        check(&NoMask, "no mask");
+        check(&m, "mask");
+        check(&crate::views::complement(&m), "complement");
     }
 
     #[test]

@@ -217,13 +217,27 @@ fn gather_dot<T: Scalar, S: Semiring<T>>(
     acc
 }
 
+/// `row_map` over a type-erased row function. `row_map` and the scoped
+/// thread machinery under it are monomorphized per closure type; the
+/// three pull loops below differ per semiring, and a caller that
+/// instantiates `mxv` on many semiring types (the DSL's
+/// operator-specialized modules) would otherwise carry three private
+/// copies of that machinery per `(T, S)`. Erasing the row function
+/// makes it one copy per `T`; the price is one indirect call per output
+/// row, beside the `O(nnz(row))` gather it makes.
+fn par_rows<T: Scalar>(
+    nrows: IndexType,
+    row: &(dyn Fn(IndexType) -> Option<T> + Sync),
+) -> Vec<Option<T>> {
+    row_map(nrows, || (), move |_, i| row(i))
+}
+
 /// Pull kernel: `t_i = ⊕_j A(i,j) ⊗ u(j)` with `u` densified.
 fn spmv_gather<T: Scalar, S: Semiring<T>>(semiring: &S, a: &Matrix<T>, u: &Vector<T>) -> Vector<T> {
     let gathered = DenseGather::from_vector(u);
     let g = &gathered;
     let sr = *semiring;
-    let entries: Vec<Option<T>> =
-        row_map(a.nrows(), || (), move |_, i| gather_dot(&sr, a.row(i), g));
+    let entries = par_rows(a.nrows(), &|i| gather_dot(&sr, a.row(i), g));
     let mut indices = Vec::new();
     let mut values = Vec::new();
     for (i, e) in entries.into_iter().enumerate() {
@@ -258,11 +272,7 @@ where
     let sr = *semiring;
     if keep_truthy {
         let rows = &truthy;
-        let entries: Vec<Option<T>> = row_map(
-            rows.len(),
-            || (),
-            move |_, idx| gather_dot(&sr, a.row(rows[idx]), g),
-        );
+        let entries = par_rows(rows.len(), &|idx| gather_dot(&sr, a.row(rows[idx]), g));
         let mut indices = Vec::new();
         let mut values = Vec::new();
         for (idx, e) in entries.into_iter().enumerate() {
@@ -278,16 +288,12 @@ where
             forbidden.set(i);
         }
         let fb = &forbidden;
-        let entries: Vec<Option<T>> = row_map(
-            a.nrows(),
-            || (),
-            move |_, i| {
-                if fb.contains(i) {
-                    return None;
-                }
-                gather_dot(&sr, a.row(i), g)
-            },
-        );
+        let entries = par_rows(a.nrows(), &|i| {
+            if fb.contains(i) {
+                return None;
+            }
+            gather_dot(&sr, a.row(i), g)
+        });
         let mut indices = Vec::new();
         let mut values = Vec::new();
         for (i, e) in entries.into_iter().enumerate() {

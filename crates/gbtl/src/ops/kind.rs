@@ -6,8 +6,20 @@
 //! play that role here: the DSL resolves the strings of Fig. 6 into
 //! [`BinaryOpKind`] / [`UnaryOpKind`] values, embeds them in a
 //! [`KindSemiring`] / [`KindMonoid`], and the registry instantiates a
-//! generic kernel with them. Inside a kernel the kind is a loop-hoisted
-//! constant, so the per-element dispatch is one predictable branch.
+//! generic kernel with them.
+//!
+//! A kind is an *interpreter*, not a compiled-in operator: a kernel
+//! running on a [`KindSemiring`] executes [`BinaryOpKind::apply`]'s
+//! 18-arm `match` once per multiply and once per add. The branch
+//! predicts well but is not free — on a push SpMV over min-plus it
+//! roughly doubles the kernel (≈ 24 µs with the zero-sized
+//! [`super::semiring::MinPlusSemiring`], ≈ 47 µs interpreted, 12 k
+//! entries, fp64; EXPERIMENTS.md). The DSL's SpMV modules therefore
+//! instantiate on the zero-sized named semirings when the key's triple
+//! names one and keep the kinds for everything else: user-defined
+//! operators, unlisted triples, and every operation where the
+//! interpretation is not what the time goes to (`mxm`, eWise,
+//! accumulators).
 
 use std::sync::{OnceLock, RwLock};
 
