@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 use gbtl::algorithms as native;
 use pygb::{DType, DynScalar, Element, Matrix, Vector};
 use pygb_jit::kernel::FnKernel;
-use pygb_jit::{JitError, Kernel, ModuleKey, PipelineTrace};
+use pygb_jit::{JitError, Kernel, ModuleKey};
 
 pub use gbtl::algorithms::PageRankOptions;
 
@@ -203,7 +203,7 @@ pub(crate) fn dispatch(func: &str, dtype: DType, args: &mut dyn Any) -> pygb::Re
     ensure_registered();
     let key = ModuleKey::new(func).with("c_type", dtype.name());
     pygb::runtime()
-        .dispatch(&key, args, PipelineTrace::new(key.canonical()))
+        .dispatch(&key, args, &[])
         .map_err(pygb::PygbError::from)
 }
 

@@ -29,6 +29,7 @@
 //! they never fail an operation in default mode.
 
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::Arc;
 
 use gbtl::Indices;
@@ -95,6 +96,24 @@ fn ofmt(a: &MatOperand) -> String {
 
 fn sfmt(s: &MatrixStore) -> String {
     format!("[{}x{} {}]", s.nrows(), s.ncols(), s.dtype())
+}
+
+/// An operation rendered for diagnostics (`mxv([3x3 fp64], [3 fp64])`),
+/// formatted only when a diagnostic is produced: the analyzer runs on
+/// every dispatch, and almost none of them produce one.
+#[derive(Clone, Copy)]
+struct Rendered<'a>(&'a dyn Fn() -> String);
+
+impl fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&(self.0)())
+    }
+}
+
+impl From<Rendered<'_>> for String {
+    fn from(r: Rendered<'_>) -> String {
+        (r.0)()
+    }
 }
 
 /// The GraphBLAS op name a vector expression dispatches as.
@@ -177,7 +196,7 @@ pub fn describe_matrix_expr(e: &MatrixExpr) -> String {
 
 /// Check one binary promotion; errors under `StrictTypes`, lints
 /// otherwise.
-fn check_promotion(op: &'static str, a: DType, b: DType, rendered: &str) -> Result<()> {
+fn check_promotion(op: &'static str, a: DType, b: DType, rendered: Rendered<'_>) -> Result<()> {
     let (p, loss) = DType::promote_checked(a, b);
     if let Some((victim, why)) = loss {
         let reason = format!("lossy dtype promotion {a} ⊕ {b} → {p} ({victim}: {why})");
@@ -191,7 +210,12 @@ fn check_promotion(op: &'static str, a: DType, b: DType, rendered: &str) -> Resu
 
 /// Check the implicit cast of the expression result into the output
 /// container's dtype.
-fn check_result_cast(op: &'static str, from: DType, to: DType, rendered: &str) -> Result<()> {
+fn check_result_cast(
+    op: &'static str,
+    from: DType,
+    to: DType,
+    rendered: Rendered<'_>,
+) -> Result<()> {
     if let Some(why) = from.cast_loss(to) {
         let reason = format!("result dtype {from} does not fit output dtype {to} ({why})");
         if strict() {
@@ -257,7 +281,7 @@ pub fn validate_update_batch(
     Ok(())
 }
 
-fn vec_expr_dtypes(e: &VectorExpr, rendered: &str) -> Result<()> {
+fn vec_expr_dtypes(e: &VectorExpr, rendered: Rendered<'_>) -> Result<()> {
     let op = vec_op_name(e);
     match &e.kind {
         VectorExprKind::MxV { a, u, .. }
@@ -280,7 +304,7 @@ fn vec_expr_dtypes(e: &VectorExpr, rendered: &str) -> Result<()> {
     }
 }
 
-fn mat_expr_dtypes(e: &MatrixExpr, rendered: &str) -> Result<()> {
+fn mat_expr_dtypes(e: &MatrixExpr, rendered: Rendered<'_>) -> Result<()> {
     let op = mat_op_name(e);
     match &e.kind {
         MatrixExprKind::MxM { a, b, .. }
@@ -296,7 +320,7 @@ fn mat_expr_dtypes(e: &MatrixExpr, rendered: &str) -> Result<()> {
 // Shape pass (expression-internal conformability).
 // ---------------------------------------------------------------------
 
-fn vec_expr_shapes(e: &VectorExpr, rendered: &str) -> Result<()> {
+fn vec_expr_shapes(e: &VectorExpr, rendered: Rendered<'_>) -> Result<()> {
     let op = vec_op_name(e);
     match &e.kind {
         VectorExprKind::MxV { a, u, .. }
@@ -372,7 +396,7 @@ fn vec_expr_shapes(e: &VectorExpr, rendered: &str) -> Result<()> {
     Ok(())
 }
 
-fn mat_expr_shapes(e: &MatrixExpr, rendered: &str) -> Result<()> {
+fn mat_expr_shapes(e: &MatrixExpr, rendered: Rendered<'_>) -> Result<()> {
     let op = mat_op_name(e);
     match &e.kind {
         MatrixExprKind::MxM { a, b, .. } => {
@@ -423,17 +447,19 @@ fn mat_expr_shapes(e: &MatrixExpr, rendered: &str) -> Result<()> {
 /// expression-build-time entry point, also reachable as
 /// [`VectorExpr::validate`].
 pub fn validate_vector_expr(e: &VectorExpr) -> Result<()> {
-    let rendered = describe_vector_expr(e);
-    vec_expr_shapes(e, &rendered)?;
-    vec_expr_dtypes(e, &rendered)
+    let describe = || describe_vector_expr(e);
+    let rendered = Rendered(&describe);
+    vec_expr_shapes(e, rendered)?;
+    vec_expr_dtypes(e, rendered)
 }
 
 /// Validate a matrix expression tree in isolation — see
 /// [`validate_vector_expr`].
 pub fn validate_matrix_expr(e: &MatrixExpr) -> Result<()> {
-    let rendered = describe_matrix_expr(e);
-    mat_expr_shapes(e, &rendered)?;
-    mat_expr_dtypes(e, &rendered)
+    let describe = || describe_matrix_expr(e);
+    let rendered = Rendered(&describe);
+    mat_expr_shapes(e, rendered)?;
+    mat_expr_dtypes(e, rendered)
 }
 
 // ---------------------------------------------------------------------
@@ -445,7 +471,7 @@ fn vec_mask_checks(
     target_size: usize,
     mask: &Option<(Arc<VectorStore>, bool)>,
     replace: bool,
-    rendered: &str,
+    rendered: Rendered<'_>,
 ) -> Result<()> {
     match mask {
         Some((m, complemented)) => {
@@ -489,7 +515,7 @@ fn mat_mask_checks(
     target_shape: (usize, usize),
     mask: &Option<(Arc<MatrixStore>, bool)>,
     replace: bool,
-    rendered: &str,
+    rendered: Rendered<'_>,
 ) -> Result<()> {
     match mask {
         Some((m, complemented)) => {
@@ -545,15 +571,16 @@ pub(crate) fn check_vector(
     region: &Option<Indices>,
     expr: &VectorExpr,
 ) -> Result<()> {
-    let rendered = describe_vector_expr(expr);
+    let describe = || describe_vector_expr(expr);
+    let rendered = Rendered(&describe);
     let op = vec_op_name(expr);
-    vec_expr_shapes(expr, &rendered)?;
+    vec_expr_shapes(expr, rendered)?;
     let rs = expr.result_size();
     let ts = target.size();
     match region {
         Some(ix) => {
             ix.validate(ts)
-                .map_err(|e| PygbError::invalid("assign", e.to_string(), rendered.clone()))?;
+                .map_err(|e| PygbError::invalid("assign", e.to_string(), rendered))?;
             let k = ix.len(ts);
             if k != rs {
                 return Err(PygbError::invalid(
@@ -577,9 +604,9 @@ pub(crate) fn check_vector(
             }
         }
     }
-    vec_mask_checks(op, ts, mask, replace, &rendered)?;
-    vec_expr_dtypes(expr, &rendered)?;
-    check_result_cast(op, expr.result_dtype(), target.dtype(), &rendered)
+    vec_mask_checks(op, ts, mask, replace, rendered)?;
+    vec_expr_dtypes(expr, rendered)?;
+    check_result_cast(op, expr.result_dtype(), target.dtype(), rendered)
 }
 
 /// Matrix analog of [`check_vector`].
@@ -590,18 +617,19 @@ pub(crate) fn check_matrix(
     region: &Option<(Indices, Indices)>,
     expr: &MatrixExpr,
 ) -> Result<()> {
-    let rendered = describe_matrix_expr(expr);
+    let describe = || describe_matrix_expr(expr);
+    let rendered = Rendered(&describe);
     let op = mat_op_name(expr);
-    mat_expr_shapes(expr, &rendered)?;
+    mat_expr_shapes(expr, rendered)?;
     let (rr, rc) = expr.result_shape();
     let (tr, tc) = (target.nrows(), target.ncols());
     match region {
         Some((rows, cols)) => {
             rows.validate(tr).map_err(|e| {
-                PygbError::invalid("assign", format!("row selection: {e}"), rendered.clone())
+                PygbError::invalid("assign", format!("row selection: {e}"), rendered)
             })?;
             cols.validate(tc).map_err(|e| {
-                PygbError::invalid("assign", format!("column selection: {e}"), rendered.clone())
+                PygbError::invalid("assign", format!("column selection: {e}"), rendered)
             })?;
             let (kr, kc) = (rows.len(tr), cols.len(tc));
             if (kr, kc) != (rr, rc) {
@@ -627,9 +655,9 @@ pub(crate) fn check_matrix(
             }
         }
     }
-    mat_mask_checks(op, (tr, tc), mask, replace, &rendered)?;
-    mat_expr_dtypes(expr, &rendered)?;
-    check_result_cast(op, expr.result_dtype(), target.dtype(), &rendered)
+    mat_mask_checks(op, (tr, tc), mask, replace, rendered)?;
+    mat_expr_dtypes(expr, rendered)?;
+    check_result_cast(op, expr.result_dtype(), target.dtype(), rendered)
 }
 
 /// Analysis of `target[mask][region] = constant` (vector): region
@@ -641,13 +669,14 @@ pub(crate) fn check_vector_scalar(
     region: &Option<Indices>,
     value: &DynScalar,
 ) -> Result<()> {
-    let rendered = format!("[{} {}] = {}", target.size(), target.dtype(), value.dtype());
+    let describe = || format!("[{} {}] = {}", target.size(), target.dtype(), value.dtype());
+    let rendered = Rendered(&describe);
     if let Some(ix) = region {
         ix.validate(target.size())
-            .map_err(|e| PygbError::invalid("assign", e.to_string(), rendered.clone()))?;
+            .map_err(|e| PygbError::invalid("assign", e.to_string(), rendered))?;
     }
-    vec_mask_checks("assign", target.size(), mask, replace, &rendered)?;
-    check_result_cast("assign", value.dtype(), target.dtype(), &rendered)
+    vec_mask_checks("assign", target.size(), mask, replace, rendered)?;
+    check_result_cast("assign", value.dtype(), target.dtype(), rendered)
 }
 
 /// Matrix analog of [`check_vector_scalar`].
@@ -658,19 +687,21 @@ pub(crate) fn check_matrix_scalar(
     region: &Option<(Indices, Indices)>,
     value: &DynScalar,
 ) -> Result<()> {
-    let rendered = format!(
-        "[{}x{} {}] = {}",
-        target.nrows(),
-        target.ncols(),
-        target.dtype(),
-        value.dtype()
-    );
+    let describe = || {
+        format!(
+            "[{}x{} {}] = {}",
+            target.nrows(),
+            target.ncols(),
+            target.dtype(),
+            value.dtype()
+        )
+    };
+    let rendered = Rendered(&describe);
     if let Some((rows, cols)) = region {
-        rows.validate(target.nrows()).map_err(|e| {
-            PygbError::invalid("assign", format!("row selection: {e}"), rendered.clone())
-        })?;
+        rows.validate(target.nrows())
+            .map_err(|e| PygbError::invalid("assign", format!("row selection: {e}"), rendered))?;
         cols.validate(target.ncols()).map_err(|e| {
-            PygbError::invalid("assign", format!("column selection: {e}"), rendered.clone())
+            PygbError::invalid("assign", format!("column selection: {e}"), rendered)
         })?;
     }
     mat_mask_checks(
@@ -678,9 +709,9 @@ pub(crate) fn check_matrix_scalar(
         (target.nrows(), target.ncols()),
         mask,
         replace,
-        &rendered,
+        rendered,
     )?;
-    check_result_cast("assign", value.dtype(), target.dtype(), &rendered)
+    check_result_cast("assign", value.dtype(), target.dtype(), rendered)
 }
 
 #[cfg(test)]

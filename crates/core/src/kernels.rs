@@ -40,6 +40,7 @@ use gbtl::ops::kind::{
 use gbtl::ops::semiring as named;
 use gbtl::{Indices, MatrixMask, Semiring, VectorMask};
 use pygb_jit::kernel::FnKernel;
+use pygb_jit::registry::Factory;
 use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
 
 use crate::dtype::DType;
@@ -1021,17 +1022,17 @@ macro_rules! with_dtype {
 
 /// Instantiate a kernel whose body is `$body::<T>` for the key's dtype.
 macro_rules! dtype_factory {
-    ($fname:literal, $argty:ty, $body:ident) => {{
-        fn factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
+    ($argty:ty, $body:ident) => {{
+        fn instantiate(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitError> {
             let ct = key_dtype(key)?;
-            let desc = format!("{}<{}> [{}]", $fname, ct, key.module_name());
+            let desc = format!("{}<{}> [{}]", key.func(), ct, key.module_name());
             Ok(with_dtype!(ct, T => Box::new(FnKernel::new(
-                $fname,
+                key.func(),
                 desc,
                 |a: &mut $argty| $body::<T>(a),
             )) as Box<dyn Kernel>))
         }
-        factory
+        instantiate
     }};
 }
 
@@ -1136,6 +1137,90 @@ fn fused_ewise_reduce_factory(key: &ModuleKey) -> Result<Box<dyn Kernel>, JitErr
     )) as Box<dyn Kernel>))
 }
 
+/// The kernel-function table: one row per function PyGB registers —
+/// its [`Func`] variant, its name in module keys and in the registry,
+/// and the factory instantiating it. [`register_all`] registers exactly
+/// these rows, and dispatch names every module key through
+/// [`Func::name`], so the two cannot drift apart.
+macro_rules! kernel_functions {
+    ($($(#[$doc:meta])* $func:ident = $name:literal => $factory:expr,)*) => {
+        /// A kernel function: the `func` of a module key, as decided by
+        /// [`crate::dispatch::kernel`].
+        #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+        pub enum Func {
+            $($(#[$doc])* $func,)*
+        }
+
+        impl Func {
+            /// Every kernel function, in registration order.
+            pub(crate) const ALL: &'static [Func] = &[$(Func::$func),*];
+
+            /// The function's name in module keys and the registry.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Func::$func => $name,)*
+                }
+            }
+
+            fn factory(self) -> Factory {
+                match self {
+                    $(Func::$func => $factory,)*
+                }
+            }
+        }
+    };
+}
+
+kernel_functions! {
+    /// `C = A ⊕.⊗ B`.
+    Mxm = "mxm" => dtype_factory!(MatArgs, k_mxm),
+    /// `w = A ⊕.⊗ u`.
+    Mxv = "mxv" => spmv_factory,
+    /// `w = uᵀ ⊕.⊗ A`.
+    Vxm = "vxm" => spmv_factory,
+    /// `w = f(A ⊕.⊗ u)` as one module (Section V's deferred chain).
+    MxvApply = "mxv_apply" => spmv_factory,
+    /// `w = f(uᵀ ⊕.⊗ A)` as one module.
+    VxmApply = "vxm_apply" => spmv_factory,
+    /// `C = A ⊕ B`.
+    EwiseAddM = "ewise_add_m" => dtype_factory!(MatArgs, k_ewise_add_m),
+    /// `C = A ⊗ B`.
+    EwiseMultM = "ewise_mult_m" => dtype_factory!(MatArgs, k_ewise_mult_m),
+    /// `w = u ⊕ v`.
+    EwiseAddV = "ewise_add_v" => dtype_factory!(VecArgs, k_ewise_add_v),
+    /// `w = u ⊗ v`.
+    EwiseMultV = "ewise_mult_v" => dtype_factory!(VecArgs, k_ewise_mult_v),
+    /// `C = f(A)`.
+    ApplyM = "apply_m" => dtype_factory!(MatArgs, k_apply_m),
+    /// `w = f(u)`.
+    ApplyV = "apply_v" => dtype_factory!(VecArgs, k_apply_v),
+    /// `C = Aᵀ`.
+    TransposeM = "transpose_m" => dtype_factory!(MatArgs, k_transpose_m),
+    /// `C = A(rows, cols)`.
+    ExtractM = "extract_m" => dtype_factory!(MatArgs, k_extract_m),
+    /// `w = u(ix)`.
+    ExtractV = "extract_v" => dtype_factory!(VecArgs, k_extract_v),
+    /// `C(rows, cols) = A`.
+    AssignM = "assign_m" => dtype_factory!(MatArgs, k_assign_m),
+    /// `w(ix) = u`.
+    AssignV = "assign_v" => dtype_factory!(VecArgs, k_assign_v),
+    /// `C(rows, cols) = k`.
+    AssignMConst = "assign_m_const" => dtype_factory!(MatArgs, k_assign_m_const),
+    /// `w(ix) = k`.
+    AssignVConst = "assign_v_const" => dtype_factory!(VecArgs, k_assign_v_const),
+    /// `w = ⊕ⱼ A(:, j)`.
+    ReduceRows = "reduce_rows" => dtype_factory!(VecArgs, k_reduce_rows),
+    /// `s = ⊕ A`.
+    ReduceMScalar = "reduce_m_scalar" => dtype_factory!(ScalarArgs, k_reduce_m_scalar),
+    /// `s = ⊕ u`.
+    ReduceVScalar = "reduce_v_scalar" => dtype_factory!(ScalarArgs, k_reduce_v_scalar),
+    /// Two chained eWise ops as one module (nonblocking fusion).
+    FusedEwiseChain = "fused_ewise_chain" => fused_ewise_chain_factory,
+    /// An eWise op and the reduction consuming it as one module
+    /// (nonblocking fusion).
+    FusedEwiseReduce = "fused_ewise_reduce" => fused_ewise_reduce_factory,
+}
+
 /// Register every PyGB operation's factory into `registry`. Public so
 /// benchmarks can build isolated registries to measure instantiation
 /// ("compile") cost without touching the global cache.
@@ -1157,71 +1242,16 @@ pub fn register_all(registry: &FactoryRegistry) {
         }
     }
     pygb_obs::registry().register_source("tunables", std::sync::Arc::new(Tunables));
-    registry.register("mxm", dtype_factory!("mxm", MatArgs, k_mxm));
-    for func in ["mxv", "vxm", "mxv_apply", "vxm_apply"] {
-        registry.register(func, spmv_factory);
+    for &func in Func::ALL {
+        registry.register(func.name(), func.factory());
     }
-    registry.register(
-        "ewise_add_m",
-        dtype_factory!("ewise_add_m", MatArgs, k_ewise_add_m),
-    );
-    registry.register(
-        "ewise_mult_m",
-        dtype_factory!("ewise_mult_m", MatArgs, k_ewise_mult_m),
-    );
-    registry.register(
-        "ewise_add_v",
-        dtype_factory!("ewise_add_v", VecArgs, k_ewise_add_v),
-    );
-    registry.register(
-        "ewise_mult_v",
-        dtype_factory!("ewise_mult_v", VecArgs, k_ewise_mult_v),
-    );
-    registry.register("apply_m", dtype_factory!("apply_m", MatArgs, k_apply_m));
-    registry.register("apply_v", dtype_factory!("apply_v", VecArgs, k_apply_v));
-    registry.register(
-        "transpose_m",
-        dtype_factory!("transpose_m", MatArgs, k_transpose_m),
-    );
-    registry.register(
-        "extract_m",
-        dtype_factory!("extract_m", MatArgs, k_extract_m),
-    );
-    registry.register(
-        "extract_v",
-        dtype_factory!("extract_v", VecArgs, k_extract_v),
-    );
-    registry.register("assign_m", dtype_factory!("assign_m", MatArgs, k_assign_m));
-    registry.register("assign_v", dtype_factory!("assign_v", VecArgs, k_assign_v));
-    registry.register(
-        "assign_m_const",
-        dtype_factory!("assign_m_const", MatArgs, k_assign_m_const),
-    );
-    registry.register(
-        "assign_v_const",
-        dtype_factory!("assign_v_const", VecArgs, k_assign_v_const),
-    );
-    registry.register(
-        "reduce_rows",
-        dtype_factory!("reduce_rows", VecArgs, k_reduce_rows),
-    );
-    registry.register(
-        "reduce_m_scalar",
-        dtype_factory!("reduce_m_scalar", ScalarArgs, k_reduce_m_scalar),
-    );
-    registry.register(
-        "reduce_v_scalar",
-        dtype_factory!("reduce_v_scalar", ScalarArgs, k_reduce_v_scalar),
-    );
-    registry.register("fused_ewise_chain", fused_ewise_chain_factory);
-    registry.register("fused_ewise_reduce", fused_ewise_reduce_factory);
 }
 
 /// Number of distinct operation factories PyGB registers (Table I's
 /// operations, the two fused deferred-chain modules of Section V, and
 /// the two composite modules produced by the nonblocking runtime's
 /// fusion pass).
-pub const NUM_REGISTERED_OPERATIONS: usize = 23;
+pub const NUM_REGISTERED_OPERATIONS: usize = Func::ALL.len();
 
 #[cfg(test)]
 mod tests {

@@ -153,9 +153,9 @@ impl Matrix {
             &mut out,
             None,
             None,
+            false,
             None,
-            None,
-            expr,
+            crate::nb::MatRhs::Expr(expr),
             crate::facts::KernelChoice::default(),
         )?;
         Ok(out)

@@ -50,7 +50,7 @@ use crate::vector::Vector;
 // Deferred-operation descriptors.
 // ---------------------------------------------------------------------
 
-/// The right-hand side of a deferred vector assignment.
+/// The right-hand side of a vector assignment, blocking or deferred.
 #[derive(Clone, Debug)]
 pub enum VecRhs {
     /// An expression (`w[m] = A @ u`, ...).
@@ -59,7 +59,7 @@ pub enum VecRhs {
     Scalar(DynScalar),
 }
 
-/// The right-hand side of a deferred matrix assignment.
+/// The right-hand side of a matrix assignment, blocking or deferred.
 #[derive(Clone, Debug)]
 pub enum MatRhs {
     /// An expression (`C[M] = A @ B`, ...).
@@ -68,10 +68,9 @@ pub enum MatRhs {
     Scalar(DynScalar),
 }
 
-/// One deferred vector operation: everything
-/// `dispatch::eval_vector` / `dispatch::assign_vector_scalar` would
-/// have consumed, plus
-/// the output placeholder minted at enqueue time.
+/// One deferred vector operation: everything `dispatch::eval_vector`
+/// would have consumed, plus the output placeholder minted at enqueue
+/// time.
 #[derive(Clone, Debug)]
 pub struct VecOpDesc {
     /// The target's store *before* this operation (old `C`, merged
@@ -273,12 +272,6 @@ pub fn flush() -> Result<()> {
     }
 }
 
-/// Blocking entry points call this before evaluating: any deferred
-/// work their operands might depend on must land first.
-pub(crate) fn flush_pending() -> Result<()> {
-    flush()
-}
-
 /// Run `f` with deferral and flushing suppressed — how the engine
 /// executes DAG nodes through the ordinary blocking dispatch path.
 fn suspend<R>(f: impl FnOnce() -> R) -> R {
@@ -455,25 +448,15 @@ pub(crate) fn try_fused_reduce(
 pub fn run_vec_op(desc: VecOpDesc, choice: KernelChoice) -> Result<VectorStore> {
     suspend(|| {
         let mut target = Vector { store: desc.target };
-        match desc.rhs {
-            VecRhs::Expr(expr) => crate::dispatch::eval_vector(
-                &mut target,
-                desc.mask,
-                desc.accum,
-                Some(desc.replace),
-                desc.region,
-                expr,
-                choice,
-            )?,
-            VecRhs::Scalar(value) => crate::dispatch::assign_vector_scalar(
-                &mut target,
-                desc.mask,
-                desc.accum,
-                desc.replace,
-                desc.region,
-                value,
-            )?,
-        }
+        crate::dispatch::eval_vector(
+            &mut target,
+            desc.mask,
+            desc.accum,
+            desc.replace,
+            desc.region,
+            desc.rhs,
+            choice,
+        )?;
         Ok(target.take_store())
     })
 }
@@ -482,25 +465,15 @@ pub fn run_vec_op(desc: VecOpDesc, choice: KernelChoice) -> Result<VectorStore> 
 pub fn run_mat_op(desc: MatOpDesc, choice: KernelChoice) -> Result<MatrixStore> {
     suspend(|| {
         let mut target = Matrix { store: desc.target };
-        match desc.rhs {
-            MatRhs::Expr(expr) => crate::dispatch::eval_matrix(
-                &mut target,
-                desc.mask,
-                desc.accum,
-                Some(desc.replace),
-                desc.region,
-                expr,
-                choice,
-            )?,
-            MatRhs::Scalar(value) => crate::dispatch::assign_matrix_scalar(
-                &mut target,
-                desc.mask,
-                desc.accum,
-                desc.replace,
-                desc.region,
-                value,
-            )?,
-        }
+        crate::dispatch::eval_matrix(
+            &mut target,
+            desc.mask,
+            desc.accum,
+            desc.replace,
+            desc.region,
+            desc.rhs,
+            choice,
+        )?;
         Ok(target.take_store())
     })
 }

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use gbtl::ops::kind::BinaryOpKind;
 use gbtl::Indices;
 
 use crate::context;
@@ -21,6 +22,7 @@ use crate::error::{PygbError, Result};
 use crate::expr::{MatrixExpr, VectorExpr};
 use crate::facts::KernelChoice;
 use crate::matrix::Matrix;
+use crate::nb::{MatRhs, VecRhs};
 use crate::store::{MatrixStore, VectorStore};
 use crate::value::DynScalar;
 use crate::vector::Vector;
@@ -70,61 +72,47 @@ impl<'a> MatrixAssign<'a> {
         self.replace.unwrap_or_else(context::replace_active)
     }
 
-    /// `C[...] = expr` — evaluate with no accumulator.
-    pub fn assign(self, expr: impl Into<MatrixExpr>) -> Result<()> {
+    fn eval(self, accum: Option<BinaryOpKind>, rhs: MatRhs) -> Result<()> {
         let replace = self.replace_flag();
         dispatch::eval_matrix(
             self.target,
             self.mask,
-            None,
-            Some(replace),
+            accum,
+            replace,
             self.region,
-            expr.into(),
+            rhs,
             KernelChoice::default(),
         )
+    }
+
+    /// `C[...] = expr` — evaluate with no accumulator.
+    pub fn assign(self, expr: impl Into<MatrixExpr>) -> Result<()> {
+        self.eval(None, MatRhs::Expr(expr.into()))
     }
 
     /// `C[...] += expr` — evaluate with the accumulator from context
     /// (explicit `Accumulator`, else the nearest monoid/semiring's ⊕).
     pub fn accum_assign(self, expr: impl Into<MatrixExpr>) -> Result<()> {
-        let accum = context::resolve_accum().ok_or(PygbError::MissingOperator {
-            needed: "accumulator",
-            operation: "+=",
-        })?;
-        let replace = self.replace_flag();
-        dispatch::eval_matrix(
-            self.target,
-            self.mask,
-            Some(accum),
-            Some(replace),
-            self.region,
-            expr.into(),
-            KernelChoice::default(),
-        )
+        self.eval(Some(context_accum()?), MatRhs::Expr(expr.into()))
     }
 
     /// `C[...] = scalar` — constant assignment over the region.
     pub fn assign_scalar(self, v: impl Into<DynScalar>) -> Result<()> {
-        let replace = self.replace_flag();
-        dispatch::assign_matrix_scalar(self.target, self.mask, None, replace, self.region, v.into())
+        self.eval(None, MatRhs::Scalar(v.into()))
     }
 
     /// `C[...] += scalar` — accumulated constant assignment.
     pub fn accum_assign_scalar(self, v: impl Into<DynScalar>) -> Result<()> {
-        let accum = context::resolve_accum().ok_or(PygbError::MissingOperator {
-            needed: "accumulator",
-            operation: "+=",
-        })?;
-        let replace = self.replace_flag();
-        dispatch::assign_matrix_scalar(
-            self.target,
-            self.mask,
-            Some(accum),
-            replace,
-            self.region,
-            v.into(),
-        )
+        self.eval(Some(context_accum()?), MatRhs::Scalar(v.into()))
     }
+}
+
+/// The accumulator `+=` uses: from context, or an error naming `+=`.
+fn context_accum() -> Result<BinaryOpKind> {
+    context::resolve_accum().ok_or(PygbError::MissingOperator {
+        needed: "accumulator",
+        operation: "+=",
+    })
 }
 
 /// Builder for vector assignment.
@@ -171,58 +159,36 @@ impl<'a> VectorAssign<'a> {
         self.replace.unwrap_or_else(context::replace_active)
     }
 
-    /// `w[...] = expr`.
-    pub fn assign(self, expr: impl Into<VectorExpr>) -> Result<()> {
+    fn eval(self, accum: Option<BinaryOpKind>, rhs: VecRhs) -> Result<()> {
         let replace = self.replace_flag();
         dispatch::eval_vector(
             self.target,
             self.mask,
-            None,
-            Some(replace),
+            accum,
+            replace,
             self.region,
-            expr.into(),
+            rhs,
             KernelChoice::default(),
         )
+    }
+
+    /// `w[...] = expr`.
+    pub fn assign(self, expr: impl Into<VectorExpr>) -> Result<()> {
+        self.eval(None, VecRhs::Expr(expr.into()))
     }
 
     /// `w[...] += expr`.
     pub fn accum_assign(self, expr: impl Into<VectorExpr>) -> Result<()> {
-        let accum = context::resolve_accum().ok_or(PygbError::MissingOperator {
-            needed: "accumulator",
-            operation: "+=",
-        })?;
-        let replace = self.replace_flag();
-        dispatch::eval_vector(
-            self.target,
-            self.mask,
-            Some(accum),
-            Some(replace),
-            self.region,
-            expr.into(),
-            KernelChoice::default(),
-        )
+        self.eval(Some(context_accum()?), VecRhs::Expr(expr.into()))
     }
 
     /// `w[...] = scalar` — `page_rank[:] = 1.0 / rows` (Fig. 7).
     pub fn assign_scalar(self, v: impl Into<DynScalar>) -> Result<()> {
-        let replace = self.replace_flag();
-        dispatch::assign_vector_scalar(self.target, self.mask, None, replace, self.region, v.into())
+        self.eval(None, VecRhs::Scalar(v.into()))
     }
 
     /// `w[...] += scalar`.
     pub fn accum_assign_scalar(self, v: impl Into<DynScalar>) -> Result<()> {
-        let accum = context::resolve_accum().ok_or(PygbError::MissingOperator {
-            needed: "accumulator",
-            operation: "+=",
-        })?;
-        let replace = self.replace_flag();
-        dispatch::assign_vector_scalar(
-            self.target,
-            self.mask,
-            Some(accum),
-            replace,
-            self.region,
-            v.into(),
-        )
+        self.eval(Some(context_accum()?), VecRhs::Scalar(v.into()))
     }
 }

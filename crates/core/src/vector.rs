@@ -139,9 +139,9 @@ impl Vector {
             &mut out,
             None,
             None,
+            false,
             None,
-            None,
-            expr,
+            crate::nb::VecRhs::Expr(expr),
             crate::facts::KernelChoice::default(),
         )?;
         Ok(out)

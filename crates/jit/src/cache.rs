@@ -105,8 +105,22 @@ impl ModuleCache {
     where
         F: FnOnce(&ModuleKey) -> Result<Box<dyn Kernel>, JitError>,
     {
+        self.get_or_compile_hashed(key.module_hash(), key, factory)
+    }
+
+    /// [`ModuleCache::get_or_compile`] for a key whose module hash the
+    /// caller already computed (`hash == key.module_hash()`), so a
+    /// dispatch renders and hashes its key once.
+    pub(crate) fn get_or_compile_hashed<F>(
+        &self,
+        hash: u64,
+        key: &ModuleKey,
+        factory: F,
+    ) -> Result<(Arc<dyn Kernel>, CacheOutcome), JitError>
+    where
+        F: FnOnce(&ModuleKey) -> Result<Box<dyn Kernel>, JitError>,
+    {
         let lookup_start = Instant::now();
-        let hash = key.module_hash();
         if let Some(k) = self.memory.read().get(&hash) {
             self.stats
                 .record_lookup_ns(lookup_start.elapsed().as_nanos() as u64);

@@ -90,14 +90,7 @@ impl ModuleKey {
     /// Stable 64-bit module hash — the paper's `mod = hash(kwargs)`,
     /// used as the module (file) name. FNV-1a over the canonical form.
     pub fn module_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        fnv1a(&self.canonical())
     }
 
     /// The module's name on disk: hex of the hash, like the paper's
@@ -120,6 +113,16 @@ impl ModuleKey {
         }
         s
     }
+}
+
+/// FNV-1a of a key's canonical text: [`ModuleKey::module_hash`] for a
+/// key rendered once already.
+pub(crate) fn fnv1a(canonical: &str) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    canonical
+        .bytes()
+        .fold(OFFSET, |h, b| (h ^ b as u64).wrapping_mul(PRIME))
 }
 
 impl fmt::Display for ModuleKey {

@@ -1,23 +1,22 @@
 //! Stage-by-stage instrumentation of the Fig. 9 execution model.
 //!
 //! Every dynamic dispatch walks the same stages the paper diagrams:
-//! expression construction → operator/context resolution → type
-//! inference → key hashing → module retrieval (with its cache outcome) →
-//! invocation. A [`PipelineTrace`] records the wall time of each stage;
-//! the `jit_pipeline` example and the `figures` binary render them as
-//! the paper's walkthrough.
-
-use std::time::Instant;
+//! expression construction (which resolves the operators from context
+//! as the expression is built) → type inference → key hashing → module
+//! retrieval (with its cache outcome) → invocation. While tracing is on,
+//! a [`PipelineTrace`] records the wall time of each stage; the
+//! `jit_pipeline` example and the `figures` binary render them as the
+//! paper's walkthrough.
 
 use crate::cache::CacheOutcome;
 
 /// The stages of one dynamic dispatch, in execution order.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Building the deferred expression object (magic-method analog).
+    /// Building the deferred expression object (magic-method analog),
+    /// including capturing its operators from the context stack (`with`
+    /// blocks).
     ExpressionConstruction,
-    /// Searching the operator context stack (`with` blocks).
-    ContextResolution,
     /// Inferring operand/output dtypes and upcasts.
     TypeInference,
     /// Hashing kwargs into the module key.
@@ -33,7 +32,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::ExpressionConstruction => "expression construction",
-            Stage::ContextResolution => "context resolution",
             Stage::TypeInference => "type inference",
             Stage::KeyHash => "key hash",
             Stage::ModuleRetrieval => "module retrieval",
@@ -56,7 +54,7 @@ impl PipelineTrace {
     /// An empty trace for the given key text.
     pub fn new(key: impl Into<String>) -> Self {
         PipelineTrace {
-            stages: Vec::with_capacity(6),
+            stages: Vec::with_capacity(5),
             key: key.into(),
             outcome: None,
         }
@@ -65,15 +63,6 @@ impl PipelineTrace {
     /// Record that `stage` took `ns` nanoseconds.
     pub fn record(&mut self, stage: Stage, ns: u64) {
         self.stages.push((stage, ns));
-    }
-
-    /// Time a closure and record it under `stage`, passing its result
-    /// through.
-    pub fn timed<R>(&mut self, stage: Stage, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let r = f();
-        self.record(stage, start.elapsed().as_nanos() as u64);
-        r
     }
 
     /// The recorded `(stage, nanoseconds)` pairs in execution order.
@@ -132,18 +121,9 @@ mod tests {
         t.record(Stage::ModuleRetrieval, 400);
         t.record(Stage::Invocation, 10_000);
         assert_eq!(t.stage_ns(Stage::KeyHash), Some(100));
-        assert_eq!(t.stage_ns(Stage::ContextResolution), None);
+        assert_eq!(t.stage_ns(Stage::TypeInference), None);
         assert_eq!(t.total_ns(), 10_500);
         assert_eq!(t.overhead_ns(), 500);
-    }
-
-    #[test]
-    fn timed_measures_and_passes_through() {
-        let mut t = PipelineTrace::new("k");
-        let v = t.timed(Stage::TypeInference, || 41 + 1);
-        assert_eq!(v, 42);
-        assert_eq!(t.stages().len(), 1);
-        assert_eq!(t.stages()[0].0, Stage::TypeInference);
     }
 
     #[test]
@@ -169,7 +149,6 @@ mod tests {
     fn stage_names_unique() {
         let all = [
             Stage::ExpressionConstruction,
-            Stage::ContextResolution,
             Stage::TypeInference,
             Stage::KeyHash,
             Stage::ModuleRetrieval,

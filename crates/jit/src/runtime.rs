@@ -66,8 +66,8 @@ impl JitRuntime {
         self.registry.register(func, factory);
     }
 
-    /// Enable or disable trace collection. Off by default; dispatch
-    /// still times nothing extra when off beyond two atomics.
+    /// Enable or disable trace collection. Off by default; while off,
+    /// dispatch builds no [`PipelineTrace`].
     pub fn set_tracing(&self, on: bool) {
         self.tracing.store(on, Ordering::Relaxed);
     }
@@ -82,40 +82,41 @@ impl JitRuntime {
         self.traces.write().drain(..).collect()
     }
 
-    /// The full dispatch path: resolve → retrieve module → invoke.
+    /// The full dispatch path: hash the key → retrieve the module →
+    /// invoke it on `args`.
     ///
-    /// `trace` carries stage timings the *caller* has already recorded
-    /// (expression construction, context resolution, type inference);
-    /// this function appends the key-hash, module-retrieval, and
-    /// invocation stages, then files the trace if tracing is enabled.
+    /// The key is rendered to its canonical text and hashed once (the
+    /// paper's `hash(kwargs)`); the memory-cache probe uses that hash.
+    /// `front` holds the stages the *caller* timed before the key
+    /// existed (expression construction, type inference). They, and
+    /// this function's own key-hash, module-retrieval and invocation
+    /// timings, become a [`PipelineTrace`] only while tracing is on;
+    /// otherwise no trace is built.
     pub fn dispatch(
         &self,
         key: &ModuleKey,
         args: &mut dyn Any,
-        mut trace: PipelineTrace,
+        front: &[(Stage, u64)],
     ) -> Result<(), JitError> {
         let _sp = pygb_obs::span_labeled(pygb_obs::Cat::Dispatch, || {
             format!("dispatch/{}", key.func())
         });
 
-        // Key hashing (the paper's `hash(kwargs)`).
         let start = Instant::now();
-        let _hash = key.module_hash();
-        trace.record(Stage::KeyHash, start.elapsed().as_nanos() as u64);
+        let canonical = key.canonical();
+        let hash = crate::key::fnv1a(&canonical);
+        let hash_ns = start.elapsed().as_nanos() as u64;
 
         // Module retrieval (cache probe + optional instantiation).
         let start = Instant::now();
         let (kernel, outcome) = self
             .cache
-            .get_or_compile(key, |k| self.registry.instantiate(k))?;
-        trace.record(Stage::ModuleRetrieval, start.elapsed().as_nanos() as u64);
-        trace.outcome = Some(outcome);
+            .get_or_compile_hashed(hash, key, |k| self.registry.instantiate(k))?;
+        let retrieval_ns = start.elapsed().as_nanos() as u64;
 
-        // Invocation.
         let start = Instant::now();
         let result = kernel.invoke(args);
         let invoke_ns = start.elapsed().as_nanos() as u64;
-        trace.record(Stage::Invocation, invoke_ns);
         self.cache.stats().record_invocation();
         if pygb_obs::enabled() {
             pygb_obs::registry()
@@ -124,6 +125,14 @@ impl JitRuntime {
         }
 
         if self.tracing() {
+            let mut trace = PipelineTrace::new(canonical);
+            for &(stage, ns) in front {
+                trace.record(stage, ns);
+            }
+            trace.record(Stage::KeyHash, hash_ns);
+            trace.record(Stage::ModuleRetrieval, retrieval_ns);
+            trace.record(Stage::Invocation, invoke_ns);
+            trace.outcome = Some(outcome);
             let mut traces = self.traces.write();
             if traces.len() == TRACE_CAPACITY {
                 traces.pop_front();
@@ -181,8 +190,7 @@ mod tests {
         rt.register("double", double_factory);
         let key = ModuleKey::new("double").with("t", "int32");
         let mut args = DoubleArgs { x: 21 };
-        rt.dispatch(&key, &mut args, PipelineTrace::new(key.canonical()))
-            .unwrap();
+        rt.dispatch(&key, &mut args, &[]).unwrap();
         assert_eq!(args.x, 42);
     }
 
@@ -193,10 +201,8 @@ mod tests {
         rt.set_tracing(true);
         let key = ModuleKey::new("double");
         let mut args = DoubleArgs { x: 1 };
-        rt.dispatch(&key, &mut args, PipelineTrace::new(key.canonical()))
-            .unwrap();
-        rt.dispatch(&key, &mut args, PipelineTrace::new(key.canonical()))
-            .unwrap();
+        rt.dispatch(&key, &mut args, &[]).unwrap();
+        rt.dispatch(&key, &mut args, &[]).unwrap();
         let traces = rt.take_traces();
         assert_eq!(traces.len(), 2);
         assert_eq!(traces[0].outcome, Some(CacheOutcome::Compiled));
@@ -212,8 +218,7 @@ mod tests {
         rt.register("double", double_factory);
         let key = ModuleKey::new("double");
         let mut args = DoubleArgs { x: 1 };
-        rt.dispatch(&key, &mut args, PipelineTrace::new(key.canonical()))
-            .unwrap();
+        rt.dispatch(&key, &mut args, &[]).unwrap();
         assert!(rt.take_traces().is_empty());
     }
 
@@ -222,9 +227,7 @@ mod tests {
         let rt = JitRuntime::in_memory();
         let key = ModuleKey::new("nothing");
         let mut args = ();
-        let err = rt
-            .dispatch(&key, &mut args, PipelineTrace::new("x"))
-            .unwrap_err();
+        let err = rt.dispatch(&key, &mut args, &[]).unwrap_err();
         assert!(matches!(err, JitError::UnknownFunction { .. }));
     }
 

@@ -30,8 +30,9 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
-use pygb::expr::{MatrixExprKind, VectorExprKind};
-use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
+use pygb::dispatch::Op;
+use pygb::expr::VectorExprKind;
+use pygb::nb::{MatRhs, VecOpDesc, VecRhs};
 use pygb::store::VectorStore;
 
 use crate::dag::{self, node_inputs, vptr, Dag, Node};
@@ -206,56 +207,20 @@ fn alias_hazard(c: &VecOpDesc, p: &VecOpDesc) -> Option<String> {
     None
 }
 
-// ---------------------------------------------------------------------
-// Kernel naming (mirrors the dispatch layer's function selection).
-// ---------------------------------------------------------------------
-
-/// The kernel family a deferred vector node will dispatch as.
-pub(crate) fn vec_kernel_name(d: &VecOpDesc) -> &'static str {
-    match &d.rhs {
-        VecRhs::Scalar(_) => "assign_v_const",
-        VecRhs::Expr(e) => match &e.kind {
-            VectorExprKind::MxV { .. } => "mxv",
-            VectorExprKind::VxM { .. } => "vxm",
-            VectorExprKind::EWiseAdd { .. } => "ewise_add_v",
-            VectorExprKind::EWiseMult { .. } => "ewise_mult_v",
-            VectorExprKind::Apply { .. } => "apply_v",
-            VectorExprKind::Extract { .. } => "extract_v",
-            VectorExprKind::ReduceRows { .. } => "reduce_rows",
-            VectorExprKind::FusedMxvApply { vxm: true, .. } => "vxm_apply",
-            VectorExprKind::FusedMxvApply { vxm: false, .. } => "mxv_apply",
-            VectorExprKind::FusedEwiseChain { .. } => "fused_ewise_chain",
-            VectorExprKind::Ref { .. } => {
-                if d.region.is_some() {
-                    "assign_v"
-                } else {
-                    "apply_v"
-                }
-            }
+/// The kernel function a deferred node will dispatch as — the dispatch
+/// layer's own decision ([`pygb::dispatch::kernel`]).
+pub(crate) fn node_kernel(n: &Node) -> &'static str {
+    let op = match n {
+        Node::Vec(d) => Op::Vector {
+            rhs: &d.rhs,
+            region: d.region.is_some(),
         },
-    }
-}
-
-/// The kernel family a deferred matrix node will dispatch as.
-pub(crate) fn mat_kernel_name(d: &MatOpDesc) -> &'static str {
-    match &d.rhs {
-        MatRhs::Scalar(_) => "assign_m_const",
-        MatRhs::Expr(e) => match &e.kind {
-            MatrixExprKind::MxM { .. } => "mxm",
-            MatrixExprKind::EWiseAdd { .. } => "ewise_add_m",
-            MatrixExprKind::EWiseMult { .. } => "ewise_mult_m",
-            MatrixExprKind::Apply { .. } => "apply_m",
-            MatrixExprKind::Transpose { .. } => "transpose_m",
-            MatrixExprKind::Extract { .. } => "extract_m",
-            MatrixExprKind::Ref { .. } => {
-                if d.region.is_some() {
-                    "assign_m"
-                } else {
-                    "apply_m"
-                }
-            }
+        Node::Mat(d) => Op::Matrix {
+            rhs: &d.rhs,
+            region: d.region.is_some(),
         },
-    }
+    };
+    pygb::dispatch::kernel(op).name()
 }
 
 // ---------------------------------------------------------------------
@@ -425,22 +390,17 @@ pub fn plan() -> Plan {
 /// `plan` and `trace_report` views describe the same node with the
 /// same strings.
 pub(crate) fn node_summary(n: &Node) -> (String, String) {
-    match n {
-        Node::Vec(d) => (
-            match &d.rhs {
-                VecRhs::Expr(e) => pygb::analyze::describe_vector_expr(e),
-                VecRhs::Scalar(v) => format!("assign scalar {}", v.dtype()),
-            },
-            vec_kernel_name(d).to_string(),
-        ),
-        Node::Mat(d) => (
-            match &d.rhs {
-                MatRhs::Expr(e) => pygb::analyze::describe_matrix_expr(e),
-                MatRhs::Scalar(v) => format!("assign scalar {}", v.dtype()),
-            },
-            mat_kernel_name(d).to_string(),
-        ),
-    }
+    let op = match n {
+        Node::Vec(d) => match &d.rhs {
+            VecRhs::Expr(e) => pygb::analyze::describe_vector_expr(e),
+            VecRhs::Scalar(v) => format!("assign scalar {}", v.dtype()),
+        },
+        Node::Mat(d) => match &d.rhs {
+            MatRhs::Expr(e) => pygb::analyze::describe_matrix_expr(e),
+            MatRhs::Scalar(v) => format!("assign scalar {}", v.dtype()),
+        },
+    };
+    (op, node_kernel(n).to_string())
 }
 
 /// Ids of the pending nodes that `n` (at slot `index`) reads.

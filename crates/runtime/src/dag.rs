@@ -363,13 +363,8 @@ fn flush_inner() -> Result<()> {
                         Node::Vec(desc) => subst_vec_desc(resolved_v, resolved_m, desc),
                         Node::Mat(desc) => subst_mat_desc(resolved_v, resolved_m, desc),
                     }
-                    let label = traced.then(|| {
-                        let kernel = match &node {
-                            Node::Vec(d) => crate::analyze::vec_kernel_name(d),
-                            Node::Mat(d) => crate::analyze::mat_kernel_name(d),
-                        };
-                        format!("exec/{} {kernel}", ids[i])
-                    });
+                    let label = traced
+                        .then(|| format!("exec/{} {}", ids[i], crate::analyze::node_kernel(&node)));
                     (i, label, node)
                 })
                 .collect()

@@ -1,6 +1,7 @@
 //! The Fig. 9 execution model, stage by stage: expression construction
-//! → context resolution → type inference → key hash → module retrieval
-//! (compile on first use, cache hit after) → invocation.
+//! (operators captured from context) → type inference → key hash →
+//! module retrieval (compile on first use, cache hit after) →
+//! invocation. Dispatches are traced only while tracing is on.
 //!
 //! ```text
 //! cargo run --example jit_pipeline
