@@ -303,18 +303,18 @@ impl Lowering {
         (accum, replace)
     }
 
-    /// A vector mask, coerced to its boolean pattern; the key records
-    /// the mask's own dtype and the complement flag.
+    /// A vector mask, as stored: kernels coerce its values where they
+    /// read them. The key records the mask's dtype and the complement
+    /// flag.
     fn vec_mask(
         &mut self,
         mask: &Option<(Arc<VectorStore>, bool)>,
-    ) -> Result<(Option<Arc<gbtl::Vector<bool>>>, bool)> {
+    ) -> Result<(Option<Arc<VectorStore>>, bool)> {
         let Some((m, complemented)) = mask else {
             return Ok((None, false));
         };
         self.mask_params(m.dtype(), *complemented);
-        let pattern = crate::nb::resolved_vec(m)?.to_bool_vector();
-        Ok((Some(Arc::new(pattern)), *complemented))
+        Ok((Some(crate::nb::resolved_vec(m)?), *complemented))
     }
 
     /// A matrix mask: its memoized `Bool` view.

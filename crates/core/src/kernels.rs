@@ -28,8 +28,9 @@
 //!   paper's. Bound constants (`BinaryOp_Bind2nd(damping)`) are runtime
 //!   constructor arguments in GBTL too and always travel in the bundle.
 //!
-//! Operand stores arrive pre-cast to the kernel's domain; masks arrive
-//! pre-coerced to boolean pattern containers.
+//! Operand stores arrive pre-cast to the kernel's domain. A matrix mask
+//! arrives as its store's memoized `Bool` view; a vector mask arrives in
+//! its own dtype and is coerced entry by entry where the kernel reads it.
 
 use std::sync::Arc;
 
@@ -114,8 +115,9 @@ impl MatArgs {
 pub struct VecArgs {
     /// The output container.
     pub c: VectorStore,
-    /// Optional boolean mask pattern.
-    pub mask: Option<Arc<gbtl::Vector<bool>>>,
+    /// Optional mask, in its own dtype: a stored value masks in when it
+    /// coerces to `true`.
+    pub mask: Option<Arc<VectorStore>>,
     /// Whether the mask is complemented.
     pub complemented: bool,
     /// Matrix operand (mxv / vxm / row-reduce).
@@ -226,6 +228,19 @@ impl MatrixMask for MMask<'_> {
             MMask::Comp(_) => gbtl::MaskProbe::StructuralComplement,
         }
     }
+    fn stored_cols_in_row(&self, i: usize) -> &[usize] {
+        match self {
+            MMask::None => &[],
+            MMask::Plain(m) | MMask::Comp(m) => m.stored_cols_in_row(i),
+        }
+    }
+    #[inline]
+    fn stored_truthy_in_row(&self, i: usize, p: usize) -> bool {
+        match self {
+            MMask::None => false,
+            MMask::Plain(m) | MMask::Comp(m) => m.stored_truthy_in_row(i, p),
+        }
+    }
     fn truthy_cols_in_row(&self, i: usize, out: &mut Vec<usize>) {
         match self {
             MMask::None => {}
@@ -246,10 +261,12 @@ fn mmask(mask: &Option<Arc<MatrixStore>>, complemented: bool) -> Result<MMask<'_
     })
 }
 
+/// A vector mask in its own dtype (see [`VectorStore`]'s `VectorMask`
+/// impl), plain or complemented.
 enum VMask<'x> {
     None,
-    Plain(&'x gbtl::Vector<bool>),
-    Comp(&'x gbtl::Vector<bool>),
+    Plain(&'x VectorStore),
+    Comp(&'x VectorStore),
 }
 
 impl VectorMask for VMask<'_> {
@@ -263,8 +280,8 @@ impl VectorMask for VMask<'_> {
     fn allows(&self, i: usize) -> bool {
         match self {
             VMask::None => true,
-            VMask::Plain(v) => VectorMask::allows(*v, i),
-            VMask::Comp(v) => !VectorMask::allows(*v, i),
+            VMask::Plain(v) => v.allows(i),
+            VMask::Comp(v) => !v.allows(i),
         }
     }
     fn is_all(&self) -> bool {
@@ -277,6 +294,19 @@ impl VectorMask for VMask<'_> {
             VMask::Comp(_) => gbtl::MaskProbe::StructuralComplement,
         }
     }
+    fn stored_indices(&self) -> &[usize] {
+        match self {
+            VMask::None => &[],
+            VMask::Plain(v) | VMask::Comp(v) => v.stored_indices(),
+        }
+    }
+    #[inline]
+    fn stored_truthy(&self, p: usize) -> bool {
+        match self {
+            VMask::None => false,
+            VMask::Plain(v) | VMask::Comp(v) => v.stored_truthy(p),
+        }
+    }
     fn truthy_indices(&self, out: &mut Vec<usize>) {
         match self {
             VMask::None => {}
@@ -285,7 +315,7 @@ impl VectorMask for VMask<'_> {
     }
 }
 
-fn vmask<'x>(mask: &'x Option<Arc<gbtl::Vector<bool>>>, complemented: bool) -> VMask<'x> {
+fn vmask(mask: &Option<Arc<VectorStore>>, complemented: bool) -> VMask<'_> {
     match (mask, complemented) {
         (None, _) => VMask::None,
         (Some(v), false) => VMask::Plain(v),

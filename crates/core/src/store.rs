@@ -514,11 +514,6 @@ impl VectorStore {
         construct_for_dtype!(to, make)
     }
 
-    /// The boolean pattern vector masks use.
-    pub fn to_bool_vector(&self) -> GVector<bool> {
-        dispatch_vector!(self, |v| v.cast::<bool>())
-    }
-
     /// Boxed pairs (index, value) in index order.
     pub fn extract_pairs_dyn(&self) -> Vec<(usize, DynScalar)> {
         dispatch_vector!(self, |v| v
@@ -548,6 +543,31 @@ impl VectorStore {
             }};
         }
         construct_for_dtype!(dtype, make)
+    }
+}
+
+/// A vector store is a mask in its own dtype: each stored value coerces
+/// to boolean where it is read, so masking needs no `Bool` copy of the
+/// store. Bulk reads (`stored_indices`, `truthy_indices`) resolve the
+/// dtype once per call.
+impl gbtl::VectorMask for VectorStore {
+    fn mask_size(&self) -> usize {
+        self.size()
+    }
+    fn allows(&self, i: usize) -> bool {
+        dispatch_vector!(self, |v| v.allows(i))
+    }
+    fn probe(&self) -> gbtl::MaskProbe {
+        gbtl::MaskProbe::Structural
+    }
+    fn stored_indices(&self) -> &[usize] {
+        dispatch_vector!(self, |v| v.indices())
+    }
+    fn stored_truthy(&self, p: usize) -> bool {
+        dispatch_vector!(self, |v| v.stored_truthy(p))
+    }
+    fn truthy_indices(&self, out: &mut Vec<usize>) {
+        dispatch_vector!(self, |v| v.truthy_indices(out))
     }
 }
 
@@ -669,13 +689,29 @@ mod tests {
     }
 
     #[test]
-    fn bool_pattern() {
-        let mut v = VectorStore::new(3, DType::Fp64);
+    fn a_vector_store_masks_in_its_own_dtype() {
+        use gbtl::VectorMask;
+        let mut v = VectorStore::new(4, DType::Fp64);
         v.set(0, DynScalar::from(0.0f64)).unwrap();
         v.set(2, DynScalar::from(-2.0f64)).unwrap();
-        let b = v.to_bool_vector();
-        assert_eq!(b.get(0), Some(false));
-        assert_eq!(b.get(2), Some(true));
+        v.set(3, DynScalar::from(f64::NAN)).unwrap();
+        assert_eq!(v.stored_indices(), &[0, 2, 3]);
+        assert!(!v.stored_truthy(0)); // a stored zero masks out
+        assert!(v.stored_truthy(1));
+        assert_eq!(
+            (v.allows(0), v.allows(1), v.allows(2)),
+            (false, false, true)
+        );
+        let mut truthy = Vec::new();
+        v.truthy_indices(&mut truthy);
+        // The pattern is the one a `Bool` cast of the store holds.
+        let b = match v.cast(DType::Bool) {
+            VectorStore::Bool(b) => b,
+            other => panic!("cast to bool gave {:?}", other.dtype()),
+        };
+        let want: Vec<usize> = b.iter().filter(|&(_, t)| t).map(|(i, _)| i).collect();
+        assert_eq!(truthy, want);
+        assert_eq!(v.allows(3), b.get(3) == Some(true));
     }
 
     #[test]

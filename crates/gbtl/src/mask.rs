@@ -33,6 +33,12 @@ pub enum MaskProbe {
 }
 
 /// A mask over vector outputs.
+///
+/// A mask whose [`VectorMask::probe`] is `Structural` or
+/// `StructuralComplement` must also expose its storage through
+/// [`VectorMask::stored_indices`] / [`VectorMask::stored_truthy`]: the
+/// write step and the masked kernels read the mask there, not through
+/// [`VectorMask::allows`].
 pub trait VectorMask: Sync {
     /// The dimension the mask covers (`usize::MAX` for [`NoMask`],
     /// meaning "any").
@@ -48,15 +54,36 @@ pub trait VectorMask: Sync {
     fn probe(&self) -> MaskProbe {
         MaskProbe::Opaque
     }
+    /// The stored indices, ascending — truthy and falsy entries alike.
+    /// Empty for masks without storage.
+    fn stored_indices(&self) -> &[IndexType] {
+        &[]
+    }
+    /// Whether stored entry `p` (an index into
+    /// [`VectorMask::stored_indices`]) coerces to `true`.
+    fn stored_truthy(&self, p: usize) -> bool {
+        let _ = p;
+        false
+    }
     /// Append the truthy stored indices (ascending) to `out`. Only
     /// meaningful when [`VectorMask::probe`] reports `Structural` (the
     /// allowed set) or `StructuralComplement` (the forbidden set).
     fn truthy_indices(&self, out: &mut Vec<IndexType>) {
-        let _ = out;
+        let stored = self.stored_indices();
+        out.reserve(stored.len());
+        out.extend(
+            stored
+                .iter()
+                .enumerate()
+                .filter(|&(p, _)| self.stored_truthy(p))
+                .map(|(_, &i)| i),
+        );
     }
 }
 
-/// A mask over matrix outputs.
+/// A mask over matrix outputs. As for [`VectorMask`], a structural
+/// probe promises [`MatrixMask::stored_cols_in_row`] /
+/// [`MatrixMask::stored_truthy_in_row`].
 pub trait MatrixMask: Sync {
     /// `(nrows, ncols)` the mask covers (`(usize::MAX, usize::MAX)` for
     /// [`NoMask`]).
@@ -71,12 +98,30 @@ pub trait MatrixMask: Sync {
     fn probe(&self) -> MaskProbe {
         MaskProbe::Opaque
     }
+    /// The stored columns of row `i`, ascending — truthy and falsy
+    /// entries alike. Empty for masks without storage.
+    fn stored_cols_in_row(&self, i: IndexType) -> &[IndexType] {
+        let _ = i;
+        &[]
+    }
+    /// Whether stored entry `p` of row `i` (an index into
+    /// [`MatrixMask::stored_cols_in_row`]) coerces to `true`.
+    fn stored_truthy_in_row(&self, i: IndexType, p: usize) -> bool {
+        let _ = (i, p);
+        false
+    }
     /// Append the truthy stored columns of row `i` (ascending) to
     /// `out`. Only meaningful when [`MatrixMask::probe`] reports
     /// `Structural` (the allowed set) or `StructuralComplement` (the
     /// forbidden set).
     fn truthy_cols_in_row(&self, i: IndexType, out: &mut Vec<IndexType>) {
-        let _ = (i, out);
+        out.extend(
+            self.stored_cols_in_row(i)
+                .iter()
+                .enumerate()
+                .filter(|&(p, _)| self.stored_truthy_in_row(i, p))
+                .map(|(_, &j)| j),
+        );
     }
 }
 
@@ -128,8 +173,13 @@ impl<T: Scalar> VectorMask for Vector<T> {
     fn probe(&self) -> MaskProbe {
         MaskProbe::Structural
     }
-    fn truthy_indices(&self, out: &mut Vec<IndexType>) {
-        out.extend(self.iter().filter(|(_, v)| v.to_bool()).map(|(i, _)| i));
+    #[inline]
+    fn stored_indices(&self) -> &[IndexType] {
+        self.indices()
+    }
+    #[inline]
+    fn stored_truthy(&self, p: usize) -> bool {
+        self.values()[p].to_bool()
     }
 }
 
@@ -143,6 +193,14 @@ impl<T: Scalar> MatrixMask for Matrix<T> {
     }
     fn probe(&self) -> MaskProbe {
         MaskProbe::Structural
+    }
+    #[inline]
+    fn stored_cols_in_row(&self, i: IndexType) -> &[IndexType] {
+        self.row(i).0
+    }
+    #[inline]
+    fn stored_truthy_in_row(&self, i: IndexType, p: usize) -> bool {
+        self.row(i).1[p].to_bool()
     }
     fn truthy_cols_in_row(&self, i: IndexType, out: &mut Vec<IndexType>) {
         let (cols, vals) = self.row(i);
@@ -169,6 +227,14 @@ impl<M: VectorMask + ?Sized> VectorMask for &M {
     fn probe(&self) -> MaskProbe {
         (**self).probe()
     }
+    #[inline]
+    fn stored_indices(&self) -> &[IndexType] {
+        (**self).stored_indices()
+    }
+    #[inline]
+    fn stored_truthy(&self, p: usize) -> bool {
+        (**self).stored_truthy(p)
+    }
     fn truthy_indices(&self, out: &mut Vec<IndexType>) {
         (**self).truthy_indices(out)
     }
@@ -187,6 +253,14 @@ impl<M: MatrixMask + ?Sized> MatrixMask for &M {
     }
     fn probe(&self) -> MaskProbe {
         (**self).probe()
+    }
+    #[inline]
+    fn stored_cols_in_row(&self, i: IndexType) -> &[IndexType] {
+        (**self).stored_cols_in_row(i)
+    }
+    #[inline]
+    fn stored_truthy_in_row(&self, i: IndexType, p: usize) -> bool {
+        (**self).stored_truthy_in_row(i, p)
     }
     fn truthy_cols_in_row(&self, i: IndexType, out: &mut Vec<IndexType>) {
         (**self).truthy_cols_in_row(i, out)
@@ -255,6 +329,25 @@ mod tests {
         assert!(VectorMask::allows(&c, 0));
         assert!(!VectorMask::allows(&c, 1));
         assert!(VectorMask::allows(&c, 2));
+    }
+
+    #[test]
+    fn storage_by_position_includes_stored_false() {
+        let m = Vector::from_pairs(1000, [(3usize, 1i32), (4, 0), (500, 2), (998, 1)]).unwrap();
+        let comp = complement(&m);
+        for mask in [&m as &dyn VectorMask, &comp] {
+            assert_eq!(mask.stored_indices(), [3, 4, 500, 998]);
+            let truthy: Vec<bool> = (0..4).map(|p| mask.stored_truthy(p)).collect();
+            assert_eq!(truthy, [true, false, true, true]);
+            let mut enumerated = Vec::new();
+            mask.truthy_indices(&mut enumerated);
+            assert_eq!(enumerated, [3, 500, 998]);
+        }
+        let mm = Matrix::from_triples(2, 9, [(1usize, 2usize, 0u8), (1, 7, 5)]).unwrap();
+        assert_eq!(MatrixMask::stored_cols_in_row(&mm, 0), [] as [IndexType; 0]);
+        assert_eq!(MatrixMask::stored_cols_in_row(&mm, 1), [2, 7]);
+        assert!(!mm.stored_truthy_in_row(1, 0) && mm.stored_truthy_in_row(1, 1));
+        assert!(VectorMask::stored_indices(&NoMask).is_empty());
     }
 
     #[test]

@@ -19,10 +19,31 @@
 //! there is no "outside": `Z = w ⊙ u` is the standard write step, so the
 //! input goes straight to [`crate::write::write_vector`] instead of
 //! being rebuilt entry by entry as a region.
+//!
+//! **Cost.** Besides the write step's own (see [`crate::write`]: linear
+//! in `C`, `Z` and a structural mask), an assign pays for its `T`:
+//!
+//! * vector input: `O(nnz u)` for `Indices::All`, `O(|ix| log |ix|)` for
+//!   a region (the region is sorted once);
+//! * constant into `Indices::All`: `O(nnz M)` under a plain structural
+//!   mask — positions the mask forbids never read `Z`, so `T` covers
+//!   only the truthy entries (`levels[front][:] = depth` costs what the
+//!   frontier and `levels` hold, not `|V|`); `O(n)` under a complement,
+//!   an opaque mask or none, where nearly every position is written;
+//! * matrix region rows under a plain structural mask: `T` is confined
+//!   to the mask row's truthy columns inside the region
+//!   (`O(nnz M · log |cols|)`), so `C⟨M⟩[:, :] = k` never materializes
+//!   `nrows × ncols` constants; any other mask fills every region column
+//!   of every region row.
+
+// Every kernel funnels through the write step and assign builds its
+// operand: a panic here takes down a serve worker, so `unwrap`/`expect`
+// are forbidden (see clippy.toml; the test module below is exempt).
+#![warn(clippy::disallowed_methods)]
 
 use crate::error::{GblasError, Result};
 use crate::index::{IndexType, Indices};
-use crate::mask::{check_matrix_mask, check_vector_mask, MatrixMask, VectorMask};
+use crate::mask::{check_matrix_mask, check_vector_mask, MaskProbe, MatrixMask, VectorMask};
 use crate::matrix::Matrix;
 use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
@@ -84,8 +105,23 @@ where
     check_vector_mask(mask, w.size())?;
     if matches!(ix, Indices::All) {
         let n = w.size();
-        let t = Vector::from_sorted_entries(n, (0..n).collect(), vec![value; n]);
-        write_vector(w, mask, &accum, t, replace);
+        let indices = if mask.probe() == MaskProbe::Structural {
+            // Masked-out positions never read Z: T need only cover the
+            // positions the mask allows.
+            let mut allowed = Vec::new();
+            mask.truthy_indices(&mut allowed);
+            allowed
+        } else {
+            (0..n).collect()
+        };
+        let values = vec![value; indices.len()];
+        write_vector(
+            w,
+            mask,
+            &accum,
+            Vector::from_sorted_entries(n, indices, values),
+            replace,
+        );
         return Ok(());
     }
     let region = build_vector_region(ix, w.size(), |_| Some(value))?;
@@ -276,6 +312,11 @@ where
         ));
     }
 
+    // Under a plain structural mask the write step never reads Z at a
+    // position the mask row does not allow, so leaving such a column out
+    // of the region (Z = C there) changes only the work.
+    let confine = mask.probe() == MaskProbe::Structural;
+    let (mut truthy, mut allowed_cols) = (Vec::new(), Vec::new());
     let nrows = c.nrows();
     let mut z_rows: Vec<Vec<(IndexType, T)>> = Vec::with_capacity(nrows);
     #[allow(clippy::needless_range_loop)] // row_of and c.row share the index
@@ -287,7 +328,19 @@ where
                 z_rows.push(c_cols.iter().copied().zip(c_vals.iter().copied()).collect());
             }
             Some(r) => {
-                let t_entries = region_row(r, &region_cols);
+                let cols_here = if confine {
+                    truthy.clear();
+                    mask.truthy_cols_in_row(i, &mut truthy);
+                    allowed_cols.clear();
+                    allowed_cols.extend(truthy.iter().filter_map(|&j| {
+                        let q = region_cols.binary_search_by_key(&j, |&(out_j, _)| out_j);
+                        q.ok().map(|q| region_cols[q])
+                    }));
+                    &allowed_cols
+                } else {
+                    &region_cols
+                };
+                let t_entries = region_row(r, cols_here);
                 z_rows.push(merge_region_row(c_cols, c_vals, &t_entries, &accum));
             }
         }
@@ -348,6 +401,7 @@ fn merge_region_row<T: Scalar, A: Accum<T>>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::mask::NoMask;

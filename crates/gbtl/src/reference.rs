@@ -113,6 +113,90 @@ where
     Matrix::from_triples(nr, nc, triples).expect("oracle: in-bounds by construction")
 }
 
+/// Expected `C⟨M, z⟩ = C ⊙ T` for a given `T`: the write step alone
+/// ([`crate::write::write_vector`]; with no accumulator, `T` is `Z` and
+/// this is [`crate::write::finalize_vector`]).
+pub fn write_vector<T, Mk, A>(
+    c: &Vector<T>,
+    mask: &Mk,
+    accum: &A,
+    t: &Vector<T>,
+    replace: Replace,
+) -> Vector<T>
+where
+    T: Scalar,
+    Mk: VectorMask + ?Sized,
+    A: Accum<T>,
+{
+    let mut dense = vec![None; c.size()];
+    for (i, v) in t.iter() {
+        dense[i] = Some(v);
+    }
+    write_vector_ref(c, mask, accum, &dense, replace)
+}
+
+/// Matrix analog of [`write_vector`] ([`crate::write::write_matrix`],
+/// [`crate::write::finalize_matrix`]).
+pub fn write_matrix<T, Mk, A>(
+    c: &Matrix<T>,
+    mask: &Mk,
+    accum: &A,
+    t: &Matrix<T>,
+    replace: Replace,
+) -> Matrix<T>
+where
+    T: Scalar,
+    Mk: MatrixMask + ?Sized,
+    A: Accum<T>,
+{
+    let (nr, nc) = c.shape();
+    let mut dense = vec![vec![None; nc]; nr];
+    for (i, j, v) in t.iter() {
+        dense[i][j] = Some(v);
+    }
+    write_matrix_ref(c, mask, accum, &dense, replace)
+}
+
+/// Expected `C⟨M, z⟩(rows, cols) = C(rows, cols) ⊙ value`: inside the
+/// region `rows × cols` every position takes the constant (merged under
+/// an accumulator), outside it `Z = C`.
+pub fn assign_matrix_constant<T, Mk, A>(
+    c: &Matrix<T>,
+    mask: &Mk,
+    accum: &A,
+    value: T,
+    rows: &Indices,
+    cols: &Indices,
+    replace: Replace,
+) -> Matrix<T>
+where
+    T: Scalar,
+    Mk: MatrixMask + ?Sized,
+    A: Accum<T>,
+{
+    let (nr, nc) = c.shape();
+    let (mut row_in, mut col_in) = (vec![false; nr], vec![false; nc]);
+    for (_, i) in rows.iter(nr) {
+        row_in[i] = true;
+    }
+    for (_, j) in cols.iter(nc) {
+        col_in[j] = true;
+    }
+    let triples = (0..nr).flat_map(|i| {
+        let (row_in, col_in) = (&row_in, &col_in);
+        (0..nc).filter_map(move |j| {
+            let cv = c.get(i, j);
+            let z = if row_in[i] && col_in[j] {
+                merge_slot(accum, cv, Some(value))
+            } else {
+                cv
+            };
+            finalize_slot(mask.allows(i, j), z, cv, replace).map(|v| (i, j, v))
+        })
+    });
+    Matrix::from_triples(nr, nc, triples).expect("oracle: in-bounds by construction")
+}
+
 /// Expected `C⟨M, z⟩ = C ⊙ (A ⊕.⊗ B)` (GraphBLAS `mxm`).
 pub fn mxm<'a, 'b, T, Mk, A, S>(
     c: &Matrix<T>,

@@ -156,6 +156,14 @@ impl<M: VectorMask> VectorMask for Complement<M> {
     fn probe(&self) -> MaskProbe {
         complement_probe(self.0.probe())
     }
+    #[inline]
+    fn stored_indices(&self) -> &[IndexType] {
+        self.0.stored_indices()
+    }
+    #[inline]
+    fn stored_truthy(&self, p: usize) -> bool {
+        self.0.stored_truthy(p)
+    }
     fn truthy_indices(&self, out: &mut Vec<IndexType>) {
         self.0.truthy_indices(out)
     }
@@ -174,6 +182,14 @@ impl<M: MatrixMask> MatrixMask for Complement<M> {
     }
     fn probe(&self) -> MaskProbe {
         complement_probe(self.0.probe())
+    }
+    #[inline]
+    fn stored_cols_in_row(&self, i: IndexType) -> &[IndexType] {
+        self.0.stored_cols_in_row(i)
+    }
+    #[inline]
+    fn stored_truthy_in_row(&self, i: IndexType, p: usize) -> bool {
+        self.0.stored_truthy_in_row(i, p)
     }
     fn truthy_cols_in_row(&self, i: IndexType, out: &mut Vec<IndexType>) {
         self.0.truthy_cols_in_row(i, out)

@@ -14,9 +14,37 @@
 //!
 //! `assign` builds its own `Z` (its `T` only covers the assigned index
 //! region) and calls [`finalize_vector`] / [`finalize_matrix`] directly.
+//!
+//! Phase 2 is therefore a select, `C(i) = M(i) ? Z(i) : K(i)`, with
+//! `K = C` under merge and `K = ∅` under replace: a replacing write never
+//! reads `C` in phase 2.
+//!
+//! **Cost.** What phase 2 costs depends on the mask's
+//! [`crate::mask::MaskProbe`]; in every case it allocates only the
+//! output.
+//!
+//! * `All` — no walk: `C` becomes `Z`, `O(1)`.
+//! * `Structural` / `StructuralComplement` — a forward cursor over the
+//!   mask's own sorted storage (per matrix row: that row's stored
+//!   columns) rides along the `K ∪ Z` merge. Between two stored mask
+//!   entries every position gets the same answer — a plain mask forbids
+//!   them all, a complement allows them all — so that stretch is copied
+//!   from `K` or `Z` as one slice, and the cursor gallops over mask
+//!   entries no `K` or `Z` entry reaches. A vector write costs at most
+//!   `O(nnz K + nnz Z + nnz M)`, and its per-entry work is bounded by
+//!   the smaller of `nnz K + nnz Z` and `nnz M` plus slice copies: BFS's
+//!   `levels⟨front⟩ = d` copies `levels` in a few slices and decides
+//!   only the frontier's positions one by one.
+//! * `Opaque` — one [`VectorMask::allows`] / [`MatrixMask::allows`]
+//!   call per position of `K ∪ Z`, whatever that costs the mask.
+
+// Every kernel funnels through the write step: a panic here takes down
+// a serve worker, so `unwrap`/`expect` are forbidden (see clippy.toml;
+// the test module below is exempt).
+#![warn(clippy::disallowed_methods)]
 
 use crate::index::IndexType;
-use crate::mask::{MatrixMask, VectorMask};
+use crate::mask::{MaskProbe, MatrixMask, VectorMask};
 use crate::matrix::Matrix;
 use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
@@ -84,50 +112,150 @@ pub fn finalize_vector<T: Scalar, M: VectorMask + ?Sized>(
         crate::hooks::report_fact(|| (c.nvals(), c.size()));
         return;
     }
-    let mut indices = Vec::with_capacity(z.nvals() + c.nvals());
-    let mut values = Vec::with_capacity(z.nvals() + c.nvals());
-    let mut ci = c.iter().peekable();
-    let mut zi = z.iter().peekable();
+    let keep = if replace.0 {
+        (&[][..], &[][..])
+    } else {
+        (c.indices(), c.values())
+    };
+    let zs = (z.indices(), z.values());
+    let mut out = with_capacity(keep.0.len() + zs.0.len());
+    match truthy_allows(mask.probe()) {
+        Some(allow) => select_structural(
+            keep,
+            zs,
+            mask.stored_indices(),
+            |p| mask.stored_truthy(p),
+            allow,
+            &mut out,
+        ),
+        None => select_each(keep, zs, |i| mask.allows(i), &mut out),
+    }
+    *c = Vector::from_sorted_entries(c.size(), out.0, out.1);
+    crate::hooks::report_fact(|| (c.nvals(), c.size()));
+}
+
+/// One sorted run of entries — a vector's storage, or one matrix row —
+/// as parallel index and value slices.
+type Run<'a, T> = (&'a [IndexType], &'a [T]);
+
+/// Phase 2's output: indices and values, appended in ascending order (a
+/// matrix appends its rows one after another).
+type Out<T> = (Vec<IndexType>, Vec<T>);
+
+fn with_capacity<T>(n: usize) -> Out<T> {
+    (Vec::with_capacity(n), Vec::with_capacity(n))
+}
+
+/// For a structural probe, whether a truthy stored entry allows its
+/// position (a plain mask) or forbids it (a complement); `None` for a
+/// mask that can only be asked position by position.
+fn truthy_allows(probe: MaskProbe) -> Option<bool> {
+    match probe {
+        MaskProbe::Structural => Some(true),
+        MaskProbe::StructuralComplement => Some(false),
+        MaskProbe::All | MaskProbe::Opaque => None,
+    }
+}
+
+/// The index at `p` of a sorted run, or one past every real index when
+/// the run is exhausted.
+#[inline]
+fn index_at(sorted: &[IndexType], p: usize) -> IndexType {
+    sorted.get(p).copied().unwrap_or(IndexType::MAX)
+}
+
+/// The first position `p ≥ from` of ascending `sorted` with
+/// `sorted[p] ≥ target` (`sorted.len()` if none): an exponential probe
+/// from `from`, then a binary search inside the bracket it found, so a
+/// step over `g` entries costs `O(log g)`.
+fn seek(sorted: &[IndexType], from: usize, target: IndexType) -> usize {
+    let rest = sorted.get(from..).unwrap_or(&[]);
+    if rest.first().is_none_or(|&x| x >= target) {
+        return from;
+    }
+    let mut bound = 1;
+    while bound < rest.len() && rest[bound] < target {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    let hi = bound.min(rest.len());
+    from + lo + rest[lo..hi].partition_point(|&x| x < target)
+}
+
+/// Phase 2 over one run, per position: `out(i) = M(i) ? Z(i) : K(i)` for
+/// every position of `K ∪ Z`, asking `allows` about each.
+fn select_each<T: Scalar>(
+    keep: Run<'_, T>,
+    z: Run<'_, T>,
+    mut allows: impl FnMut(IndexType) -> bool,
+    out: &mut Out<T>,
+) {
+    let (mut p, mut q) = (0, 0);
     loop {
-        let (i, cv, zv) = match (ci.peek().copied(), zi.peek().copied()) {
-            (Some((i, cv)), Some((j, zv))) => {
-                if i == j {
-                    ci.next();
-                    zi.next();
-                    (i, Some(cv), Some(zv))
-                } else if i < j {
-                    ci.next();
-                    (i, Some(cv), None)
-                } else {
-                    zi.next();
-                    (j, None, Some(zv))
-                }
-            }
-            (Some((i, cv)), None) => {
-                ci.next();
-                (i, Some(cv), None)
-            }
-            (None, Some((j, zv))) => {
-                zi.next();
-                (j, None, Some(zv))
-            }
-            (None, None) => break,
-        };
-        let out = if mask.allows(i) {
-            zv
-        } else if replace.0 {
-            None
-        } else {
-            cv
-        };
-        if let Some(v) = out {
-            indices.push(i);
-            values.push(v);
+        let (ki, zi) = (index_at(keep.0, p), index_at(z.0, q));
+        let i = ki.min(zi);
+        if i == IndexType::MAX {
+            return;
+        }
+        let kv = (ki == i).then(|| keep.1[p]);
+        let zv = (zi == i).then(|| z.1[q]);
+        p += usize::from(ki == i);
+        q += usize::from(zi == i);
+        if let Some(v) = if allows(i) { zv } else { kv } {
+            out.0.push(i);
+            out.1.push(v);
         }
     }
-    drop(ci);
-    *c = Vector::from_sorted_entries(c.size(), indices, values);
-    crate::hooks::report_fact(|| (c.nvals(), c.size()));
+}
+
+/// [`select_each`] for a structural mask with sorted stored positions
+/// `stored` (`truthy(p)`: whether entry `p` coerces to `true`). The mask
+/// cursor `at` only moves forward: it gallops to the next `K`/`Z` entry,
+/// the stretch before the next stored mask position is copied whole
+/// (from `K` under a plain mask, which forbids it; from `Z` under a
+/// complement, which allows it), and only stored positions are decided
+/// one by one.
+fn select_structural<T: Scalar>(
+    keep: Run<'_, T>,
+    z: Run<'_, T>,
+    stored: &[IndexType],
+    truthy: impl Fn(usize) -> bool,
+    allow_truthy: bool,
+    out: &mut Out<T>,
+) {
+    let (mut p, mut q, mut at) = (0, 0, 0);
+    loop {
+        let next = index_at(keep.0, p).min(index_at(z.0, q));
+        if next == IndexType::MAX {
+            return;
+        }
+        // Mask entries below `next` have nothing to decide.
+        at = seek(stored, at, next);
+        let j = index_at(stored, at);
+        if next < j {
+            let (kp, zq) = (seek(keep.0, p, j), seek(z.0, q, j));
+            let (idx, vals) = if allow_truthy {
+                (&keep.0[p..kp], &keep.1[p..kp])
+            } else {
+                (&z.0[q..zq], &z.1[q..zq])
+            };
+            out.0.extend_from_slice(idx);
+            out.1.extend_from_slice(vals);
+            (p, q) = (kp, zq);
+        }
+        if j == IndexType::MAX {
+            return;
+        }
+        let kv = (index_at(keep.0, p) == j).then(|| keep.1[p]);
+        let zv = (index_at(z.0, q) == j).then(|| z.1[q]);
+        p += usize::from(kv.is_some());
+        q += usize::from(zv.is_some());
+        if let Some(v) = if truthy(at) == allow_truthy { zv } else { kv } {
+            out.0.push(j);
+            out.1.push(v);
+        }
+        at += 1;
+    }
 }
 
 /// Both phases for vectors: the standard tail of every vector-producing
@@ -205,50 +333,32 @@ pub fn finalize_matrix<T: Scalar, M: MatrixMask + ?Sized>(
         crate::hooks::report_fact(|| (c.nvals(), c.nrows() * c.ncols()));
         return;
     }
+    let allow = truthy_allows(mask.probe());
     let nrows = c.nrows();
-    let mut rows: Vec<Vec<(IndexType, T)>> = Vec::with_capacity(nrows);
+    let mut out = with_capacity(if replace.0 { 0 } else { c.nvals() } + z.nvals());
+    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    row_ptr.push(0);
     for i in 0..nrows {
-        let (c_cols, c_vals) = c.row(i);
-        let (z_cols, z_vals) = z.row(i);
-        let mut row: Vec<(IndexType, T)> = Vec::with_capacity(c_cols.len() + z_cols.len());
-        let (mut p, mut q) = (0, 0);
-        loop {
-            let (j, cv, zv) = if p < c_cols.len() && q < z_cols.len() {
-                let (cc, zc) = (c_cols[p], z_cols[q]);
-                if cc == zc {
-                    p += 1;
-                    q += 1;
-                    (cc, Some(c_vals[p - 1]), Some(z_vals[q - 1]))
-                } else if cc < zc {
-                    p += 1;
-                    (cc, Some(c_vals[p - 1]), None)
-                } else {
-                    q += 1;
-                    (zc, None, Some(z_vals[q - 1]))
-                }
-            } else if p < c_cols.len() {
-                p += 1;
-                (c_cols[p - 1], Some(c_vals[p - 1]), None)
-            } else if q < z_cols.len() {
-                q += 1;
-                (z_cols[q - 1], None, Some(z_vals[q - 1]))
-            } else {
-                break;
-            };
-            let out = if mask.allows(i, j) {
-                zv
-            } else if replace.0 {
-                None
-            } else {
-                cv
-            };
-            if let Some(v) = out {
-                row.push((j, v));
-            }
+        let keep = if replace.0 {
+            (&[][..], &[][..])
+        } else {
+            c.row(i)
+        };
+        let zs = z.row(i);
+        match allow {
+            Some(allow) => select_structural(
+                keep,
+                zs,
+                mask.stored_cols_in_row(i),
+                |p| mask.stored_truthy_in_row(i, p),
+                allow,
+                &mut out,
+            ),
+            None => select_each(keep, zs, |j| mask.allows(i, j), &mut out),
         }
-        rows.push(row);
+        row_ptr.push(out.0.len());
     }
-    *c = Matrix::from_rows(nrows, c.ncols(), rows);
+    *c = Matrix::from_csr_parts(nrows, c.ncols(), row_ptr, out.0, out.1);
     crate::hooks::report_fact(|| (c.nvals(), c.nrows() * c.ncols()));
 }
 
@@ -265,6 +375,7 @@ pub fn write_matrix<T: Scalar, M: MatrixMask + ?Sized, A: Accum<T>>(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::mask::NoMask;
@@ -386,6 +497,45 @@ mod tests {
         assert_eq!(c.get(0, 0), Some(11));
         assert_eq!(c.get(0, 1), Some(20));
         assert_eq!(c.get(0, 2), Some(3));
+    }
+
+    #[test]
+    fn seek_finds_the_first_entry_not_below_target() {
+        let sorted: Vec<IndexType> = (0..100).map(|k| 3 * k).collect();
+        for from in [0, 1, 7, 50, 99, 100] {
+            for target in 0..310 {
+                let want = from + sorted[from..].partition_point(|&x| x < target);
+                assert_eq!(seek(&sorted, from, target), want, "{from} {target}");
+            }
+        }
+        assert_eq!(seek(&[], 0, 5), 0);
+    }
+
+    #[test]
+    fn structural_select_matches_per_position_select() {
+        // Long gaps, a stored-false mask entry (600) and mask entries no
+        // C or Z entry reaches (900, 901).
+        let n = 1000;
+        let c = Vector::from_pairs(n, [(1usize, 1i32), (2, 2), (500, 3), (600, 4), (999, 5)]);
+        let z = Vector::from_pairs(n, [(2usize, 20i32), (3, 30), (600, 60), (700, 70)]);
+        let m = Vector::from_pairs(n, [(2usize, 1i32), (3, 1), (600, 0), (900, 1), (901, 1)]);
+        let (c, z, m) = (c.unwrap(), z.unwrap(), m.unwrap());
+        for replace in [MERGE, REPLACE] {
+            for (allow, label) in [(true, "plain"), (false, "complement")] {
+                let allows = |i| m.allows(i) == allow;
+                let keep = if replace.0 {
+                    (&[][..], &[][..])
+                } else {
+                    (c.indices(), c.values())
+                };
+                let zs = (z.indices(), z.values());
+                let (mut each, mut walked) = ((Vec::new(), Vec::new()), (Vec::new(), Vec::new()));
+                select_each(keep, zs, allows, &mut each);
+                let truthy = |p| m.stored_truthy(p);
+                select_structural(keep, zs, m.stored_indices(), truthy, allow, &mut walked);
+                assert_eq!(each, walked, "{label} {replace:?}");
+            }
+        }
     }
 
     #[test]

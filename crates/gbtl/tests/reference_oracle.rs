@@ -4,8 +4,8 @@
 //! Each case generates random sparse operands (including stored-falsy
 //! mask entries), then runs the optimized kernel and the naive oracle
 //! side by side across every decoration combination — no mask /
-//! structural mask / complemented mask × no accumulator / Plus
-//! accumulator × merge / replace — and across the operand orientations
+//! structural mask / complemented mask / opaque mask × no accumulator /
+//! Plus accumulator × merge / replace — and across the operand orientations
 //! (plain, transposed, dual) that drive kernel selection. Results must
 //! be *identical*, stored pattern and values: the masked SpGEMM, the
 //! mask-guided dot-product SpGEMM, and the push/pull SpMV paths all
@@ -16,7 +16,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use gbtl::ops::accum::Accumulate;
+use gbtl::ops::accum::{Accumulate, MaybeAccum};
+use gbtl::ops::kind::BinaryOpKind;
 use gbtl::prelude::*;
 use gbtl::reference;
 use gbtl::MxmFamily;
@@ -63,6 +64,20 @@ fn to_sized_vector(m: &VecModel, len: usize) -> Vector<i64> {
 
 fn op_err(ctx: &str) -> impl Fn(GblasError) -> TestCaseError + '_ {
     move |e| TestCaseError::fail(format!("{ctx}: {e}"))
+}
+
+/// A vector mask kernels cannot consult structurally (the trait's
+/// default probe): the write step must fall back to per-position
+/// `allows` for it.
+struct OpaqueVectorMask<'m>(&'m Vector<i64>);
+
+impl VectorMask for OpaqueVectorMask<'_> {
+    fn mask_size(&self) -> IndexType {
+        self.0.size()
+    }
+    fn allows(&self, i: IndexType) -> bool {
+        self.0.allows(i)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -152,6 +167,15 @@ fn run_spmv_suite<T: Scalar, S: Semiring<T>>(
                 sr,
                 vxm_form,
                 &format!("{ctx}/comp"),
+            )?;
+            spmv_case(
+                &w,
+                &OpaqueVectorMask(&mask),
+                arg,
+                &u,
+                sr,
+                vxm_form,
+                &format!("{ctx}/opaque"),
             )?;
         }
     }
@@ -586,6 +610,7 @@ proptest! {
             ewise_vec_case(&w, &NoMask, Plus::<i64>::new(), &u, &v, add, &format!("{ctx}/plus/nomask"))?;
             ewise_vec_case(&w, &mask, Plus::<i64>::new(), &u, &v, add, &format!("{ctx}/plus/mask"))?;
             ewise_vec_case(&w, &complement(&mask), Min::<i64>::new(), &u, &v, add, &format!("{ctx}/min/comp"))?;
+            ewise_vec_case(&w, &OpaqueVectorMask(&mask), Plus::<i64>::new(), &u, &v, add, &format!("{ctx}/plus/opaque"))?;
         }
     }
 
@@ -609,6 +634,7 @@ proptest! {
         apply_vec_case(&w, &NoMask, AdditiveInverse::<i64>::new(), &u, "apply/ainv/nomask")?;
         apply_vec_case(&w, &mask, Bind2nd::new(Times::<i64>::new(), 3), &u, "apply/x3/mask")?;
         apply_vec_case(&w, &complement(&mask), Bind2nd::new(Plus::<i64>::new(), 7), &u, "apply/+7/comp")?;
+        apply_vec_case(&w, &OpaqueVectorMask(&mask), Bind2nd::new(Times::<i64>::new(), 3), &u, "apply/x3/opaque")?;
 
         let a = to_matrix(&am);
         let at = a.transpose_owned();
@@ -670,6 +696,7 @@ proptest! {
             assign_case(&w, &NoMask, &u, &ix, "assign/nomask")?;
             assign_case(&w, &mask, &u, &ix, "assign/mask")?;
             assign_case(&w, &complement(&mask), &u, &ix, "assign/comp")?;
+            assign_case(&w, &OpaqueVectorMask(&mask), &u, &ix, "assign/opaque")?;
         }
     }
 
@@ -692,6 +719,121 @@ proptest! {
             extract_case(&w, &NoMask, &u, &ix, "extract/nomask")?;
             extract_case(&w, &mask, &u, &ix, "extract/mask")?;
             extract_case(&w, &complement(&mask), &u, &ix, "extract/comp")?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The write step at sizes where the mask cursor skips far
+// ---------------------------------------------------------------------
+
+/// A sparse vector model for dimensions in the thousands: up to 48
+/// scattered entries (gaps of ~n/48) plus one run of up to 64
+/// consecutive entries whose values alternate, so a mask run mixes
+/// stored truthy and stored falsy entries. Positions are seeds, folded
+/// into `0..n` once `n` is drawn.
+type BigModel = (Vec<(usize, i64)>, (usize, usize, i64));
+
+fn big_model(values: std::ops::Range<i64>) -> impl Strategy<Value = BigModel> {
+    (
+        proptest::collection::vec((any::<usize>(), values.clone()), 0..48),
+        (any::<usize>(), 0usize..64, values),
+    )
+}
+
+fn big_vector(n: usize, (scattered, (start, len, v)): &BigModel) -> Vector<i64> {
+    let start = start % n;
+    let run = (start..(start + len).min(n)).map(|i| (i, v + (i % 2) as i64));
+    let pairs = scattered.iter().map(|&(p, x)| (p % n, x)).chain(run);
+    Vector::from_pairs_dedup_with(n, pairs, |_, b| b).unwrap()
+}
+
+fn big_matrix(ncols: usize, rows: &[BigModel]) -> Matrix<i64> {
+    let triples: Vec<_> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(i, m)| {
+            big_vector(ncols, m)
+                .iter()
+                .map(move |(j, v)| (i, j, v))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    Matrix::from_triples(rows.len(), ncols, triples).unwrap()
+}
+
+const ACCUMS: [MaybeAccum; 2] = [MaybeAccum(None), MaybeAccum(Some(BinaryOpKind::Plus))];
+
+proptest! {
+    #[test]
+    fn vector_write_step_matches_oracle_at_large_n(
+        n in 1000usize..4096,
+        cm in big_model(-8..9),
+        tm in big_model(-8..9),
+        km in big_model(0..2),
+    ) {
+        let (c, t, mask) = (big_vector(n, &cm), big_vector(n, &tm), big_vector(n, &km));
+        let (comp, opaque) = (complement(&mask), OpaqueVectorMask(&mask));
+        let masks: [(&str, &dyn VectorMask); 4] =
+            [("nomask", &NoMask), ("mask", &mask), ("comp", &comp), ("opaque", &opaque)];
+        for (name, mk) in masks {
+            for accum in ACCUMS {
+                for replace in [Replace(false), Replace(true)] {
+                    let ctx = format!("n={n} {name} {accum:?} z={}", replace.0);
+                    let mut got = c.clone();
+                    gbtl::write::write_vector(&mut got, mk, &accum, t.clone(), replace);
+                    let want = reference::write_vector(&c, mk, &accum, &t, replace);
+                    prop_assert_eq!(&got, &want, "write_vector {}", ctx);
+
+                    let mut got = c.clone();
+                    operations::assign_vector_constant(&mut got, mk, accum, 42, &Indices::All, replace)
+                        .map_err(op_err(&ctx))?;
+                    let want = reference::assign_vector_constant(&c, mk, &accum, 42, &Indices::All, replace);
+                    prop_assert_eq!(&got, &want, "assign_vector_constant {}", ctx);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matrix_write_step_matches_oracle_at_large_n(
+        ncols in 1000usize..2500,
+        nrows in 1usize..5,
+        cm in proptest::collection::vec(big_model(-8..9), 4),
+        zm in proptest::collection::vec(big_model(-8..9), 4),
+        km in proptest::collection::vec(big_model(0..2), 4),
+        picks in proptest::collection::btree_set(0usize..1000, 0..24),
+        bounds in (0usize..5, 0usize..5),
+    ) {
+        let c = big_matrix(ncols, &cm[..nrows]);
+        let z = big_matrix(ncols, &zm[..nrows]);
+        let mask = big_matrix(ncols, &km[..nrows]);
+        let (comp, opaque) = (complement(&mask), OpaqueMask(&mask));
+        let masks: [(&str, &dyn MatrixMask); 4] =
+            [("nomask", &NoMask), ("mask", &mask), ("comp", &comp), ("opaque", &opaque)];
+        let (lo, hi) = (bounds.0.min(bounds.1).min(nrows), bounds.0.max(bounds.1).min(nrows));
+        let regions = [
+            (Indices::All, Indices::All),
+            (Indices::Range(lo, hi), Indices::List(picks.iter().copied().collect())),
+        ];
+        for (name, mk) in masks {
+            for accum in ACCUMS {
+                for replace in [Replace(false), Replace(true)] {
+                    let ctx = format!("{nrows}x{ncols} {name} {accum:?} z={}", replace.0);
+                    let mut got = c.clone();
+                    gbtl::write::write_matrix(&mut got, mk, &accum, z.clone(), replace);
+                    let want = reference::write_matrix(&c, mk, &accum, &z, replace);
+                    prop_assert_eq!(&got, &want, "write_matrix {}", ctx);
+
+                    for (rows, cols) in &regions {
+                        let mut got = c.clone();
+                        operations::assign_matrix_constant(&mut got, mk, accum, 42, rows, cols, replace)
+                            .map_err(op_err(&ctx))?;
+                        let want = reference::assign_matrix_constant(&c, mk, &accum, 42, rows, cols, replace);
+                        prop_assert_eq!(&got, &want, "assign_matrix_constant {:?}x{:?} {}", rows, cols, ctx);
+                    }
+                }
+            }
         }
     }
 }

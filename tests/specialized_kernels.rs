@@ -184,7 +184,9 @@ fn bundle<T: Element>(case: &Case, sr: KindSemiring) -> VecArgs {
     args.replace = case.replace;
     if case.mask_mode != 0 {
         // A stored `false` is in the pattern but masks out.
-        args.mask = Some(Arc::new(vector_of::<bool>(&rest[2 * N..])));
+        args.mask = Some(Arc::new(bool::wrap_vector(vector_of::<bool>(
+            &rest[2 * N..],
+        ))));
         args.complemented = case.mask_mode == 2;
     }
     args.choice = KernelChoice {
