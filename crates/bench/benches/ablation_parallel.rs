@@ -1,6 +1,6 @@
-//! Ablation: Rayon row-parallel SpGEMM vs a sequential SpGEMM sharing
-//! the same sparse-accumulator kernel structure — quantifying what the
-//! `parallel` feature buys (DESIGN.md design-choice bench).
+//! Ablation: scoped-thread row-parallel SpGEMM vs a sequential SpGEMM
+//! sharing the same sparse-accumulator kernel structure — quantifying
+//! what the `parallel` feature buys (DESIGN.md design-choice bench).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gbtl::prelude::*;

@@ -6,36 +6,12 @@
 //! cargo run -p pygb-bench --bin validate_trace -- out.json
 //! ```
 //!
-//! Checks, exiting 1 with a diagnostic on the first violation:
-//!
-//! * the document parses and `traceEvents` is a nonempty array;
-//! * every event's `ph` is `"X"` (complete) or `"M"` (metadata), with
-//!   the fields each form requires;
-//! * every `X` event has a positive `dur` (sub-microsecond spans must
-//!   export fractional microseconds, not 0);
-//! * at least one `kernel`-category span exists, and every kernel span
-//!   is contained (by time) in a `wave` span — executed kernels nest
-//!   under their flush wave.
-
-use pygb_jit::json::{self, Value};
-
-struct SpanX {
-    name: String,
-    cat: String,
-    ts: f64,
-    dur: f64,
-}
+//! Exits 1 with a diagnostic on the first violation of the checks in
+//! [`pygb_bench::trace_check`].
 
 fn fail(msg: &str) -> ! {
     eprintln!("validate_trace: FAIL: {msg}");
     std::process::exit(1);
-}
-
-fn num(v: &Value, what: &str) -> f64 {
-    match v {
-        Value::Number(n) => *n,
-        other => fail(&format!("{what} must be a number, got {other:?}")),
-    }
 }
 
 fn main() {
@@ -44,110 +20,13 @@ fn main() {
         .unwrap_or_else(|| fail("usage: validate_trace <trace.json>"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let doc = json::parse(&text).unwrap_or_else(|e| fail(&format!("invalid JSON: {e}")));
-
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .unwrap_or_else(|| fail("`traceEvents` missing or not an array"));
-    if events.is_empty() {
-        fail("`traceEvents` is empty — nothing was traced");
-    }
-
-    let mut spans: Vec<SpanX> = Vec::new();
-    let mut metadata = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| fail(&format!("event {i}: missing `ph`")));
-        match ph {
-            "M" => {
-                if ev.get("name").and_then(Value::as_str) != Some("thread_name") {
-                    fail(&format!("event {i}: metadata event is not a thread_name"));
-                }
-                metadata += 1;
-            }
-            "X" => {
-                let name = ev
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .unwrap_or_else(|| fail(&format!("event {i}: X event missing `name`")))
-                    .to_string();
-                let cat = ev
-                    .get("cat")
-                    .and_then(Value::as_str)
-                    .unwrap_or_else(|| fail(&format!("event {i}: X event missing `cat`")))
-                    .to_string();
-                let ts = num(
-                    ev.get("ts")
-                        .unwrap_or_else(|| fail(&format!("event {i}: X event missing `ts`"))),
-                    "`ts`",
-                );
-                let dur = num(
-                    ev.get("dur")
-                        .unwrap_or_else(|| fail(&format!("event {i}: X event missing `dur`"))),
-                    "`dur`",
-                );
-                if dur <= 0.0 {
-                    fail(&format!("event {i} ({name}): non-positive dur {dur}"));
-                }
-                ev.get("pid")
-                    .and_then(Value::as_u64)
-                    .unwrap_or_else(|| fail(&format!("event {i}: X event missing `pid`")));
-                ev.get("tid")
-                    .and_then(Value::as_u64)
-                    .unwrap_or_else(|| fail(&format!("event {i}: X event missing `tid`")));
-                spans.push(SpanX { name, cat, ts, dur });
-            }
-            other => fail(&format!("event {i}: unexpected ph {other:?}")),
-        }
-    }
-    if metadata == 0 {
-        fail("no thread_name metadata records");
-    }
-
-    let kernels: Vec<&SpanX> = spans.iter().filter(|s| s.cat == "kernel").collect();
-    if kernels.is_empty() {
-        fail("no kernel-category spans — no kernel execution was traced");
-    }
-    let waves: Vec<&SpanX> = spans.iter().filter(|s| s.cat == "wave").collect();
-    if waves.is_empty() {
-        fail("no wave-category spans — no flush wave was traced");
-    }
-    // Kernel executions driven by the flush scheduler must nest (by
-    // time) inside a wave. Kernels dispatched outside any flush (eager
-    // blocking mode) legitimately have no enclosing wave, so require
-    // containment only for kernels that overlap some wave.
-    let mut nested = 0usize;
-    for k in &kernels {
-        let overlaps = waves
-            .iter()
-            .any(|w| k.ts < w.ts + w.dur && w.ts < k.ts + k.dur);
-        if !overlaps {
-            continue;
-        }
-        let contained = waves
-            .iter()
-            .any(|w| k.ts >= w.ts && k.ts + k.dur <= w.ts + w.dur);
-        if !contained {
-            fail(&format!(
-                "kernel span `{}` overlaps a wave but is not contained in one",
-                k.name
-            ));
-        }
-        nested += 1;
-    }
-    if nested == 0 {
-        fail("no kernel span nests inside a flush wave");
-    }
-
+    let s = pygb_bench::trace_check::validate(&text).unwrap_or_else(|e| fail(&e));
     println!(
         "validate_trace: OK: {} events ({} spans, {} kernel, {} wave-nested, {} thread lanes)",
-        events.len(),
-        spans.len(),
-        kernels.len(),
-        nested,
-        metadata
+        s.events,
+        s.spans,
+        s.kernels,
+        s.wave_nested,
+        s.lanes.len()
     );
 }

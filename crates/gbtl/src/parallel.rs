@@ -1,38 +1,49 @@
-//! Row-parallel execution helpers.
+//! Row-parallel kernels and the wave worker pool.
 //!
 //! Row-wise kernels (`mxm`, `mxv` gather form, eWise on matrices)
-//! produce each output row independently, so they parallelize over
-//! scoped worker threads without any shared mutable state. With the
-//! `parallel` feature disabled the same code path runs sequentially.
+//! produce each output row independently, so [`row_map`] splits them
+//! over scoped worker threads without any shared mutable state. Small
+//! problems stay sequential: below [`par_threshold`] rows the
+//! fork-join overhead outweighs the win (measured in
+//! `benches/ablation_parallel.rs`). The threshold defaults to
+//! [`PAR_THRESHOLD`] and can be overridden per process with the
+//! `PYGB_PAR_THRESHOLD` environment variable (read once).
 //!
-//! Small problems stay sequential: below the runtime threshold (see
-//! [`par_threshold`]) the fork-join overhead outweighs the win
-//! (measured in `benches/ablation_parallel.rs`). The threshold defaults
-//! to [`PAR_THRESHOLD`], can be overridden per-process with the
-//! `PYGB_PAR_THRESHOLD` environment variable, and can be swept at
-//! runtime with [`set_par_threshold`] — the ablation benches and the
-//! nonblocking scheduler both tune it without recompiling.
+//! [`run_jobs`] runs the nonblocking scheduler's waves of independent
+//! DAG nodes on a process-wide pool instead of spawning threads per
+//! wave:
+//!
+//! * The pool has `available_parallelism() − 1` helper threads named
+//!   `pygb-pool-<k>`, spawned on the first batch of two or more jobs
+//!   and parked on a condition variable between batches. The worker
+//!   count is resolved once; a batch of zero or one job runs inline
+//!   and never reads it.
+//! * The caller drains its own batch alongside the helpers, so a batch
+//!   completes even when every helper is busy: a `run_jobs` nested
+//!   inside a job, or several callers at once (serve workers sharing
+//!   helpers), cannot deadlock.
+//! * Jobs are `'static` — each owns what it touches — so handing them
+//!   to a long-lived thread needs no lifetime erasure.
+//! * A panicking job does not take its helper down: the panic is
+//!   caught, the rest of the batch still runs, and the caller re-raises
+//!   the first panic payload in input order, as `std::thread::scope`
+//!   would.
+//!
+//! With the `parallel` feature disabled everything runs sequentially.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::collections::VecDeque;
+use std::iter::Enumerate;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::index::IndexType;
 
 /// Compiled-in default minimum row count before kernels go parallel.
 pub const PAR_THRESHOLD: IndexType = 512;
 
-/// Runtime override set through [`set_par_threshold`];
-/// `usize::MAX` = unset.
-static THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// The effective parallelism threshold: a [`set_par_threshold`] value
-/// if one is active, else `PYGB_PAR_THRESHOLD` from the environment
-/// (read once), else [`PAR_THRESHOLD`].
+/// The effective parallelism threshold: `PYGB_PAR_THRESHOLD` from the
+/// environment (read once), else [`PAR_THRESHOLD`].
 pub fn par_threshold() -> IndexType {
-    let over = THRESHOLD_OVERRIDE.load(Ordering::Relaxed);
-    if over != usize::MAX {
-        return over;
-    }
     static ENV_DEFAULT: OnceLock<usize> = OnceLock::new();
     *ENV_DEFAULT.get_or_init(|| {
         std::env::var("PYGB_PAR_THRESHOLD")
@@ -40,21 +51,6 @@ pub fn par_threshold() -> IndexType {
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(PAR_THRESHOLD)
     })
-}
-
-/// Override the parallelism threshold for this process (0 forces every
-/// kernel parallel; `usize::MAX - 1` or larger effectively disables
-/// parallelism). Returns the previous effective threshold.
-pub fn set_par_threshold(threshold: IndexType) -> IndexType {
-    let previous = par_threshold();
-    THRESHOLD_OVERRIDE.store(threshold.min(usize::MAX - 1), Ordering::Relaxed);
-    previous
-}
-
-/// Drop any [`set_par_threshold`] override, returning to the
-/// environment/compiled default.
-pub fn reset_par_threshold() {
-    THRESHOLD_OVERRIDE.store(usize::MAX, Ordering::Relaxed);
 }
 
 /// Worker count for a problem of `jobs` independent pieces.
@@ -132,59 +128,167 @@ where
     (0..nrows).map(|i| f(&mut w, i)).collect()
 }
 
-/// Run independent jobs concurrently, returning their results in input
-/// order. Jobs are pulled from a shared queue by up to
-/// `available_parallelism` scoped workers; with the `parallel` feature
-/// disabled, or a single job, everything runs inline. Used by the
-/// nonblocking scheduler to execute independent DAG levels.
+/// Run independent jobs concurrently on the worker pool (see the module
+/// docs), returning their results in input order. A panicking job's
+/// payload is re-raised here once the whole batch has finished.
 pub fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
-    T: Send,
-    F: FnOnce() -> T + Send,
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
 {
     let n = jobs.len();
-    let workers = if cfg!(feature = "parallel") {
-        worker_count(n)
+    let invite = if cfg!(feature = "parallel") && n > 1 {
+        helpers().min(n - 1)
     } else {
-        1
+        0
     };
-    if n <= 1 || workers <= 1 {
+    if invite == 0 {
         return jobs.into_iter().map(|f| f()).collect();
     }
-    use std::sync::Mutex;
-    let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .expect("job taken twice");
-                let out = job();
-                *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
+    let batch = Arc::new(Batch {
+        jobs: Mutex::new(jobs.into_iter().enumerate()),
+        done: Mutex::new(Finished {
+            results: (0..n).map(|_| None).collect(),
+            count: 0,
+        }),
+        finished: Condvar::new(),
     });
+    {
+        let mut queue = lock(&POOL.queue);
+        for _ in 0..invite {
+            queue.push_back(Arc::clone(&batch) as Arc<dyn Drain>);
+        }
+    }
+    for _ in 0..invite {
+        POOL.wake.notify_one();
+    }
+    batch.drain();
+    let results = {
+        let mut done = lock(&batch.done);
+        while done.count < n {
+            done = batch
+                .finished
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut done.results)
+    };
     results
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("job produced no result")
-        })
+        .map(|r| r.expect("every job of a finished batch has a result"))
+        .map(|r| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
         .collect()
+}
+
+/// Lock ignoring poison: jobs run under `catch_unwind`, so no pool lock
+/// is ever held by a panicking frame.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Batches waiting for helpers, one queue entry per helper invited.
+struct Pool {
+    queue: Mutex<VecDeque<Arc<dyn Drain>>>,
+    /// Signalled once per entry pushed.
+    wake: Condvar,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(VecDeque::new()),
+    wake: Condvar::new(),
+};
+
+/// Helper threads running, spawned on first use: one fewer than
+/// `available_parallelism()`, because the caller is the other worker.
+/// Helpers live as long as the process and are never joined; jobs run
+/// under `catch_unwind`, so a helper never unwinds.
+fn helpers() -> usize {
+    static HELPERS: OnceLock<usize> = OnceLock::new();
+    *HELPERS.get_or_init(|| {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (0..workers - 1)
+            .take_while(|k| {
+                std::thread::Builder::new()
+                    .name(format!("pygb-pool-{k}"))
+                    .spawn(helper_loop)
+                    .is_ok()
+            })
+            .count()
+    })
+}
+
+/// A helper's life: take the next queued batch (parking while there is
+/// none) and run its unclaimed jobs.
+fn helper_loop() {
+    loop {
+        let batch = {
+            let mut queue = lock(&POOL.queue);
+            loop {
+                match queue.pop_front() {
+                    Some(batch) => break batch,
+                    None => {
+                        queue = POOL
+                            .wake
+                            .wait(queue)
+                            .unwrap_or_else(PoisonError::into_inner)
+                    }
+                }
+            }
+        };
+        batch.drain();
+    }
+}
+
+/// The type-erased face of a [`Batch`] the pool queues.
+trait Drain: Send + Sync {
+    /// Claim and run jobs until none is left unclaimed.
+    fn drain(&self);
+}
+
+/// One `run_jobs` call: its unclaimed jobs (with their input positions)
+/// and the results landed so far.
+struct Batch<T, F> {
+    jobs: Mutex<Enumerate<std::vec::IntoIter<F>>>,
+    done: Mutex<Finished<T>>,
+    /// Signalled when the last result lands.
+    finished: Condvar,
+}
+
+struct Finished<T> {
+    results: Vec<Option<std::thread::Result<T>>>,
+    count: usize,
+}
+
+impl<T: Send, F: FnOnce() -> T + Send> Drain for Batch<T, F> {
+    fn drain(&self) {
+        loop {
+            let Some((i, job)) = lock(&self.jobs).next() else {
+                return;
+            };
+            let out = panic::catch_unwind(AssertUnwindSafe(job));
+            let mut done = lock(&self.done);
+            done.results[i] = Some(out);
+            done.count += 1;
+            if done.count == done.results.len() {
+                self.finished.notify_all();
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    fn on_pool_thread() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("pygb-pool-"))
+    }
 
     #[test]
     fn row_map_small_matches_sequential() {
@@ -213,19 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_override_applies_and_resets() {
-        let compiled_default = par_threshold();
-        let previous = set_par_threshold(7);
-        assert_eq!(previous, compiled_default);
-        assert_eq!(par_threshold(), 7);
-        // An override of 7 sends an 8-row problem down the parallel path.
-        let out = row_map(8, || (), |_, i| i + 1);
-        assert_eq!(out, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        reset_par_threshold();
-        assert_eq!(par_threshold(), compiled_default);
-    }
-
-    #[test]
     fn run_jobs_preserves_order() {
         let jobs: Vec<_> = (0..17usize).map(|i| move || i * i).collect();
         let out = run_jobs(jobs);
@@ -234,7 +325,135 @@ mod tests {
 
     #[test]
     fn run_jobs_single_runs_inline() {
-        let out = run_jobs(vec![|| 41 + 1]);
-        assert_eq!(out, vec![42]);
+        let caller = std::thread::current().id();
+        let out = run_jobs(vec![|| (41 + 1, std::thread::current().id())]);
+        assert_eq!(out, vec![(42, caller)]);
+    }
+
+    /// Many batches reuse the same threads: besides the caller, only
+    /// `pygb-pool-<k>` helpers run jobs, at most one fewer than the
+    /// available parallelism.
+    #[test]
+    fn batches_reuse_named_helpers() {
+        let caller = std::thread::current().id();
+        let mut seen: Vec<ThreadId> = Vec::new();
+        for _ in 0..100 {
+            let jobs: Vec<_> = (0..4)
+                .map(|_| || (std::thread::current().id(), on_pool_thread()))
+                .collect();
+            for (id, pooled) in run_jobs(jobs) {
+                assert!(id == caller || pooled, "job ran on an unnamed thread");
+                if !seen.contains(&id) {
+                    seen.push(id);
+                }
+            }
+        }
+        assert!(
+            seen.len() <= helpers() + 1,
+            "{} distinct threads",
+            seen.len()
+        );
+    }
+
+    /// A `run_jobs` nested inside a job completes while every helper is
+    /// busy with the outer batch: its caller drains it alone.
+    #[test]
+    fn nested_batch_completes_with_every_helper_busy() {
+        let width = helpers() + 1;
+        let all_busy = Arc::new(Barrier::new(width));
+        let outer: Vec<_> = (0..width)
+            .map(|k| {
+                let all_busy = Arc::clone(&all_busy);
+                move || {
+                    // Every helper and the caller hold one outer job.
+                    all_busy.wait();
+                    let inner: Vec<_> = (0..8usize).map(|i| move || k * 100 + i).collect();
+                    run_jobs(inner)
+                }
+            })
+            .collect();
+        let out = run_jobs(outer);
+        for (k, inner) in out.iter().enumerate() {
+            assert_eq!(inner, &(0..8).map(|i| k * 100 + i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_results_in_order() {
+        let callers: Vec<_> = (0..8usize)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    for round in 0..20usize {
+                        let jobs: Vec<_> = (0..6usize).map(|i| move || (t, round, i)).collect();
+                        let want: Vec<_> = (0..6).map(|i| (t, round, i)).collect();
+                        assert_eq!(run_jobs(jobs), want);
+                    }
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().expect("caller thread");
+        }
+    }
+
+    /// Two jobs that each wait for the other, so a helper must take one.
+    /// Each reports whether it ran on a helper, or with `fail` panics
+    /// with its index once both are running.
+    fn rendezvous(fail: bool) -> Vec<Box<dyn FnOnce() -> bool + Send>> {
+        let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
+        (0..2)
+            .map(|k| {
+                let gate = Arc::clone(&gate);
+                Box::new(move || {
+                    let (count, cv) = &*gate;
+                    let mut c = lock(count);
+                    *c += 1;
+                    cv.notify_all();
+                    let (c, timeout) = cv
+                        .wait_timeout_while(c, Duration::from_secs(30), |c| *c < 2)
+                        .unwrap_or_else(PoisonError::into_inner);
+                    assert!(!timeout.timed_out() && *c == 2, "no helper took a job");
+                    if fail {
+                        panic!("rendezvous job {k} failed");
+                    }
+                    on_pool_thread()
+                }) as Box<dyn FnOnce() -> bool + Send>
+            })
+            .collect()
+    }
+
+    /// A panicking job re-raises its own payload on the caller after the
+    /// rest of the batch ran, and a helper that caught a panic still
+    /// serves the next batch.
+    #[test]
+    fn panic_reraises_payload_and_keeps_helpers() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<_> = (0..6)
+            .map(|i| {
+                let ran = Arc::clone(&ran);
+                move || {
+                    if i == 3 {
+                        panic!("job three failed");
+                    }
+                    ran.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .collect();
+        let err =
+            panic::catch_unwind(AssertUnwindSafe(|| run_jobs(jobs))).expect_err("panic propagates");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"job three failed"));
+        assert_eq!(ran.load(Ordering::SeqCst), 5, "the batch still completes");
+
+        if helpers() == 0 {
+            return;
+        }
+        // Both jobs panic, one of them on a helper; the caller re-raises
+        // the first in input order.
+        let err = panic::catch_unwind(|| run_jobs(rendezvous(true))).expect_err("panic propagates");
+        assert_eq!(
+            err.downcast_ref::<String>().map(String::as_str),
+            Some("rendezvous job 0 failed")
+        );
+        assert!(run_jobs(rendezvous(false)).contains(&true));
     }
 }

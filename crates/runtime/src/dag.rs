@@ -384,8 +384,9 @@ fn flush_inner() -> Result<()> {
 
         let _wave_sp = pygb_obs::span_labeled(pygb_obs::Cat::Wave, || format!("wave/{wave}"));
 
-        // Independent nodes of one wave execute in parallel. Operand
-        // substitution already happened, so worker threads never touch
+        // Independent nodes of one wave execute in parallel on the
+        // `gbtl` worker pool, this thread included. Operand
+        // substitution already happened, so pool threads never touch
         // this thread's DAG (their own DAGs are empty).
         let jobs: Vec<_> = batch
             .into_iter()
@@ -395,20 +396,18 @@ fn flush_inner() -> Result<()> {
                     let t0 = timed.then(std::time::Instant::now);
                     let sp = label.map(|l| pygb_obs::span_labeled(pygb_obs::Cat::Exec, || l));
                     // Arm the checked interpretation on the thread the
-                    // node runs on.
-                    if nf.is_some() {
-                        crate::sparsity::arm_prediction();
-                    }
+                    // node runs on; the check disarms it again, so a
+                    // pool thread carries no recorded write into its
+                    // next job.
+                    crate::sparsity::arm_prediction();
                     let choice = nf.as_ref().map(|nf| nf.choice).unwrap_or_default();
                     let done = run_node(node, choice);
                     drop(sp);
-                    if let Some(nf) = &nf {
-                        let ok = match &done {
-                            Done::V(_, r) => r.is_ok(),
-                            Done::M(_, r) => r.is_ok(),
-                        };
-                        crate::sparsity::check_prediction(nf, ok);
-                    }
+                    let ok = match &done {
+                        Done::V(_, r) => r.is_ok(),
+                        Done::M(_, r) => r.is_ok(),
+                    };
+                    crate::sparsity::check_prediction(nf.as_ref(), ok);
                     let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     (i, ns, done)
                 }

@@ -95,6 +95,14 @@ mod tests {
     use super::*;
     use pygb::{DType, Vector};
 
+    /// Serialize this module's tests: several difference the
+    /// process-wide dispatch counters, which a sibling's dispatches
+    /// (libtest runs tests on parallel threads) would move.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     fn dense(vals: &[f64]) -> Vector {
         let mut v = Vector::new(vals.len(), DType::Fp64);
         for (i, &x) in vals.iter().enumerate() {
@@ -105,6 +113,7 @@ mod tests {
 
     #[test]
     fn deferred_chain_flushes_on_scope_exit() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         {
@@ -117,6 +126,7 @@ mod tests {
 
     #[test]
     fn read_inside_scope_forces_flush() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         let _nb = nonblocking().unwrap();
@@ -127,6 +137,7 @@ mod tests {
 
     #[test]
     fn ewise_chain_fuses_to_one_dispatch() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         // Warm both kernels so only memory hits are counted below.
@@ -155,6 +166,7 @@ mod tests {
 
     #[test]
     fn dead_node_is_elided() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0]);
         let stats = pygb::runtime().cache().stats();
         let before = stats.snapshot();
@@ -173,6 +185,7 @@ mod tests {
 
     #[test]
     fn held_temp_blocks_fusion_but_stays_correct() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         let _nb = nonblocking().unwrap();
@@ -185,6 +198,7 @@ mod tests {
 
     #[test]
     fn reduce_fuses_with_ewise_producer() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut d = Vector::new(3, DType::Fp64);
         // Warm.
@@ -210,8 +224,73 @@ mod tests {
         assert_eq!(d.to_dense_f64(), vec![1.0, 4.0, 9.0]);
     }
 
+    /// Wave jobs leave the pool threads they ran on as they found them:
+    /// an empty DAG and no recorded write a later job's check could
+    /// inherit — and the checked interpretation never missed.
+    #[test]
+    fn pool_threads_are_left_clean_after_waves() {
+        let _serial = serial();
+        use std::sync::{Arc, Barrier};
+
+        let fact_misses = || pygb_obs::registry().snapshot().counter("opt/fact_misses");
+        let before = fact_misses();
+        set_passes(&[
+            PassKind::Dce,
+            PassKind::Cse,
+            PassKind::Sparsity,
+            PassKind::Noop,
+        ]);
+        let u = dense(&[1.0, 0.0, 3.0, 4.0]);
+        let v = dense(&[2.0, 5.0, 0.0, 1.0]);
+        let mut a = Vector::new(4, DType::Fp64);
+        let mut b = Vector::new(4, DType::Fp64);
+        for _ in 0..50 {
+            // Two independent nodes: one wave of two jobs.
+            let _nb = nonblocking().unwrap();
+            a.no_mask().assign(&u + &v).unwrap();
+            b.no_mask().assign(&u * &v).unwrap();
+        }
+        reset_passes();
+        assert_eq!(a.to_dense_f64(), vec![3.0, 5.0, 3.0, 5.0]);
+        assert_eq!(b.to_dense_f64(), vec![2.0, 0.0, 0.0, 4.0]);
+        assert_eq!(fact_misses(), before, "checked interpretation missed");
+
+        // One probe per pool thread: the barrier holds each job until
+        // the caller and every helper has one.
+        let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let all_held = Arc::new(Barrier::new(width));
+        let probes: Vec<_> = (0..width)
+            .map(|_| {
+                let all_held = Arc::clone(&all_held);
+                move || {
+                    all_held.wait();
+                    let pooled = std::thread::current()
+                        .name()
+                        .is_some_and(|n| n.starts_with("pygb-pool-"));
+                    let empty_dag = dag::with_dag(|d| {
+                        d.nodes.is_empty()
+                            && d.pending.is_empty()
+                            && d.resolved_v.is_empty()
+                            && d.resolved_m.is_empty()
+                    });
+                    (pooled, empty_dag, sparsity::write_recorded())
+                }
+            })
+            .collect();
+        let pooled: Vec<_> = gbtl::parallel::run_jobs(probes)
+            .into_iter()
+            .filter(|&(pooled, ..)| pooled)
+            .collect();
+        assert_eq!(pooled.len(), width - 1, "one probe per helper");
+        for (_, empty_dag, recorded) in pooled {
+            assert!(empty_dag, "a pool thread kept DAG state");
+            assert!(!recorded, "a pool thread kept a recorded write");
+        }
+    }
+
     #[test]
     fn invalid_op_is_rejected_at_enqueue_not_flush() {
+        let _serial = serial();
         let u = dense(&[1.0, 2.0]);
         let bad = dense(&[1.0, 2.0, 3.0]); // size mismatch
         let mut w = Vector::new(2, DType::Fp64);

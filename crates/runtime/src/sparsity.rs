@@ -506,9 +506,12 @@ pub(crate) fn arm_prediction() {
 /// concrete `nvals` must lie inside the fact's interval (`γ`
 /// membership). A miss bumps `opt/fact_misses` and debug-asserts —
 /// release builds keep running with the sound-but-wrong counter
-/// visible.
-pub(crate) fn check_prediction(nf: &NodeFacts, kernel_ok: bool) {
+/// visible. A node without facts (`nf` is `None`) only disarms.
+pub(crate) fn check_prediction(nf: Option<&NodeFacts>, kernel_ok: bool) {
     let Some((nvals, dim)) = LAST_WRITE.with(|c| c.take()) else {
+        return;
+    };
+    let Some(nf) = nf else {
         return;
     };
     // A fused kernel's last write can be an intermediate of a different
@@ -527,6 +530,12 @@ pub(crate) fn check_prediction(nf: &NodeFacts, kernel_ok: bool) {
     }
 }
 
+/// Whether this thread holds a recorded write no check has consumed.
+#[cfg(test)]
+pub(crate) fn write_recorded() -> bool {
+    LAST_WRITE.with(|c| c.get().is_some())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,19 +548,24 @@ mod tests {
         };
         arm_prediction();
         // No write recorded: silently passes.
-        check_prediction(&nf, true);
+        check_prediction(Some(&nf), true);
         // In-interval write: passes.
         arm_prediction();
         record_write(3, 10);
-        check_prediction(&nf, true);
+        check_prediction(Some(&nf), true);
         // Mismatched dim (fused intermediate): skipped.
         arm_prediction();
         record_write(7, 4);
-        check_prediction(&nf, true);
+        check_prediction(Some(&nf), true);
         // Failed kernel: skipped even with a recorded write.
         arm_prediction();
         record_write(9, 10);
-        check_prediction(&nf, false);
+        check_prediction(Some(&nf), false);
+        // A node without facts still disarms the recorder.
+        arm_prediction();
+        record_write(9, 10);
+        check_prediction(None, true);
+        assert!(!write_recorded());
     }
 
     #[test]
@@ -564,7 +578,7 @@ mod tests {
         };
         arm_prediction();
         record_write(9, 10);
-        check_prediction(&nf, true);
+        check_prediction(Some(&nf), true);
     }
 
     #[test]

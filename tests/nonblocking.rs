@@ -240,6 +240,48 @@ fn independent_wave_executes_in_parallel_correctly() {
     }
 }
 
+/// Threads that evaluated a `ThreadProbeTimes` multiply, without
+/// repeats.
+static PROBE_THREADS: std::sync::Mutex<Vec<std::thread::ThreadId>> =
+    std::sync::Mutex::new(Vec::new());
+
+fn probe_times(a: f64, b: f64) -> f64 {
+    let id = std::thread::current().id();
+    let mut seen = PROBE_THREADS.lock().unwrap();
+    if !seen.contains(&id) {
+        seen.push(id);
+    }
+    a * b
+}
+
+/// Waves run on a bounded, reused set of threads: 200 flushes of a
+/// two-node wave execute on at most `available_parallelism()` distinct
+/// threads (the flushing thread and the pool's helpers), not on two
+/// fresh threads per flush.
+#[test]
+fn wave_jobs_run_on_a_bounded_thread_set() {
+    let _serial = stats_serial();
+    let probe = BinaryOp::define("ThreadProbeTimes", probe_times);
+    let u = dense(&[1.0, 2.0, 3.0]);
+    let v = dense(&[4.0, 5.0, 6.0]);
+    let mut a = Vector::new(3, DType::Fp64);
+    let mut b = Vector::new(3, DType::Fp64);
+    let _op = probe.enter();
+    for _ in 0..200 {
+        let _nb = pygb_runtime::nonblocking().unwrap();
+        a.no_mask().assign(&u * &v).unwrap();
+        b.no_mask().assign(&u * &u).unwrap();
+    }
+    assert_eq!(a.to_dense_f64(), vec![4.0, 10.0, 18.0]);
+    assert_eq!(b.to_dense_f64(), vec![1.0, 4.0, 9.0]);
+    let threads = PROBE_THREADS.lock().unwrap().len();
+    let limit = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        threads <= limit,
+        "wave jobs ran on {threads} distinct threads; at most {limit} expected"
+    );
+}
+
 /// Dtype promotion through deferred expressions matches blocking mode.
 #[test]
 fn promotion_matches_blocking() {

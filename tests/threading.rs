@@ -93,9 +93,10 @@ fn cow_handles_are_safe_to_mutate_across_threads() {
 
 #[test]
 fn parallel_and_small_sequential_kernels_agree() {
-    // The Rayon row-parallel path kicks in above the threshold; results
-    // must be identical to the small-problem sequential path. Compute
-    // the same product as one big matrix and as its small blocks.
+    // The scoped-thread row-parallel path kicks in above the
+    // threshold; results must be identical to the small-problem
+    // sequential path. Compute the same product as one big matrix and
+    // as its small blocks.
     let n = gbtl::parallel::PAR_THRESHOLD * 2; // forces the parallel path
     let edges = generators::erdos_renyi(n, n * 4, 31);
     let a: gbtl::Matrix<f64> = edges.to_gbtl();
