@@ -22,6 +22,11 @@
 //! allocate whether muted (one relaxed load + branch) or active (head
 //! claim + seqlock write of fixed-width atomic fields), so the serve
 //! hot path pays no heap traffic for its request history.
+//!
+//! Census counting is always on as well: a counted event is one relaxed
+//! add to the process cell plus, with a `Scope` installed on the thread,
+//! one more to the scope. It must not allocate either way; both costs
+//! are printed per event.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,12 +169,43 @@ fn main() {
         "the ring must hold records after {ITERS} writes"
     );
 
+    // Census events, with and without a scope installed.
+    let scope = pygb_obs::Scope::new();
+    pygb_obs::Census::Invocations.inc(); // resolve the process cells
+    let mut census_lines = Vec::new();
+    for mode in ["unscoped", "scoped"] {
+        let _in = (mode == "scoped").then(|| scope.enter());
+        let census_allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+        let census_start = Instant::now();
+        for _ in 0..ITERS {
+            pygb_obs::Census::Invocations.inc();
+        }
+        let census_elapsed = census_start.elapsed();
+        let census_allocs = ALLOCATIONS.load(Ordering::Relaxed) - census_allocs_before;
+        assert_eq!(
+            census_allocs, 0,
+            "{mode} census events must not allocate ({census_allocs} allocations over {ITERS})"
+        );
+        let census_per_event = census_elapsed.as_nanos() as f64 / ITERS as f64;
+        assert!(
+            census_per_event <= MAX_NS_PER_CALL as f64,
+            "{mode} census event cost {census_per_event:.1} ns exceeds the {MAX_NS_PER_CALL} ns budget"
+        );
+        census_lines.push(format!("{mode} {census_per_event:.1} ns/event"));
+    }
+    assert_eq!(
+        scope.get(pygb_obs::Census::Invocations),
+        ITERS,
+        "the installed scope takes every event"
+    );
+
     println!(
         "obs_overhead: OK: {} disabled span calls, 0 allocations, {per_call} ns/call \
          (budget {MAX_NS_PER_CALL} ns); {ITERS} uninstalled report_fact calls, \
          0 allocations, {fact_per_call} ns/call; flight recorder {} x{ITERS} calls, \
-         0 allocations",
+         0 allocations; census {} x{ITERS} events, 0 allocations",
         2 * ITERS,
-        recorder_lines.join(" / ")
+        recorder_lines.join(" / "),
+        census_lines.join(" / ")
     );
 }

@@ -355,6 +355,10 @@ fn compile_times() {
     let registry = FactoryRegistry::new();
     pygb::kernels::register_all(&registry);
     let cache = ModuleCache::in_memory();
+    // Every cache counts into the process census; this scope keeps the
+    // printed stats to this cache's own traffic.
+    let scope = pygb_obs::Scope::new();
+    let _in = scope.enter();
 
     // Cold compiles across many distinct keys.
     let n_keys = 500;
@@ -398,7 +402,7 @@ fn compile_times() {
     println!("  cold compile (per key)            : {cold:?}");
     println!("  warm dispatch (memory hit)        : {warm:?}");
     println!("  ahead-of-time: {count} modules      : {aot:?}");
-    let stats = cache.stats().snapshot();
+    let stats = pygb_jit::StatsSnapshot::of(&scope);
     println!(
         "  cache stats: {} compiles, {} hits, hit rate {:.1}%\n",
         stats.compiles,

@@ -43,6 +43,7 @@ use gbtl::{Indices, MatrixMask, Semiring, VectorMask};
 use pygb_jit::kernel::FnKernel;
 use pygb_jit::registry::Factory;
 use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
+use pygb_obs::Census;
 
 use crate::dtype::DType;
 use crate::facts::{KernelChoice, SpmvDirection};
@@ -392,9 +393,7 @@ fn spmv_operand(args: &VecArgs, natural_pull: bool) -> (Option<Arc<MatrixStore>>
     let Some(dir) = args.choice.spmv else {
         return (a.clone(), at);
     };
-    pygb_obs::registry()
-        .counter("opt/static_kernel_hints")
-        .inc();
+    Census::StaticKernelHints.inc();
     let want_pull = dir == SpmvDirection::Pull;
     match a {
         Some(src) if want_pull != natural_pull => (Some(src.transpose_view()), !at),
@@ -402,33 +401,25 @@ fn spmv_operand(args: &VecArgs, natural_pull: bool) -> (Option<Arc<MatrixStore>>
     }
 }
 
-/// Feed the substrate's SpGEMM kernel report into the runtime's
-/// selection counters.
+/// Count the substrate's SpGEMM kernel report in the selection census.
 fn record_mxm_select(kernel: gbtl::MxmKernel) {
-    let sel = match kernel {
-        gbtl::MxmKernel::Gustavson => pygb_jit::MxmSelect::Unmasked,
-        gbtl::MxmKernel::MaskedGustavson => pygb_jit::MxmSelect::MaskedGustavson,
-        gbtl::MxmKernel::MaskedDot => pygb_jit::MxmSelect::MaskedDot,
-    };
-    crate::dispatch::runtime()
-        .cache()
-        .stats()
-        .record_mxm_select(sel);
+    match kernel {
+        gbtl::MxmKernel::Gustavson => Census::SelSpgemm,
+        gbtl::MxmKernel::MaskedGustavson => Census::SelMaskedSpgemm,
+        gbtl::MxmKernel::MaskedDot => Census::SelDotSpgemm,
+    }
+    .inc();
 }
 
-/// Feed the substrate's SpMV kernel report into the runtime's selection
-/// counters.
+/// Count the substrate's SpMV kernel report in the selection census.
 fn record_spmv_select(kernel: gbtl::SpmvKernel) {
-    let sel = match kernel {
-        gbtl::SpmvKernel::Pull => pygb_jit::SpmvSelect::Pull,
-        gbtl::SpmvKernel::MaskedPull => pygb_jit::SpmvSelect::MaskedPull,
-        gbtl::SpmvKernel::Push => pygb_jit::SpmvSelect::Push,
-        gbtl::SpmvKernel::MaskedPush => pygb_jit::SpmvSelect::MaskedPush,
-    };
-    crate::dispatch::runtime()
-        .cache()
-        .stats()
-        .record_spmv_select(sel);
+    match kernel {
+        gbtl::SpmvKernel::Pull => Census::SelPull,
+        gbtl::SpmvKernel::MaskedPull => Census::SelMaskedPull,
+        gbtl::SpmvKernel::Push => Census::SelPush,
+        gbtl::SpmvKernel::MaskedPush => Census::SelMaskedPush,
+    }
+    .inc();
 }
 
 // ---------------------------------------------------------------------
@@ -462,9 +453,7 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
             )
     );
     if honored {
-        pygb_obs::registry()
-            .counter("opt/static_kernel_hints")
-            .inc();
+        Census::StaticKernelHints.inc();
     }
     record_mxm_select(kernel);
     Ok(())
@@ -1086,20 +1075,18 @@ fn spmv_module<T: Element, S: ModuleSemiring<T> + 'static>(
     )))
 }
 
-/// [`spmv_module`], counted in the metrics registry by which way it
-/// went.
+/// [`spmv_module`], counted in the census by which way it went.
 fn counted_spmv_module<T: Element, S: ModuleSemiring<T> + 'static>(
     form: SpmvForm,
     key: &ModuleKey,
 ) -> Result<Box<dyn Kernel>, JitError> {
     let module = spmv_module::<T, S>(form, key)?;
-    pygb_obs::registry()
-        .counter(if S::SPECIALIZED {
-            "jit/specialized_modules"
-        } else {
-            "jit/interpreted_modules"
-        })
-        .inc();
+    if S::SPECIALIZED {
+        Census::SpecializedModules
+    } else {
+        Census::InterpretedModules
+    }
+    .inc();
     Ok(module)
 }
 
@@ -1259,19 +1246,12 @@ pub fn register_all(registry: &FactoryRegistry) {
     // observability layer: per-family latency histograms plus a
     // complete trace span per kernel execution.
     gbtl::hooks::install_kernel_observer(pygb_obs::observe_kernel);
-    // Mirror the substrate's runtime tunables into every metrics
-    // snapshot (parts-per-million, since counters are integral) so
-    // long-lived services can report the values actually in effect.
-    struct Tunables;
-    impl pygb_obs::MetricsSource for Tunables {
-        fn collect(&self) -> Vec<(String, u64)> {
-            vec![(
-                "push_pull_density_ppm".to_string(),
-                (gbtl::push_pull_density() * 1e6).round() as u64,
-            )]
-        }
-    }
-    pygb_obs::registry().register_source("tunables", std::sync::Arc::new(Tunables));
+    // Mirror the substrate's push/pull density threshold into the
+    // metrics (parts-per-million, since counters are integral) so
+    // long-lived services report the value actually in effect.
+    pygb_obs::registry()
+        .counter("tunables/push_pull_density_ppm")
+        .set((gbtl::push_pull_density() * 1e6).round() as u64);
     for &func in Func::ALL {
         registry.register(func.name(), func.factory());
     }

@@ -316,7 +316,7 @@ pub(crate) fn enqueue_vector(
     };
     (ops.enqueue_vector)(desc)?;
     target.store = out;
-    crate::dispatch::runtime().cache().stats().record_deferred();
+    pygb_obs::Census::DeferredOps.inc();
     Ok(())
 }
 
@@ -343,7 +343,7 @@ pub(crate) fn enqueue_matrix(
     };
     (ops.enqueue_matrix)(desc)?;
     target.store = out;
-    crate::dispatch::runtime().cache().stats().record_deferred();
+    pygb_obs::Census::DeferredOps.inc();
     Ok(())
 }
 

@@ -20,7 +20,7 @@
 use std::sync::{Arc, OnceLock};
 
 use gbtl::{Matrix as GMatrix, Vector as GVector};
-use pygb_obs::Counter;
+use pygb_obs::Census;
 
 use crate::dtype::{DType, ALL_DTYPES};
 use crate::value::DynScalar;
@@ -42,34 +42,12 @@ struct Views {
     transpose: OnceLock<Arc<MatrixStore>>,
 }
 
-/// The `views/*` registry counters, resolved once so a lookup costs one
-/// relaxed increment.
-struct ViewCounters {
-    cast_built: Arc<Counter>,
-    cast_hit: Arc<Counter>,
-    transpose_built: Arc<Counter>,
-    transpose_hit: Arc<Counter>,
-}
-
-fn view_counters() -> &'static ViewCounters {
-    static COUNTERS: OnceLock<ViewCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let reg = pygb_obs::registry();
-        ViewCounters {
-            cast_built: reg.counter("views/cast_built"),
-            cast_hit: reg.counter("views/cast_hit"),
-            transpose_built: reg.counter("views/transpose_built"),
-            transpose_hit: reg.counter("views/transpose_hit"),
-        }
-    })
-}
-
 /// The slot's view, built by `build` if this is the first request.
 /// Concurrent first requests block on the one build.
 fn view_or_build(
     slot: &OnceLock<Arc<MatrixStore>>,
-    built: &Counter,
-    hit: &Counter,
+    built: Census,
+    hit: Census,
     build: impl FnOnce() -> MatrixStore,
 ) -> Arc<MatrixStore> {
     let mut fresh = false;
@@ -385,11 +363,10 @@ impl MatrixStore {
         if self.dtype() == to {
             return Arc::clone(self);
         }
-        let c = view_counters();
         view_or_build(
             &self.views.cast[to as usize],
-            &c.cast_built,
-            &c.cast_hit,
+            Census::CastBuilt,
+            Census::CastHit,
             || self.cast(to),
         )
     }
@@ -414,11 +391,10 @@ impl MatrixStore {
     /// the counting sort once. The view's own transpose slot starts
     /// empty — it does not point back here.
     pub fn transpose_view(&self) -> Arc<MatrixStore> {
-        let c = view_counters();
         view_or_build(
             &self.views.transpose,
-            &c.transpose_built,
-            &c.transpose_hit,
+            Census::TransposeBuilt,
+            Census::TransposeHit,
             || self.transposed(),
         )
     }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
+use pygb_obs::Census;
 
 use crate::error::JitError;
 use crate::json;
@@ -51,11 +52,11 @@ pub struct ModuleRecord {
     pub compile_ns: u64,
 }
 
-/// Two-level module cache with dispatch statistics.
+/// Two-level module cache. Its outcomes are counted in the process
+/// census ([`JitStats`]).
 pub struct ModuleCache {
     memory: RwLock<HashMap<u64, Arc<dyn Kernel>>>,
     disk: Option<DiskIndex>,
-    stats: Arc<JitStats>,
 }
 
 struct DiskIndex {
@@ -70,7 +71,6 @@ impl ModuleCache {
         ModuleCache {
             memory: RwLock::new(HashMap::new()),
             disk: None,
-            stats: Arc::new(JitStats::new()),
         }
     }
 
@@ -91,7 +91,6 @@ impl ModuleCache {
                 path,
                 known: RwLock::new(known),
             }),
-            stats: Arc::new(JitStats::new()),
         }
     }
 
@@ -122,13 +121,11 @@ impl ModuleCache {
     {
         let lookup_start = Instant::now();
         if let Some(k) = self.memory.read().get(&hash) {
-            self.stats
-                .record_lookup_ns(lookup_start.elapsed().as_nanos() as u64);
-            self.stats.record_memory_hit();
+            Census::LookupNs.add(lookup_start.elapsed().as_nanos() as u64);
+            Census::MemoryHits.inc();
             return Ok((Arc::clone(k), CacheOutcome::MemoryHit));
         }
-        self.stats
-            .record_lookup_ns(lookup_start.elapsed().as_nanos() as u64);
+        Census::LookupNs.add(lookup_start.elapsed().as_nanos() as u64);
 
         // Not in memory: instantiate. (Two threads may race here; the
         // second insert wins nothing but wastes one instantiation, like
@@ -139,11 +136,12 @@ impl ModuleCache {
 
         let outcome = match &self.disk {
             Some(disk) if disk.known.read().contains_key(&hash) => {
-                self.stats.record_disk_hit();
+                Census::DiskHits.inc();
                 CacheOutcome::DiskHit
             }
             Some(disk) => {
-                self.stats.record_compile(compile_ns);
+                Census::Compiles.inc();
+                Census::CompileNs.add(compile_ns);
                 let record = ModuleRecord {
                     module: key.module_name(),
                     key: key.canonical(),
@@ -157,7 +155,8 @@ impl ModuleCache {
                 CacheOutcome::Compiled
             }
             None => {
-                self.stats.record_compile(compile_ns);
+                Census::Compiles.inc();
+                Census::CompileNs.add(compile_ns);
                 CacheOutcome::Compiled
             }
         };
@@ -187,16 +186,10 @@ impl ModuleCache {
         self.memory.write().clear();
     }
 
-    /// The dispatch statistics for this cache.
+    /// The dispatch statistics (process-wide: every cache counts into
+    /// the same census cells).
     pub fn stats(&self) -> &JitStats {
-        &self.stats
-    }
-
-    /// Shared handle to the statistics — what the global runtime
-    /// registers with the `pygb-obs` metrics registry, so one snapshot
-    /// reads these counters alongside every other subsystem's.
-    pub fn stats_arc(&self) -> Arc<JitStats> {
-        Arc::clone(&self.stats)
+        &JitStats
     }
 }
 
@@ -247,6 +240,7 @@ fn persist_index(path: &Path, known: &HashMap<u64, ModuleRecord>) {
 mod tests {
     use super::*;
     use crate::kernel::FnKernel;
+    use crate::stats::StatsSnapshot;
 
     fn key(n: u32) -> ModuleKey {
         ModuleKey::new("op").with("n", n.to_string())
@@ -260,24 +254,28 @@ mod tests {
 
     #[test]
     fn first_call_compiles_second_hits_memory() {
+        let scope = pygb_obs::Scope::new();
+        let _in = scope.enter();
         let cache = ModuleCache::in_memory();
         let (_, o1) = cache.get_or_compile(&key(1), trivial_factory).unwrap();
         assert_eq!(o1, CacheOutcome::Compiled);
         let (_, o2) = cache.get_or_compile(&key(1), trivial_factory).unwrap();
         assert_eq!(o2, CacheOutcome::MemoryHit);
         assert_eq!(cache.resident_modules(), 1);
-        let snap = cache.stats().snapshot();
+        let snap = StatsSnapshot::of(&scope);
         assert_eq!(snap.compiles, 1);
         assert_eq!(snap.memory_hits, 1);
     }
 
     #[test]
     fn distinct_keys_compile_separately() {
+        let scope = pygb_obs::Scope::new();
+        let _in = scope.enter();
         let cache = ModuleCache::in_memory();
         cache.get_or_compile(&key(1), trivial_factory).unwrap();
         cache.get_or_compile(&key(2), trivial_factory).unwrap();
         assert_eq!(cache.resident_modules(), 2);
-        assert_eq!(cache.stats().snapshot().compiles, 2);
+        assert_eq!(StatsSnapshot::of(&scope).compiles, 2);
     }
 
     #[test]
@@ -301,12 +299,14 @@ mod tests {
         assert_eq!(cache.indexed_modules(), 1);
 
         // "Restart": fresh cache instance over the same directory.
+        let scope = pygb_obs::Scope::new();
+        let _in = scope.enter();
         let cache2 = ModuleCache::with_disk_index(&dir);
         assert_eq!(cache2.indexed_modules(), 1);
         let (_, o2) = cache2.get_or_compile(&key(7), trivial_factory).unwrap();
         assert_eq!(o2, CacheOutcome::DiskHit);
-        assert_eq!(cache2.stats().snapshot().compiles, 0);
-        assert_eq!(cache2.stats().snapshot().disk_hits, 1);
+        assert_eq!(StatsSnapshot::of(&scope).compiles, 0);
+        assert_eq!(StatsSnapshot::of(&scope).disk_hits, 1);
 
         let _ = fs::remove_dir_all(&dir);
     }

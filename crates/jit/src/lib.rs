@@ -46,4 +46,4 @@ pub use key::ModuleKey;
 pub use pipeline::{PipelineTrace, Stage};
 pub use registry::FactoryRegistry;
 pub use runtime::{global, JitRuntime};
-pub use stats::{JitStats, MxmSelect, SpmvSelect};
+pub use stats::{JitStats, StatsSnapshot};

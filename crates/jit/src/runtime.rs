@@ -117,7 +117,7 @@ impl JitRuntime {
         let start = Instant::now();
         let result = kernel.invoke(args);
         let invoke_ns = start.elapsed().as_nanos() as u64;
-        self.cache.stats().record_invocation();
+        pygb_obs::Census::Invocations.inc();
         if pygb_obs::enabled() {
             pygb_obs::registry()
                 .histogram(&format!("dispatch/{}", key.func()))
@@ -154,10 +154,9 @@ pub fn global() -> &'static Arc<JitRuntime> {
             Some(dir) if !dir.is_empty() => JitRuntime::with_disk_index(dir),
             _ => JitRuntime::in_memory(),
         };
-        // The global runtime's counters feed the unified metrics
-        // registry (standalone runtimes stay private to their tests),
-        // and `PYGB_TRACE=<path>` turns tracing on at first dispatch.
-        pygb_obs::registry().register_source("jit", runtime.cache().stats_arc());
+        // Every snapshot from here on lists the census series, and
+        // `PYGB_TRACE=<path>` turns tracing on at first dispatch.
+        pygb_obs::Census::resolve();
         pygb_obs::init_from_env();
         Arc::new(runtime)
     })

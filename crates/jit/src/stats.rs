@@ -5,57 +5,15 @@
 //! is a hash + map lookup. The `figures` binary prints them for the
 //! compile-time experiment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use pygb_obs::{Census, Scope};
 
-/// Which SpGEMM kernel an `mxm` dispatch selected (mirrors the
-/// substrate's kernel report without depending on it).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MxmSelect {
-    /// Unmasked Gustavson (mask absent or opaque, post-filtered).
-    Unmasked,
-    /// Gustavson with the structural mask stamped into the inner loop.
-    MaskedGustavson,
-    /// Mask-guided dot products (triangle-counting shape).
-    MaskedDot,
-}
-
-/// Which SpMV direction an `mxv`/`vxm` dispatch selected.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SpmvSelect {
-    /// Row-parallel gather (dense direction).
-    Pull,
-    /// Gather confined to the structural mask.
-    MaskedPull,
-    /// Frontier-driven scatter (sparse direction).
-    Push,
-    /// Scatter with the mask stamped ahead of accumulation.
-    MaskedPush,
-}
-
-/// Monotonic counters for one cache/runtime instance. All methods are
-/// lock-free and callable concurrently.
+/// The dispatch statistics: a typed reader over the process [`Census`]
+/// cells the JIT, the op-DAG runtime and the kernels count into. Every
+/// [`crate::ModuleCache`] counts into the same cells; a caller that
+/// wants only its own share opens a [`Scope`] and reads
+/// [`StatsSnapshot::of`] it.
 #[derive(Debug, Default)]
-pub struct JitStats {
-    memory_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    compiles: AtomicU64,
-    invocations: AtomicU64,
-    compile_ns_total: AtomicU64,
-    lookup_ns_total: AtomicU64,
-    deferred_ops: AtomicU64,
-    fused_ops: AtomicU64,
-    elided_ops: AtomicU64,
-    cse_deduped: AtomicU64,
-    noop_folded: AtomicU64,
-    refused_fusions: AtomicU64,
-    sel_spgemm: AtomicU64,
-    sel_masked_spgemm: AtomicU64,
-    sel_dot_spgemm: AtomicU64,
-    sel_pull: AtomicU64,
-    sel_masked_pull: AtomicU64,
-    sel_push: AtomicU64,
-    sel_masked_push: AtomicU64,
-}
+pub struct JitStats;
 
 /// A point-in-time copy of the counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,13 +37,16 @@ pub struct StatsSnapshot {
     /// DAG nodes absorbed into a composite kernel by the nonblocking
     /// fusion pass (each one is a dispatch that never happened).
     pub fused_ops: u64,
-    /// DAG nodes dropped as dead code (results never observed).
+    /// DAG nodes dropped as dead code (results never observed); the
+    /// `opt/dce_elided` series.
     pub elided_ops: u64,
     /// DAG nodes merged into a structurally identical node by the
-    /// common-subexpression-elimination pass.
+    /// common-subexpression-elimination pass; the `opt/cse_deduped`
+    /// series.
     pub cse_deduped: u64,
     /// DAG nodes folded away by the no-op elimination pass (empty
-    /// masks with replace, identity applies, known-empty operands).
+    /// masks with replace, identity applies, known-empty operands); the
+    /// `opt/noop_folded` series.
     pub noop_folded: u64,
     /// Producer/consumer pairs that matched a fusion rule but were
     /// refused by the aliasing analysis (the consumer's output aliases
@@ -108,175 +69,42 @@ pub struct StatsSnapshot {
 }
 
 impl JitStats {
-    /// A zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a memory hit.
-    pub fn record_memory_hit(&self) {
-        self.memory_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a disk-index hit.
-    pub fn record_disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a cold compile taking `ns` nanoseconds.
-    pub fn record_compile(&self, ns: u64) {
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.compile_ns_total.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Record a kernel invocation.
-    pub fn record_invocation(&self) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record lookup (hash + map probe) time.
-    pub fn record_lookup_ns(&self, ns: u64) {
-        self.lookup_ns_total.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Record an operation deferred into a nonblocking op-DAG.
-    pub fn record_deferred(&self) {
-        self.deferred_ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` DAG nodes fused into composite kernels.
-    pub fn record_fused(&self, n: u64) {
-        self.fused_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` DAG nodes elided as dead code.
-    pub fn record_elided(&self, n: u64) {
-        self.elided_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` DAG nodes merged by the CSE pass.
-    pub fn record_cse(&self, n: u64) {
-        self.cse_deduped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` DAG nodes folded by the no-op elimination pass.
-    pub fn record_noop(&self, n: u64) {
-        self.noop_folded.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` fusion opportunities refused by the aliasing analysis.
-    pub fn record_refused(&self, n: u64) {
-        self.refused_fusions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record which SpGEMM kernel an `mxm` dispatch selected.
-    pub fn record_mxm_select(&self, sel: MxmSelect) {
-        let c = match sel {
-            MxmSelect::Unmasked => &self.sel_spgemm,
-            MxmSelect::MaskedGustavson => &self.sel_masked_spgemm,
-            MxmSelect::MaskedDot => &self.sel_dot_spgemm,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record which SpMV kernel an `mxv`/`vxm` dispatch selected.
-    pub fn record_spmv_select(&self, sel: SpmvSelect) {
-        let c = match sel {
-            SpmvSelect::Pull => &self.sel_pull,
-            SpmvSelect::MaskedPull => &self.sel_masked_pull,
-            SpmvSelect::Push => &self.sel_push,
-            SpmvSelect::MaskedPush => &self.sel_masked_push,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copy the counters.
+    /// Copy the process-wide counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            memory_hits: self.memory_hits.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            compiles: self.compiles.load(Ordering::Relaxed),
-            invocations: self.invocations.load(Ordering::Relaxed),
-            compile_ns_total: self.compile_ns_total.load(Ordering::Relaxed),
-            lookup_ns_total: self.lookup_ns_total.load(Ordering::Relaxed),
-            deferred_ops: self.deferred_ops.load(Ordering::Relaxed),
-            fused_ops: self.fused_ops.load(Ordering::Relaxed),
-            elided_ops: self.elided_ops.load(Ordering::Relaxed),
-            cse_deduped: self.cse_deduped.load(Ordering::Relaxed),
-            noop_folded: self.noop_folded.load(Ordering::Relaxed),
-            refused_fusions: self.refused_fusions.load(Ordering::Relaxed),
-            sel_spgemm: self.sel_spgemm.load(Ordering::Relaxed),
-            sel_masked_spgemm: self.sel_masked_spgemm.load(Ordering::Relaxed),
-            sel_dot_spgemm: self.sel_dot_spgemm.load(Ordering::Relaxed),
-            sel_pull: self.sel_pull.load(Ordering::Relaxed),
-            sel_masked_pull: self.sel_masked_pull.load(Ordering::Relaxed),
-            sel_push: self.sel_push.load(Ordering::Relaxed),
-            sel_masked_push: self.sel_masked_push.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (tests, bench warm-up separation).
-    pub fn reset(&self) {
-        self.memory_hits.store(0, Ordering::Relaxed);
-        self.disk_hits.store(0, Ordering::Relaxed);
-        self.compiles.store(0, Ordering::Relaxed);
-        self.invocations.store(0, Ordering::Relaxed);
-        self.compile_ns_total.store(0, Ordering::Relaxed);
-        self.lookup_ns_total.store(0, Ordering::Relaxed);
-        self.deferred_ops.store(0, Ordering::Relaxed);
-        self.fused_ops.store(0, Ordering::Relaxed);
-        self.elided_ops.store(0, Ordering::Relaxed);
-        self.cse_deduped.store(0, Ordering::Relaxed);
-        self.noop_folded.store(0, Ordering::Relaxed);
-        self.refused_fusions.store(0, Ordering::Relaxed);
-        self.sel_spgemm.store(0, Ordering::Relaxed);
-        self.sel_masked_spgemm.store(0, Ordering::Relaxed);
-        self.sel_dot_spgemm.store(0, Ordering::Relaxed);
-        self.sel_pull.store(0, Ordering::Relaxed);
-        self.sel_masked_pull.store(0, Ordering::Relaxed);
-        self.sel_push.store(0, Ordering::Relaxed);
-        self.sel_masked_push.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The unified-registry facade: a `JitStats` plugs into the process
-/// `pygb_obs` [`MetricsRegistry`](pygb_obs::MetricsRegistry) as one
-/// [`MetricsSource`](pygb_obs::MetricsSource), so the JIT, fusion, and
-/// kernel-selection counters all read out through a single
-/// `registry().snapshot()` (as `jit/<counter>`). The struct keeps its
-/// own lock-free fields for the hot path; [`JitStats::snapshot`]
-/// remains the public per-instance API.
-impl pygb_obs::MetricsSource for JitStats {
-    fn collect(&self) -> Vec<(String, u64)> {
-        let s = self.snapshot();
-        [
-            ("memory_hits", s.memory_hits),
-            ("disk_hits", s.disk_hits),
-            ("compiles", s.compiles),
-            ("invocations", s.invocations),
-            ("compile_ns_total", s.compile_ns_total),
-            ("lookup_ns_total", s.lookup_ns_total),
-            ("deferred_ops", s.deferred_ops),
-            ("fused_ops", s.fused_ops),
-            ("elided_ops", s.elided_ops),
-            ("cse_deduped", s.cse_deduped),
-            ("noop_folded", s.noop_folded),
-            ("refused_fusions", s.refused_fusions),
-            ("sel_spgemm", s.sel_spgemm),
-            ("sel_masked_spgemm", s.sel_masked_spgemm),
-            ("sel_dot_spgemm", s.sel_dot_spgemm),
-            ("sel_pull", s.sel_pull),
-            ("sel_masked_pull", s.sel_masked_pull),
-            ("sel_push", s.sel_push),
-            ("sel_masked_push", s.sel_masked_push),
-        ]
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v))
-        .collect()
+        StatsSnapshot::read(Census::total)
     }
 }
 
 impl StatsSnapshot {
+    /// The counts `scope` collected while installed.
+    pub fn of(scope: &Scope) -> StatsSnapshot {
+        StatsSnapshot::read(|cell| scope.get(cell))
+    }
+
+    fn read(get: impl Fn(Census) -> u64) -> StatsSnapshot {
+        StatsSnapshot {
+            memory_hits: get(Census::MemoryHits),
+            disk_hits: get(Census::DiskHits),
+            compiles: get(Census::Compiles),
+            invocations: get(Census::Invocations),
+            compile_ns_total: get(Census::CompileNs),
+            lookup_ns_total: get(Census::LookupNs),
+            deferred_ops: get(Census::DeferredOps),
+            fused_ops: get(Census::FusedOps),
+            elided_ops: get(Census::DceElided),
+            cse_deduped: get(Census::CseDeduped),
+            noop_folded: get(Census::NoopFolded),
+            refused_fusions: get(Census::RefusedFusions),
+            sel_spgemm: get(Census::SelSpgemm),
+            sel_masked_spgemm: get(Census::SelMaskedSpgemm),
+            sel_dot_spgemm: get(Census::SelDotSpgemm),
+            sel_pull: get(Census::SelPull),
+            sel_masked_pull: get(Census::SelMaskedPull),
+            sel_push: get(Census::SelPush),
+            sel_masked_push: get(Census::SelMaskedPush),
+        }
+    }
+
     /// Total dispatches that consulted the cache.
     pub fn total_dispatches(&self) -> u64 {
         self.memory_hits + self.disk_hits + self.compiles
@@ -304,17 +132,29 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// `f`'s counts, read from a scope of its own.
+    fn counted(f: impl FnOnce()) -> StatsSnapshot {
+        let scope = Scope::new();
+        {
+            let _in = scope.enter();
+            f();
+        }
+        StatsSnapshot::of(&scope)
+    }
+
     #[test]
     fn counters_accumulate() {
-        let s = JitStats::new();
-        s.record_compile(100);
-        s.record_compile(300);
-        s.record_memory_hit();
-        s.record_memory_hit();
-        s.record_memory_hit();
-        s.record_disk_hit();
-        s.record_invocation();
-        let snap = s.snapshot();
+        let snap = counted(|| {
+            for ns in [100, 300] {
+                Census::Compiles.inc();
+                Census::CompileNs.add(ns);
+            }
+            for _ in 0..3 {
+                Census::MemoryHits.inc();
+            }
+            Census::DiskHits.inc();
+            Census::Invocations.inc();
+        });
         assert_eq!(snap.compiles, 2);
         assert_eq!(snap.memory_hits, 3);
         assert_eq!(snap.disk_hits, 1);
@@ -322,39 +162,34 @@ mod tests {
         assert_eq!(snap.total_dispatches(), 6);
         assert!((snap.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(snap.mean_compile_ns(), 200.0);
+        // The process-wide reader saw at least the same events.
+        assert!(JitStats.snapshot().compiles >= 2);
     }
 
     #[test]
     fn empty_snapshot_rates() {
-        let snap = JitStats::new().snapshot();
+        let snap = counted(|| {});
         assert_eq!(snap.hit_rate(), 0.0);
         assert_eq!(snap.mean_compile_ns(), 0.0);
     }
 
     #[test]
-    fn reset_zeroes() {
-        let s = JitStats::new();
-        s.record_compile(5);
-        s.record_mxm_select(MxmSelect::MaskedDot);
-        s.reset();
-        assert_eq!(s.snapshot().compiles, 0);
-        assert_eq!(s.snapshot().compile_ns_total, 0);
-        assert_eq!(s.snapshot().sel_dot_spgemm, 0);
-    }
-
-    #[test]
     fn selection_counters() {
-        let s = JitStats::new();
-        s.record_mxm_select(MxmSelect::Unmasked);
-        s.record_mxm_select(MxmSelect::MaskedGustavson);
-        s.record_mxm_select(MxmSelect::MaskedDot);
-        s.record_mxm_select(MxmSelect::MaskedDot);
-        s.record_spmv_select(SpmvSelect::Pull);
-        s.record_spmv_select(SpmvSelect::MaskedPull);
-        s.record_spmv_select(SpmvSelect::Push);
-        s.record_spmv_select(SpmvSelect::MaskedPush);
-        s.record_spmv_select(SpmvSelect::MaskedPush);
-        let snap = s.snapshot();
+        let snap = counted(|| {
+            for cell in [
+                Census::SelSpgemm,
+                Census::SelMaskedSpgemm,
+                Census::SelDotSpgemm,
+                Census::SelDotSpgemm,
+                Census::SelPull,
+                Census::SelMaskedPull,
+                Census::SelPush,
+                Census::SelMaskedPush,
+                Census::SelMaskedPush,
+            ] {
+                cell.inc();
+            }
+        });
         assert_eq!(snap.sel_spgemm, 1);
         assert_eq!(snap.sel_masked_spgemm, 1);
         assert_eq!(snap.sel_dot_spgemm, 2);
@@ -362,5 +197,18 @@ mod tests {
         assert_eq!(snap.sel_masked_pull, 1);
         assert_eq!(snap.sel_push, 1);
         assert_eq!(snap.sel_masked_push, 2);
+    }
+
+    #[test]
+    fn optimizer_fields_read_the_opt_series() {
+        let snap = counted(|| {
+            Census::DceElided.add(3);
+            Census::CseDeduped.add(2);
+            Census::NoopFolded.inc();
+        });
+        assert_eq!(
+            (snap.elided_ops, snap.cse_deduped, snap.noop_folded),
+            (3, 2, 1)
+        );
     }
 }

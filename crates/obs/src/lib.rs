@@ -6,9 +6,10 @@
 //! reproduction: hierarchical wall-clock [`span`]s over the whole op
 //! lifecycle (expression build → analyze → enqueue → fuse → wave
 //! schedule → kernel execute → flush), per-kernel-family log-bucketed
-//! latency [`metrics::Histogram`]s, and one process-wide
-//! [`metrics::MetricsRegistry`] absorbing the counters that previously
-//! lived in three ad-hoc places (JitStats, kernel selection, fusion).
+//! latency [`metrics::Histogram`]s, one process-wide
+//! [`metrics::MetricsRegistry`], and the [`Census`] of work counters
+//! (JIT, optimizer, kernel selection, operand views) that a [`Scope`]
+//! reads one request's or one test's share of.
 //!
 //! ## Zero cost when disabled
 //!
@@ -39,6 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod census;
 pub mod metrics;
 pub mod recorder;
 pub mod trace;
@@ -47,9 +49,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
+pub use census::{current_scope, install_scope, Census, Scope, ScopeGuard};
 pub use metrics::{
-    labeled_name, registry, Counter, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, MetricsSource,
+    labeled_name, registry, Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use recorder::{
     recorder, FlightRecorder, Outcome, RecordedRequest, RequestRecord, NAME_CAP, RECORDER_CAPACITY,

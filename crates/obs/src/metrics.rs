@@ -1,12 +1,10 @@
-//! The unified metrics registry: counters, log-bucketed latency
-//! histograms, and pluggable snapshot sources.
-//!
-//! One process-wide [`MetricsRegistry`] (see [`registry`]) replaces the
-//! three ad-hoc counter surfaces that grew up across the codebase —
-//! JitStats, kernel-selection tallies, and the fusion counters. Live
-//! subsystems keep their own lock-free structs for the hot path and
-//! plug in as a [`MetricsSource`]; everything is read out through one
+//! The process metrics registry: named counters and log-bucketed
+//! latency histograms, read out through one
 //! [`MetricsRegistry::snapshot`] and one flat-JSON export.
+//!
+//! The census counters (JIT, optimizer, kernel selection, operand
+//! views) are registry counters too, resolved once by
+//! [`crate::census`] rather than looked up per event.
 //!
 //! Histogram buckets are fixed powers of two (bucket `i` counts values
 //! with `bound(i-1) < v ≤ bound(i)`... precisely: index by the bit
@@ -38,9 +36,10 @@ impl Counter {
         self.0.load(Ordering::Relaxed)
     }
 
-    /// Zero the counter.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
+    /// Overwrite the value (for gauges mirrored as counters, such as
+    /// the `tunables/*` series).
+    pub fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
     }
 }
 
@@ -149,45 +148,33 @@ impl HistogramSnapshot {
     }
 }
 
-/// A live subsystem that contributes counters to the registry
-/// snapshot. `collect` returns `(name, value)` pairs; the registry
-/// prefixes each with the source's registration name.
-pub trait MetricsSource: Send + Sync {
-    /// Read out the current counter values.
-    fn collect(&self) -> Vec<(String, u64)>;
-}
-
-/// The process-wide registry: named counters, named histograms, and
-/// registered [`MetricsSource`]s, all folded into one
-/// [`MetricsSnapshot`].
+/// The process-wide registry: named counters and named histograms,
+/// folded into one [`MetricsSnapshot`].
 #[derive(Default)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    sources: Mutex<Vec<(String, Arc<dyn MetricsSource>)>>,
+}
+
+/// The entry named `name`, created on first use. A name that exists is
+/// found without allocating; only an insert copies the name.
+fn get_or_create<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    if let Some(entry) = map.get(name) {
+        return Arc::clone(entry);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
 }
 
 impl MetricsRegistry {
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .unwrap()
-                .entry(name.to_string())
-                .or_default(),
-        )
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .unwrap()
-                .entry(name.to_string())
-                .or_default(),
-        )
+        get_or_create(&self.histograms, name)
     }
 
     /// Get or create the counter `name` carrying `labels` — one
@@ -204,31 +191,15 @@ impl MetricsRegistry {
         self.histogram(&labeled_name(name, labels))
     }
 
-    /// Register (or replace) a snapshot source. Its counters appear in
-    /// snapshots as `<name>/<counter>`.
-    pub fn register_source(&self, name: &str, source: Arc<dyn MetricsSource>) {
-        let mut sources = self.sources.lock().unwrap();
-        if let Some(slot) = sources.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = source;
-        } else {
-            sources.push((name.to_string(), source));
-        }
-    }
-
-    /// Fold every counter, histogram, and source into one snapshot.
+    /// Fold every counter and histogram into one snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = self
+        let counters = self
             .counters
             .lock()
             .unwrap()
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
             .collect();
-        for (prefix, source) in self.sources.lock().unwrap().iter() {
-            for (name, value) in source.collect() {
-                counters.insert(format!("{prefix}/{name}"), value);
-            }
-        }
         let histograms = self
             .histograms
             .lock()
@@ -319,7 +290,7 @@ pub fn registry() -> &'static MetricsRegistry {
 /// A point-in-time copy of the whole registry, exportable as flat JSON.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
-    /// Every counter (registry-owned and source-contributed), by name.
+    /// Every counter, by name.
     pub counters: BTreeMap<String, u64>,
     /// Every histogram, by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -437,7 +408,7 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
+        c.set(0);
         assert_eq!(c.get(), 0);
     }
 
@@ -490,25 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn registry_get_or_create_and_sources() {
+    fn registry_get_or_create() {
         let reg = MetricsRegistry::default();
         reg.counter("a").add(3);
         reg.counter("a").add(4);
         reg.histogram("h").record(10);
-        struct Fixed;
-        impl MetricsSource for Fixed {
-            fn collect(&self) -> Vec<(String, u64)> {
-                vec![("x".to_string(), 42)]
-            }
-        }
-        reg.register_source("src", Arc::new(Fixed));
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a"), 7);
-        assert_eq!(snap.counter("src/x"), 42);
         assert_eq!(snap.histogram_count("h"), 1);
-        // Replacing a source keeps one entry.
-        reg.register_source("src", Arc::new(Fixed));
-        assert_eq!(reg.sources.lock().unwrap().len(), 1);
+        assert_eq!(snap.counters.len(), 1);
     }
 
     #[test]

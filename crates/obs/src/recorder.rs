@@ -114,9 +114,10 @@ pub struct RequestRecord<'a> {
     pub exec_ns: u64,
     /// How the request ended.
     pub outcome: Outcome,
-    /// Kernel dispatches attributed to this request (counter delta).
+    /// Kernel invocations this request made (its scope's count).
     pub kernel_delta: u64,
-    /// Optimizer launches saved for this request (counter delta).
+    /// Kernel launches the optimizer saved this request (its scope's
+    /// count).
     pub opt_delta: u64,
 }
 

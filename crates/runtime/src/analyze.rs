@@ -97,7 +97,7 @@ pub(crate) fn clear_refusals() {
 }
 
 pub(crate) fn record_refusal(reason: String) {
-    pygb::runtime().cache().stats().record_refused(1);
+    pygb_obs::Census::RefusedFusions.inc();
     REFUSALS.with(|r| {
         let mut log = r.borrow_mut();
         if log.ring.len() == REFUSAL_CAP {
@@ -551,9 +551,9 @@ pub struct ExecutedNode {
 /// ([`pygb_obs::enable`] or `PYGB_TRACE`) when the flush ran.
 #[derive(Debug, Clone, Default)]
 pub struct TraceReport {
-    /// The serve request ID this flush executed under, when the worker
-    /// tagged it via [`set_request_tag`] — makes the report addressable
-    /// through [`trace_report_for`].
+    /// The serve request ID this flush executed under, when the flushing
+    /// thread had a request [`pygb_obs::Scope`] installed — makes the
+    /// report addressable through [`trace_report_for`].
     pub request: Option<u64>,
     /// Executed nodes, ordered by wave then id.
     pub nodes: Vec<ExecutedNode>,
@@ -661,13 +661,6 @@ struct ReportState {
 
 thread_local! {
     static REPORT: RefCell<Option<ReportState>> = const { RefCell::new(None) };
-    /// Per-thread override that makes flushes collect timed reports
-    /// even while global tracing is off — set by serve workers so every
-    /// request's per-node timings exist without buffering trace events
-    /// process-wide.
-    static FORCED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-    /// The serve request ID the current flush executes on behalf of.
-    static REQUEST_TAG: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
 }
 
 /// Most recent tagged reports, retrievable cross-thread by request ID
@@ -677,33 +670,21 @@ const TAGGED_REPORT_CAP: usize = 128;
 static TAGGED_REPORTS: std::sync::Mutex<std::collections::VecDeque<(u64, TraceReport)>> =
     std::sync::Mutex::new(std::collections::VecDeque::new());
 
-/// Force (or stop forcing) timed execution reports on the calling
-/// thread, independent of the global tracing flag. While set, every
-/// flush on this thread measures per-node wall time and populates
-/// [`trace_report`] exactly as if tracing were enabled — but no trace
-/// events are buffered unless tracing really is on. Serve workers keep
-/// this set for their whole lifetime.
-pub fn set_report_forced(on: bool) {
-    FORCED.with(|f| f.set(on));
-}
-
-/// Whether the calling thread forces timed reports.
+/// Whether flushes on the calling thread collect timed reports with
+/// tracing off: a serve request's [`pygb_obs::Scope`] forces them, so
+/// every request's per-node timings exist without buffering trace
+/// events process-wide.
 pub(crate) fn report_forced() -> bool {
-    FORCED.with(|f| f.get())
+    pygb_obs::current_scope().is_some_and(|s| s.report_forced())
 }
 
-/// Tag (or untag, with `None`) the calling thread with the serve
-/// request ID the next flushes execute on behalf of. Tagged flushes
-/// publish their [`TraceReport`] into a bounded cross-thread ring keyed
-/// by ID (see [`trace_report_for`]); when one request flushes several
-/// times (algorithms iterate), the last flush's report wins.
-pub fn set_request_tag(tag: Option<u64>) {
-    REQUEST_TAG.with(|t| t.set(tag));
-}
-
-/// The calling thread's current request tag.
+/// The request ID the installed [`pygb_obs::Scope`] tags flushes with.
+/// Tagged flushes publish their [`TraceReport`] into a bounded
+/// cross-thread ring keyed by ID (see [`trace_report_for`]); when one
+/// request flushes several times (algorithms iterate), the last flush's
+/// report wins.
 pub(crate) fn request_tag() -> Option<u64> {
-    REQUEST_TAG.with(|t| t.get())
+    pygb_obs::current_scope().and_then(|s| s.tag())
 }
 
 /// Publish the calling thread's current report into the tagged ring if
@@ -746,8 +727,8 @@ pub fn trace_report_for(id: u64) -> Option<TraceReport> {
 /// optimization pipeline. Captures each surviving node's identity,
 /// summary, and dependency edges before any wave runs (the scheduler
 /// removes `pending` entries as nodes resolve). No-op — and wipes any
-/// previous report — unless tracing is enabled or the thread forces
-/// reports ([`set_report_forced`]).
+/// previous report — unless tracing is enabled or the installed scope
+/// forces reports ([`pygb_obs::Scope::request`]).
 pub(crate) fn begin_report(dag: &Dag, summary: &crate::passes::PipelineSummary) {
     REPORT.with(|r| {
         let mut slot = r.borrow_mut();
@@ -816,8 +797,8 @@ pub(crate) fn record_exec(idx: usize, wave: usize, ns: u64) {
 /// token [`plan`] rendered before the flush), post-fusion kernel,
 /// scheduling wave, measured wall time, and dependency edges — plus
 /// the flush's fusion/elision counts and refusal log. Returns an empty
-/// report when neither tracing nor [`set_report_forced`] was on while
-/// the flush ran.
+/// report when neither tracing nor a request scope was on while the
+/// flush ran.
 pub fn trace_report() -> TraceReport {
     REPORT.with(|r| {
         let slot = r.borrow();

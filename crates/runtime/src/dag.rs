@@ -23,6 +23,7 @@ use pygb::facts::KernelChoice;
 use pygb::nb::{MatOpDesc, MatRhs, Resolution, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use pygb::{DynScalar, PygbError, Result};
+use pygb_obs::Census;
 
 use crate::analyze::NodeId;
 
@@ -240,8 +241,11 @@ pub(crate) fn flush() -> Result<()> {
         return Ok(());
     }
     let _sp = pygb_obs::span(pygb_obs::Cat::Flush, "flush");
-    let result = flush_inner();
-    // If a serve worker tagged this thread with a request ID, make the
+    // A panicking node (re-raised here by the pool) must still leave the
+    // DAG reset below, or every later flush on this thread would find
+    // `flushing` set and silently do nothing.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(flush_inner));
+    // If a request scope tagged this flush with a request ID, make the
     // finished report retrievable cross-thread (EXPLAIN rN). No-op for
     // untagged flushes.
     crate::analyze::publish_tagged_report();
@@ -251,7 +255,7 @@ pub(crate) fn flush() -> Result<()> {
         dag.nodes.clear();
         dag.ids.clear();
         dag.next_id = 0;
-        if result.is_err() {
+        if !matches!(result, Ok(Ok(()))) {
             // Abandon whatever could not run; readers of their outputs
             // will report "unresolved" rather than see stale data.
             dag.pending.clear();
@@ -267,7 +271,7 @@ pub(crate) fn flush() -> Result<()> {
         dag.resolved_m
             .retain(|_, (keep, _)| Arc::strong_count(keep) > 1);
     });
-    result
+    result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn flush_inner() -> Result<()> {
@@ -283,39 +287,12 @@ fn flush_inner() -> Result<()> {
         }
         s
     };
-    let stats = pygb::runtime().cache().stats();
-    if summary.fused > 0 {
-        stats.record_fused(summary.fused as u64);
-    }
-    if summary.dce > 0 {
-        stats.record_elided(summary.dce as u64);
-        pygb_obs::registry()
-            .counter("opt/dce_elided")
-            .add(summary.dce as u64);
-    }
-    if summary.cse > 0 {
-        stats.record_cse(summary.cse as u64);
-        pygb_obs::registry()
-            .counter("opt/cse_deduped")
-            .add(summary.cse as u64);
-    }
-    if summary.sparsity > 0 {
-        pygb_obs::registry()
-            .counter("opt/empty_folded")
-            .add(summary.sparsity as u64);
-    }
-    if summary.noop > 0 {
-        stats.record_noop(summary.noop as u64);
-        pygb_obs::registry()
-            .counter("opt/noop_folded")
-            .add(summary.noop as u64);
-    }
-    let saved = (summary.dce + summary.cse + summary.sparsity + summary.noop) as u64;
-    if saved > 0 {
-        pygb_obs::registry()
-            .counter("opt/launches_saved")
-            .add(saved);
-    }
+    Census::FusedOps.add(summary.fused as u64);
+    Census::DceElided.add(summary.dce as u64);
+    Census::CseDeduped.add(summary.cse as u64);
+    Census::EmptyFolded.add(summary.sparsity as u64);
+    Census::NoopFolded.add(summary.noop as u64);
+    Census::LaunchesSaved.add((summary.dce + summary.cse + summary.sparsity + summary.noop) as u64);
     // Snapshot the post-rewrite DAG for trace_report() before any wave
     // removes pending edges (no-op while tracing is disabled).
     DAG.with(|d| crate::analyze::begin_report(&d.borrow(), &summary));
@@ -333,6 +310,9 @@ fn flush_inner() -> Result<()> {
             std::collections::HashMap::new()
         };
 
+    // Wave jobs count into the flushing thread's scope on whichever
+    // pool thread runs them.
+    let scope = pygb_obs::current_scope();
     let mut wave = 0usize;
     loop {
         let traced = pygb_obs::enabled();
@@ -392,7 +372,9 @@ fn flush_inner() -> Result<()> {
             .into_iter()
             .map(|(i, label, node)| {
                 let nf = node_facts.remove(&i);
+                let scope = scope.clone();
                 move || {
+                    let _scope = pygb_obs::install_scope(scope);
                     let t0 = timed.then(std::time::Instant::now);
                     let sp = label.map(|l| pygb_obs::span_labeled(pygb_obs::Cat::Exec, || l));
                     // Arm the checked interpretation on the thread the
@@ -556,7 +538,7 @@ pub(crate) fn reduce_vector(
         dag.resolved_v
             .insert(p, (Arc::clone(&desc.out), Arc::new(out_store)));
     });
-    pygb::runtime().cache().stats().record_fused(1);
+    Census::FusedOps.inc();
     Ok(Some(scalar))
 }
 

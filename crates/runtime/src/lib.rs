@@ -48,8 +48,8 @@ mod sparsity;
 use std::sync::Once;
 
 pub use analyze::{
-    last_refusals, plan, set_report_forced, set_request_tag, trace_report, trace_report_for,
-    ExecutedNode, NodeId, Plan, PlanNode, TraceReport,
+    last_refusals, plan, trace_report, trace_report_for, ExecutedNode, NodeId, Plan, PlanNode,
+    TraceReport,
 };
 pub use passes::{reset_passes, set_passes, PassKind};
 pub use pygb::nb::DeferGuard;
@@ -94,14 +94,8 @@ pub fn flush() -> pygb::Result<()> {
 mod tests {
     use super::*;
     use pygb::{DType, Vector};
-
-    /// Serialize this module's tests: several difference the
-    /// process-wide dispatch counters, which a sibling's dispatches
-    /// (libtest runs tests on parallel threads) would move.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use pygb_jit::StatsSnapshot;
+    use pygb_obs::Scope;
 
     fn dense(vals: &[f64]) -> Vector {
         let mut v = Vector::new(vals.len(), DType::Fp64);
@@ -113,7 +107,6 @@ mod tests {
 
     #[test]
     fn deferred_chain_flushes_on_scope_exit() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         {
@@ -126,7 +119,6 @@ mod tests {
 
     #[test]
     fn read_inside_scope_forces_flush() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         let _nb = nonblocking().unwrap();
@@ -137,7 +129,6 @@ mod tests {
 
     #[test]
     fn ewise_chain_fuses_to_one_dispatch() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         // Warm both kernels so only memory hits are counted below.
@@ -146,46 +137,40 @@ mod tests {
             let t = Vector::from_expr(&u + &u).unwrap();
             w.no_mask().assign(&t * &u).unwrap();
         }
-        let stats = pygb::runtime().cache().stats();
-        let before = stats.snapshot();
+        let scope = Scope::new();
         {
+            let _in = scope.enter();
             let _nb = nonblocking().unwrap();
             let t = Vector::from_expr(&u + &u).unwrap();
             w.no_mask().assign(&t * &u).unwrap();
         }
-        let after = stats.snapshot();
+        let got = StatsSnapshot::of(&scope);
         assert_eq!(
-            after.invocations - before.invocations,
-            1,
+            got.invocations, 1,
             "two deferred eWise ops must fuse into one kernel invocation"
         );
-        assert_eq!(after.fused_ops - before.fused_ops, 1);
-        assert_eq!(after.deferred_ops - before.deferred_ops, 2);
+        assert_eq!(got.fused_ops, 1);
+        assert_eq!(got.deferred_ops, 2);
         assert_eq!(w.to_dense_f64(), vec![2.0, 8.0, 18.0]);
     }
 
     #[test]
     fn dead_node_is_elided() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0]);
-        let stats = pygb::runtime().cache().stats();
-        let before = stats.snapshot();
+        let scope = Scope::new();
         {
+            let _in = scope.enter();
             let _nb = nonblocking().unwrap();
             let t = Vector::from_expr(&u + &u).unwrap();
             drop(t); // result never observed
         }
-        let after = stats.snapshot();
-        assert_eq!(
-            after.invocations, before.invocations,
-            "dead op must not run"
-        );
-        assert_eq!(after.elided_ops - before.elided_ops, 1);
+        let got = StatsSnapshot::of(&scope);
+        assert_eq!(got.invocations, 0, "dead op must not run");
+        assert_eq!(got.elided_ops, 1);
     }
 
     #[test]
     fn held_temp_blocks_fusion_but_stays_correct() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut w = Vector::new(3, DType::Fp64);
         let _nb = nonblocking().unwrap();
@@ -198,7 +183,6 @@ mod tests {
 
     #[test]
     fn reduce_fuses_with_ewise_producer() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0, 3.0]);
         let mut d = Vector::new(3, DType::Fp64);
         // Warm.
@@ -207,16 +191,15 @@ mod tests {
             d.no_mask().assign(&u * &u).unwrap();
             assert_eq!(pygb::reduce(&d).unwrap().as_f64(), 14.0);
         }
-        let stats = pygb::runtime().cache().stats();
-        let before = stats.snapshot();
+        let scope = Scope::new();
         {
+            let _in = scope.enter();
             let _nb = nonblocking().unwrap();
             d.no_mask().assign(&u * &u).unwrap();
             assert_eq!(pygb::reduce(&d).unwrap().as_f64(), 14.0);
         }
-        let after = stats.snapshot();
         assert_eq!(
-            after.invocations - before.invocations,
+            StatsSnapshot::of(&scope).invocations,
             1,
             "eWise + reduce must fold into one fused dispatch"
         );
@@ -225,15 +208,15 @@ mod tests {
     }
 
     /// Wave jobs leave the pool threads they ran on as they found them:
-    /// an empty DAG and no recorded write a later job's check could
-    /// inherit — and the checked interpretation never missed.
+    /// an empty DAG, no recorded write a later job's check could
+    /// inherit and no installed scope — and the checked interpretation
+    /// never missed.
     #[test]
     fn pool_threads_are_left_clean_after_waves() {
-        let _serial = serial();
         use std::sync::{Arc, Barrier};
 
-        let fact_misses = || pygb_obs::registry().snapshot().counter("opt/fact_misses");
-        let before = fact_misses();
+        let scope = Scope::new();
+        let _in = scope.enter();
         set_passes(&[
             PassKind::Dce,
             PassKind::Cse,
@@ -253,7 +236,14 @@ mod tests {
         reset_passes();
         assert_eq!(a.to_dense_f64(), vec![3.0, 5.0, 3.0, 5.0]);
         assert_eq!(b.to_dense_f64(), vec![2.0, 0.0, 0.0, 4.0]);
-        assert_eq!(fact_misses(), before, "checked interpretation missed");
+        assert_eq!(
+            scope.get(pygb_obs::Census::FactMisses),
+            0,
+            "checked interpretation missed"
+        );
+        // 50 flushes of two jobs each, counted in this scope wherever
+        // the jobs ran.
+        assert_eq!(StatsSnapshot::of(&scope).invocations, 100);
 
         // One probe per pool thread: the barrier holds each job until
         // the caller and every helper has one.
@@ -273,7 +263,8 @@ mod tests {
                             && d.resolved_v.is_empty()
                             && d.resolved_m.is_empty()
                     });
-                    (pooled, empty_dag, sparsity::write_recorded())
+                    let clean = !sparsity::write_recorded() && pygb_obs::current_scope().is_none();
+                    (pooled, empty_dag, clean)
                 }
             })
             .collect();
@@ -282,15 +273,36 @@ mod tests {
             .filter(|&(pooled, ..)| pooled)
             .collect();
         assert_eq!(pooled.len(), width - 1, "one probe per helper");
-        for (_, empty_dag, recorded) in pooled {
+        for (_, empty_dag, clean) in pooled {
             assert!(empty_dag, "a pool thread kept DAG state");
-            assert!(!recorded, "a pool thread kept a recorded write");
+            assert!(clean, "a pool thread kept a recorded write or a scope");
         }
+    }
+
+    /// A node that panics unwinds out of its flush, and the thread's
+    /// DAG is left usable for the next nonblocking scope.
+    #[test]
+    fn a_panicking_node_leaves_the_dag_usable() {
+        let boom = pygb::BinaryOp::define("RuntimeTestBoom", |_, _| panic!("injected node panic"));
+        let u = dense(&[1.0, 2.0]);
+        let mut w = Vector::new(2, DType::Fp64);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _nb = nonblocking().unwrap();
+            let _op = boom.enter();
+            w.no_mask().assign(&u * &u).unwrap();
+            flush()
+        }));
+        assert!(panicked.is_err(), "the node's panic reaches the flusher");
+        let mut v = Vector::new(2, DType::Fp64);
+        {
+            let _nb = nonblocking().unwrap();
+            v.no_mask().assign(&u + &u).unwrap();
+        }
+        assert_eq!(v.to_dense_f64(), vec![2.0, 4.0]);
     }
 
     #[test]
     fn invalid_op_is_rejected_at_enqueue_not_flush() {
-        let _serial = serial();
         let u = dense(&[1.0, 2.0]);
         let bad = dense(&[1.0, 2.0, 3.0]); // size mismatch
         let mut w = Vector::new(2, DType::Fp64);

@@ -521,7 +521,7 @@ pub(crate) fn check_prediction(nf: Option<&NodeFacts>, kernel_ok: bool) {
         return;
     }
     if !nf.fact.admits(nvals) {
-        pygb_obs::registry().counter("opt/fact_misses").inc();
+        pygb_obs::Census::FactMisses.inc();
         debug_assert!(
             false,
             "sparsity fact miss: concrete nvals {nvals} outside predicted {} (dim {dim})",

@@ -56,9 +56,7 @@ fn slow_ns_cell() -> &'static AtomicU64 {
 /// Publish the threshold into the metrics registry (`tunables/slow_ns`)
 /// so snapshots and the Prometheus exposition carry the live value.
 fn mirror_slow_ns(ns: u64) {
-    let c = pygb_obs::registry().counter("tunables/slow_ns");
-    c.reset();
-    c.add(ns);
+    pygb_obs::registry().counter("tunables/slow_ns").set(ns);
 }
 
 /// The slow-query threshold currently in effect, nanoseconds.
@@ -74,41 +72,16 @@ pub fn set_slow_ns(ns: u64) {
     mirror_slow_ns(ns);
 }
 
-// ---------------------------------------------------------------------
-// Plan capture: armed per worker thread around one request.
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// `Some` while a serve worker wants the next flushed DAG's plan
-    /// rendering; the expression path fills the inner option between
-    /// enqueue and flush.
-    static PLAN_CAPTURE: std::cell::RefCell<Option<Option<String>>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Arm plan capture on the calling worker thread: the next
-/// [`offer_plan`] before [`take_captured_plan`] stores its rendering.
-pub fn arm_plan_capture() {
-    PLAN_CAPTURE.with(|c| *c.borrow_mut() = Some(None));
-}
-
-/// If the calling thread armed plan capture, render the current pending
-/// op-DAG via `render` and store it. Called by the expression path
-/// between enqueue and flush — the only window where `plan()` can still
-/// see the request's nodes. A no-op on unarmed threads (plain library
-/// use, tests), so the render closure never runs outside serving.
+/// If a request [`pygb_obs::Scope`] is installed on the calling thread,
+/// render the current pending op-DAG via `render` and store it in the
+/// scope. Called by the expression path between enqueue and flush — the
+/// only window where `plan()` can still see the request's nodes. A no-op
+/// outside serving (plain library use, tests), so the render closure
+/// never runs there.
 pub fn offer_plan(render: impl FnOnce() -> String) {
-    PLAN_CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        if let Some(captured) = slot.as_mut() {
-            *captured = Some(render());
-        }
-    });
-}
-
-/// Disarm capture and take whatever plan rendering was offered.
-pub fn take_captured_plan() -> Option<String> {
-    PLAN_CAPTURE.with(|c| c.borrow_mut().take().flatten())
+    if let Some(scope) = pygb_obs::current_scope() {
+        scope.offer_plan(render);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -243,15 +216,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_capture_is_armed_per_thread() {
-        assert!(take_captured_plan().is_none());
-        // Unarmed: the render closure must not run.
-        offer_plan(|| unreachable!("unarmed offer must not render"));
-        arm_plan_capture();
-        offer_plan(|| "the plan".to_string());
-        assert_eq!(take_captured_plan().as_deref(), Some("the plan"));
-        // Taking disarms.
-        offer_plan(|| unreachable!("disarmed offer must not render"));
-        assert!(take_captured_plan().is_none());
+    fn plans_are_offered_to_the_installed_request_scope_only() {
+        // No scope: the render closure must not run.
+        offer_plan(|| unreachable!("no scope, no render"));
+        let scope = pygb_obs::Scope::request(1);
+        {
+            let _in = scope.enter();
+            offer_plan(|| "the plan".to_string());
+        }
+        offer_plan(|| unreachable!("uninstalled scope, no render"));
+        assert_eq!(scope.take_plan().as_deref(), Some("the plan"));
     }
 }

@@ -6,12 +6,15 @@
 //! open. Each job carries the deadline stamped at admission: a worker
 //! that dequeues a job past its deadline runs the job's `expire`
 //! handler (which answers `timeout`) instead of its body, so a backlog
-//! drains at memcpy speed once the server falls behind.
+//! drains at memcpy speed once the server falls behind. A job that
+//! panics is contained: the worker counts it (`serve/worker_panics`)
+//! and takes the next job, so the pool never shrinks.
 //!
 //! Uses `std::sync::{Mutex, Condvar}` directly — the workspace
 //! `parking_lot` shim intentionally omits condvars.
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
@@ -45,6 +48,8 @@ struct Shared {
     queue: Mutex<QueueState>,
     available: Condvar,
     capacity: usize,
+    expired: Arc<pygb_obs::Counter>,
+    panics: Arc<pygb_obs::Counter>,
 }
 
 struct QueueState {
@@ -69,6 +74,8 @@ impl WorkerPool {
             }),
             available: Condvar::new(),
             capacity,
+            expired: pygb_obs::registry().counter("serve/expired_in_queue"),
+            panics: pygb_obs::registry().counter("serve/worker_panics"),
         });
         let handles = (0..workers.max(1))
             .map(|i| {
@@ -140,11 +147,14 @@ fn worker_loop(shared: Arc<Shared>) {
                 q = shared.available.wait(q).unwrap();
             }
         };
-        if Instant::now() > job.deadline {
-            pygb_obs::registry().counter("serve/expired_in_queue").inc();
-            (job.expire)();
+        let body = if Instant::now() > job.deadline {
+            shared.expired.inc();
+            job.expire
         } else {
-            (job.run)();
+            job.run
+        };
+        if catch_unwind(AssertUnwindSafe(body)).is_err() {
+            shared.panics.inc();
         }
     }
 }
@@ -238,6 +248,46 @@ mod tests {
         done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(expired.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_leaves_every_worker_running() {
+        let pool = WorkerPool::new(2, 16);
+        let deadline = || Instant::now() + Duration::from_secs(5);
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..4 {
+            pool.submit(job(deadline(), || panic!("injected job panic")))
+                .unwrap();
+        }
+        // Both workers must still be alive: two jobs that each wait for
+        // the other can only meet when they run at the same time.
+        let arrived = Arc::new(AtomicUsize::new(0));
+        for _ in 0..2 {
+            let (tx, arrived) = (tx.clone(), Arc::clone(&arrived));
+            pool.submit(job(deadline(), move || {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let give_up = deadline();
+                while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < give_up {
+                    thread::yield_now();
+                }
+                let met = arrived.load(Ordering::SeqCst) == 2;
+                tx.send((thread::current().name().map(str::to_string), met))
+                    .unwrap();
+            }))
+            .unwrap();
+        }
+        let mut seen: Vec<_> = (0..2)
+            .map(|_| rx.recv_timeout(Duration::from_secs(10)).unwrap())
+            .collect();
+        seen.sort();
+        assert_eq!(
+            seen,
+            [
+                (Some("pygb-serve-worker-0".to_string()), true),
+                (Some("pygb-serve-worker-1".to_string()), true)
+            ]
+        );
+        assert_eq!(pool.workers(), 2);
     }
 
     #[test]

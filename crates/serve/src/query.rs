@@ -611,6 +611,36 @@ fn parse_expr(toks: &[&str]) -> Result<Request, QueryError> {
 /// Execute one already-admitted request against the catalog. Called on
 /// a worker thread for heavy requests, inline for cheap ones.
 pub fn execute(catalog: &Catalog, req: &Request) -> Result<String, QueryError> {
+    execute_versioned(catalog, req).0
+}
+
+/// [`execute`], also reporting the catalog version of the snapshot the
+/// request read (`QUERY`, `EXPR` — its first operand) or published
+/// (`REGISTER`, `UPDATE`): the version its reply describes, even when a
+/// later `UPDATE` has published since. 0 when it resolved no snapshot.
+pub fn execute_versioned(catalog: &Catalog, req: &Request) -> (Result<String, QueryError>, u64) {
+    let described = |snap: Result<Arc<Snapshot>, QueryError>| match snap {
+        Ok(snap) => (Ok(snap.info_json()), snap.version),
+        Err(e) => (Err(e), 0),
+    };
+    match req {
+        Request::Register { name, source } => described(ingest(source).and_then(|graph| {
+            catalog
+                .register(name, graph)
+                .map_err(|e| (ErrCode::Internal, e.to_string()))
+        })),
+        Request::Query { graph, algo } => match resolve(catalog, graph) {
+            Ok(snap) => (run_algo(&snap, *algo), snap.version),
+            Err(e) => (Err(e), 0),
+        },
+        Request::Update { graph, ops } => described(run_update(catalog, graph, ops)),
+        Request::Expr(spec) => run_expr(catalog, spec),
+        req => (execute_cheap(catalog, req), 0),
+    }
+}
+
+/// The verbs that read no graph snapshot.
+fn execute_cheap(catalog: &Catalog, req: &Request) -> Result<String, QueryError> {
     match req {
         Request::Hello { tenant } => Ok(format!(
             "{{\"protocol\":\"{}\",\"tenant\":\"{}\"}}",
@@ -630,19 +660,10 @@ pub fn execute(catalog: &Catalog, req: &Request) -> Result<String, QueryError> {
                 Err((ErrCode::NotFound, format!("no graph named `{name}`")))
             }
         }
-        Request::Register { name, source } => {
-            let graph = ingest(source)?;
-            let snap = catalog
-                .register(name, graph)
-                .map_err(|e| (ErrCode::Internal, e.to_string()))?;
-            Ok(snap.info_json())
-        }
-        Request::Query { graph, algo } => {
-            let snap = resolve(catalog, graph)?;
-            run_algo(&snap, *algo)
-        }
-        Request::Update { graph, ops } => run_update(catalog, graph, ops),
-        Request::Expr(spec) => run_expr(catalog, spec),
+        Request::Register { .. }
+        | Request::Query { .. }
+        | Request::Update { .. }
+        | Request::Expr(_) => unreachable!("graph verbs execute in execute_versioned"),
         Request::Batch { .. } => Err(bad("BATCH header cannot be executed directly")),
         Request::Tail { n } => Ok(records_json(&pygb_obs::recorder().tail(*n))),
         Request::Slow { n } => Ok(records_json(&pygb_obs::recorder().slow(*n))),
@@ -748,12 +769,16 @@ fn ingest(source: &GraphSource) -> Result<Matrix, QueryError> {
 
 /// Execute one `UPDATE`: cast the wire values to the graph's dtype
 /// (the `REGISTER ... TRIPLES` convention), stream the batch through
-/// [`Catalog::update_edges`], and answer with the new version's
-/// descriptor. The dtype is read off whatever snapshot is current when
-/// the worker runs; a lost publish race re-applies inside the catalog,
-/// and a concurrent re-REGISTER to a different dtype simply casts again
-/// on the wire's `f64` values, same as ingest would.
-fn run_update(catalog: &Catalog, graph: &str, ops: &UpdateOps) -> Result<String, QueryError> {
+/// [`Catalog::update_edges`], and return the new version. The dtype is
+/// read off whatever snapshot is current when the worker runs; a lost
+/// publish race re-applies inside the catalog, and a concurrent
+/// re-REGISTER to a different dtype simply casts again on the wire's
+/// `f64` values, same as ingest would.
+fn run_update(
+    catalog: &Catalog,
+    graph: &str,
+    ops: &UpdateOps,
+) -> Result<Arc<Snapshot>, QueryError> {
     let not_found = || (ErrCode::NotFound, format!("no graph named `{graph}`"));
     let dtype = resolve(catalog, graph)?.graph.dtype();
     let batch: Vec<pygb::EdgeUpdate> = match ops {
@@ -766,11 +791,10 @@ fn run_update(catalog: &Catalog, graph: &str, ops: &UpdateOps) -> Result<String,
             .map(|&(i, j)| pygb::EdgeUpdate::del(i, j))
             .collect(),
     };
-    let snap = catalog
+    catalog
         .update_edges(graph, &batch)
         .map_err(|e| bad(e.to_string()))?
-        .ok_or_else(not_found)?;
-    Ok(snap.info_json())
+        .ok_or_else(not_found)
 }
 
 fn run_algo(snap: &Snapshot, algo: Algo) -> Result<String, QueryError> {
@@ -858,7 +882,7 @@ fn pairs_json(v: &Vector) -> (String, bool) {
     (format!("[{}]", items.join(",")), truncated)
 }
 
-fn run_expr(catalog: &Catalog, spec: &ExprSpec) -> Result<String, QueryError> {
+fn run_expr(catalog: &Catalog, spec: &ExprSpec) -> (Result<String, QueryError>, u64) {
     run_expr_group(catalog, &[spec])
         .pop()
         .expect("one member in, one result out")
@@ -1002,27 +1026,34 @@ fn finish_expr(catalog: &Catalog, spec: &ExprSpec, mut out: Matrix) -> Result<St
 ///
 /// Per-member failures (bad shapes, unknown graphs, rejected ops) are
 /// reported in that member's slot without poisoning the rest; a flush
-/// failure is reported by every member whose work was enqueued.
+/// failure is reported by every member whose work was enqueued. Each
+/// member's slot also carries the version of the first-operand snapshot
+/// it read (0 when it resolved none).
 pub(crate) fn run_expr_group(
     catalog: &Catalog,
     specs: &[&ExprSpec],
-) -> Vec<Result<String, QueryError>> {
+) -> Vec<(Result<String, QueryError>, u64)> {
     let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
     let mut results: Vec<Option<Result<String, QueryError>>> = specs.iter().map(|_| None).collect();
+    let mut versions = vec![0; specs.len()];
     let mut outs: Vec<(usize, Matrix)> = Vec::new();
 
     let flush_result: Result<(), QueryError> = (|| {
         let _nb = pygb_runtime::nonblocking().map_err(internal)?;
         for (i, spec) in specs.iter().enumerate() {
-            match prepare_expr(catalog, spec).and_then(|p| enqueue_expr(&p)) {
+            let enqueued = prepare_expr(catalog, spec).and_then(|p| {
+                versions[i] = p.a.version;
+                enqueue_expr(&p)
+            });
+            match enqueued {
                 Ok(out) => outs.push((i, out)),
                 Err(e) => results[i] = Some(Err(e)),
             }
         }
         // The only window where the request's DAG is still pending: if
-        // the serving worker armed slow-query capture, render the plan
-        // (raw vs optimized, sparsity facts, kernel hints) now, before
-        // the flush consumes the nodes. Unarmed threads skip the render.
+        // a request scope is installed, render the plan (raw vs
+        // optimized, sparsity facts, kernel hints) into it now, before
+        // the flush consumes the nodes. Other threads skip the render.
         crate::flightlog::offer_plan(|| pygb_runtime::plan().to_string());
         pygb_runtime::flush().map_err(internal)
     })();
@@ -1035,7 +1066,8 @@ pub(crate) fn run_expr_group(
     }
     results
         .into_iter()
-        .map(|r| r.expect("every member resolved or errored"))
+        .zip(versions)
+        .map(|(r, v)| (r.expect("every member resolved or errored"), v))
         .collect()
 }
 

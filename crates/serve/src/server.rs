@@ -19,18 +19,22 @@
 //! requests slower than the [`crate::flightlog`] threshold capture
 //! their plan and per-node timings for `EXPLAIN rN`.
 
-// Worker/connection hot path: a panic here takes down a serve worker,
-// so `unwrap`/`expect` are forbidden (see clippy.toml).
+// Worker/connection hot path: a panic here loses the request its
+// reply, so `unwrap`/`expect` are forbidden (see clippy.toml). Panics
+// in the library code a request calls are contained per request.
 #![warn(clippy::disallowed_methods)]
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use pygb_obs::{recorder, span_labeled, Cat, Outcome, RequestRecord};
+use pygb_obs::{
+    recorder, span_labeled, Cat, Census, Counter, Histogram, Outcome, RequestRecord, Scope,
+};
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
 use crate::catalog::Catalog;
@@ -73,6 +77,9 @@ struct Shared {
     pool: WorkerPool,
     shutdown: AtomicBool,
     response_wait: Duration,
+    queue_wait_ns: Arc<Histogram>,
+    request_ns: Arc<Histogram>,
+    worker_panics: Arc<Counter>,
 }
 
 /// A running `pygb-serve` instance.
@@ -86,7 +93,7 @@ impl Server {
     /// Bind and start serving `catalog` with the given config.
     pub fn start(catalog: Arc<Catalog>, config: ServerConfig) -> std::io::Result<Server> {
         // Force kernel registration so dispatch works on worker threads
-        // and the tunables metrics source is registered up front.
+        // and every snapshot lists the census and tunables series.
         let _ = pygb::runtime();
         // Read (and thereby mirror) the slow threshold eagerly so a
         // scrape sees `tunables/slow_ns` before the first heavy request.
@@ -99,6 +106,9 @@ impl Server {
             pool: WorkerPool::new(config.workers, config.queue_capacity),
             shutdown: AtomicBool::new(false),
             response_wait: config.response_wait,
+            queue_wait_ns: pygb_obs::registry().histogram("serve/queue_wait_ns"),
+            request_ns: pygb_obs::registry().histogram("serve/request_ns"),
+            worker_panics: pygb_obs::registry().counter("serve/worker_panics"),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::Builder::new()
@@ -262,6 +272,9 @@ fn read_batch(
 enum Work {
     One(Request),
     Batch(Vec<Request>),
+    /// A request body that panics (containment tests).
+    #[cfg(test)]
+    Panic,
 }
 
 /// Admit, enqueue, and await one unit of heavy work, writing whatever
@@ -276,13 +289,11 @@ fn dispatch_heavy(
     work: Work,
     id: u64,
 ) -> std::io::Result<()> {
-    let verb = match &work {
-        Work::One(req) => req.verb().to_string(),
-        Work::Batch(_) => "BATCH".to_string(),
-    };
-    let graph = match &work {
-        Work::One(req) => req.graph_name().to_string(),
-        Work::Batch(_) => String::new(),
+    let (verb, graph) = match &work {
+        Work::One(req) => (req.verb().to_string(), req.graph_name().to_string()),
+        Work::Batch(_) => ("BATCH".to_string(), String::new()),
+        #[cfg(test)]
+        Work::Panic => ("PANIC".to_string(), String::new()),
     };
     let record_shed = |outcome: Outcome, queue_wait_ns: u64| {
         recorder().record(&RequestRecord {
@@ -326,62 +337,20 @@ fn dispatch_heavy(
         Box::new(move || {
             let _ticket = ticket;
             let queue_wait_ns = admitted_at.elapsed().as_nanos() as u64;
-            pygb_obs::registry()
-                .histogram("serve/queue_wait_ns")
-                .record(queue_wait_ns);
+            shared.queue_wait_ns.record(queue_wait_ns);
 
-            // Attribute runtime work to this request: tag the worker
-            // thread so the flushed DAG's trace report is published
-            // under `rN`, force per-node timing collection even with
-            // global tracing off, and arm plan capture so the EXPR
-            // path can stash its pre-flush `plan()` rendering.
-            pygb_runtime::set_request_tag(Some(id));
-            pygb_runtime::set_report_forced(true);
-            flightlog::arm_plan_capture();
-            let jit = pygb::runtime().cache().stats();
-            let inv_before = jit.snapshot().invocations;
-            let opt_counter = pygb_obs::registry().counter("opt/launches_saved");
-            let opt_before = opt_counter.get();
-
+            // One scope per request: it tags the flushed DAG's trace
+            // report `rN`, forces per-node timing with tracing off,
+            // holds the EXPR path's pre-flush plan, and counts exactly
+            // this request's kernels and saved launches, on whichever
+            // pool threads its waves run.
+            let scope = Scope::request(id);
             let exec_start = Instant::now();
-            let result = match &work {
-                Work::One(req) => {
-                    let _span = span_labeled(Cat::Serve, || {
-                        format!("serve {} tenant={tenant} r{id}", req.verb())
-                    });
-                    // Drain lints a previous job may have left on this
-                    // worker thread so they cannot be misattributed.
-                    let _ = pygb::analyze::take_lints();
-                    let out = query::execute(&shared.catalog, req);
-                    let warnings = if matches!(
-                        req,
-                        Request::Query { .. } | Request::Expr(_) | Request::Update { .. }
-                    ) {
-                        pygb::analyze::take_lints()
-                    } else {
-                        let _ = pygb::analyze::take_lints();
-                        Vec::new()
-                    };
-                    out.map(|payload| Response { payload, warnings })
-                }
-                Work::Batch(subs) => {
-                    let _span =
-                        span_labeled(Cat::Serve, || format!("serve BATCH tenant={tenant} r{id}"));
-                    let out = run_batch(&shared.catalog, subs, &tenant);
-                    let _ = pygb::analyze::take_lints();
-                    out.map(|payload| Response {
-                        payload,
-                        warnings: Vec::new(),
-                    })
-                }
+            let (result, version) = {
+                let _in = scope.enter();
+                execute_contained(&shared, &work, &tenant, id)
             };
             let exec_ns = exec_start.elapsed().as_nanos() as u64;
-
-            pygb_runtime::set_request_tag(None);
-            pygb_runtime::set_report_forced(false);
-            let plan = flightlog::take_captured_plan();
-            let kernel_delta = jit.snapshot().invocations.saturating_sub(inv_before);
-            let opt_delta = opt_counter.get().saturating_sub(opt_before);
 
             if exec_ns >= flightlog::slow_ns() {
                 pygb_obs::registry().counter("serve/slow_captured").inc();
@@ -391,12 +360,11 @@ fn dispatch_heavy(
                     verb: verb.clone(),
                     queue_wait_ns,
                     exec_ns,
-                    plan,
+                    plan: scope.take_plan(),
                     report: pygb_runtime::trace_report_for(id).map(|r| r.to_string()),
                 });
             }
 
-            let version = shared.catalog.get(&graph).map_or(0, |s| s.version);
             recorder().record(&RequestRecord {
                 id,
                 tenant: &tenant,
@@ -410,13 +378,13 @@ fn dispatch_heavy(
                 } else {
                     Outcome::Error
                 },
-                kernel_delta,
-                opt_delta,
+                kernel_delta: scope.get(Census::Invocations),
+                opt_delta: scope.get(Census::LaunchesSaved),
             });
 
             let labels = [("tenant", tenant.as_str()), ("verb", verb.as_str())];
-            pygb_obs::registry()
-                .histogram("serve/request_ns")
+            shared
+                .request_ns
                 .record(admitted_at.elapsed().as_nanos() as u64);
             pygb_obs::registry()
                 .labeled_histogram("serve/request_ns", &labels)
@@ -479,15 +447,74 @@ fn dispatch_heavy(
     match rx.recv_timeout(shared.response_wait) {
         Ok(Ok(resp)) => wire::write_ok_tagged(writer, &resp.payload, &resp.warnings, Some(id)),
         Ok(Err((code, msg))) => wire::write_err_tagged(writer, code, &msg, Some(id)),
+        // The job dropped its reply channel unanswered: it panicked
+        // outside the contained request body.
+        Err(mpsc::RecvTimeoutError::Disconnected) => wire::write_err_tagged(
+            writer,
+            ErrCode::Internal,
+            "request failed without a reply",
+            Some(id),
+        ),
         // The worker (or expire hook) still owns the ring record; the
         // connection only reports the give-up to its client.
-        Err(_) => wire::write_err_tagged(
+        Err(mpsc::RecvTimeoutError::Timeout) => wire::write_err_tagged(
             writer,
             ErrCode::Timeout,
             "request did not complete within the response window",
             Some(id),
         ),
     }
+}
+
+/// Run one unit of heavy work on the worker thread, returning its reply
+/// and the catalog version it read. A panic in the library code it
+/// calls is contained here: counted as `serve/worker_panics` and
+/// answered `internal`, so the request still gets a reply and a flight
+/// record and the worker keeps serving.
+fn execute_contained(
+    shared: &Shared,
+    work: &Work,
+    tenant: &str,
+    id: u64,
+) -> (Result<Response, query::QueryError>, u64) {
+    let run = || match work {
+        Work::One(req) => {
+            let _span = span_labeled(Cat::Serve, || {
+                format!("serve {} tenant={tenant} r{id}", req.verb())
+            });
+            // Drain lints a previous job may have left on this worker
+            // thread so they cannot be misattributed.
+            let _ = pygb::analyze::take_lints();
+            let (out, version) = query::execute_versioned(&shared.catalog, req);
+            let warnings = if matches!(
+                req,
+                Request::Query { .. } | Request::Expr(_) | Request::Update { .. }
+            ) {
+                pygb::analyze::take_lints()
+            } else {
+                let _ = pygb::analyze::take_lints();
+                Vec::new()
+            };
+            (out.map(|payload| Response { payload, warnings }), version)
+        }
+        Work::Batch(subs) => {
+            let _span = span_labeled(Cat::Serve, || format!("serve BATCH tenant={tenant} r{id}"));
+            let out = run_batch(&shared.catalog, subs, tenant);
+            let _ = pygb::analyze::take_lints();
+            let out = out.map(|payload| Response {
+                payload,
+                warnings: Vec::new(),
+            });
+            (out, 0)
+        }
+        #[cfg(test)]
+        Work::Panic => panic!("injected request panic"),
+    };
+    catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+        shared.worker_panics.inc();
+        let msg = format!("request r{id} panicked; the worker recovered");
+        (Err((ErrCode::Internal, msg)), 0)
+    })
 }
 
 /// A successful heavy-request result: the payload plus any analyzer
@@ -547,7 +574,7 @@ fn run_batch(
             items.extend(
                 query::run_expr_group(catalog, &specs)
                     .into_iter()
-                    .map(render),
+                    .map(|(result, _)| render(result)),
             );
             i = j;
             continue;
@@ -570,5 +597,49 @@ fn respond(
     match result {
         Ok(payload) => wire::write_ok_tagged(writer, &payload, &[], Some(id)),
         Err((code, msg)) => wire::write_err_tagged(writer, code, &msg, Some(id)),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_request_that_panics_is_answered_internal_and_the_worker_survives() {
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(Arc::new(Catalog::new()), config).unwrap();
+        let panics = pygb_obs::registry().counter("serve/worker_panics");
+        let before = panics.get();
+
+        // A socket pair: the reply is written on one end, read here.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut writer, _) = listener.accept().unwrap();
+        let id = flightlog::next_request_id();
+        dispatch_heavy(&server.shared, &mut writer, "t", Work::Panic, id).unwrap();
+        let (frame, echoed) = wire::read_frame_tagged(&mut BufReader::new(&client)).unwrap();
+        assert!(
+            matches!(&frame, wire::Frame::Err(ErrCode::Internal, _)),
+            "{frame:?}"
+        );
+        assert_eq!(echoed, Some(id));
+        assert!(panics.get() > before, "the contained panic is counted");
+        let record = recorder()
+            .tail(pygb_obs::RECORDER_CAPACITY)
+            .into_iter()
+            .find(|r| r.id == id)
+            .expect("the panicked request left a flight record");
+        assert_eq!(record.outcome, Outcome::Error);
+
+        // The only worker is still serving.
+        let mut c = crate::Client::connect(server.local_addr()).unwrap();
+        c.request_ok("REGISTER g TRIPLES 3 3 fp64 0:1:1,1:2:1")
+            .unwrap();
+        let reply = c.request_ok("QUERY g BFS 0").unwrap();
+        assert!(reply.contains("\"levels\""), "{reply}");
     }
 }

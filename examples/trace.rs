@@ -79,7 +79,7 @@ fn main() -> pygb::Result<()> {
         );
     }
 
-    println!("== unified metrics snapshot (jit/* via MetricsRegistry) ==");
+    println!("== census counters in the metrics registry ==");
     for key in ["jit/deferred_ops", "jit/fused_ops", "jit/invocations"] {
         println!("   {key:<20} {}", after.counter(key));
     }

@@ -11,15 +11,22 @@
 //! reduction, the fused forms) with and without mask, complement,
 //! accumulator, replace and transpose.
 //!
-//! Every test holds `stats_serial()`: tracing is a switch on the global
+//! Every test holds [`trace_lock`]: tracing is a switch on the global
 //! runtime, so a sibling's dispatches must not land in another test's
-//! traces.
+//! traces. (Counts need no lock — they are read from a scope — but a
+//! trace is a process-wide ring, like the tracing flag that
+//! `observability.rs` guards the same way.)
 
 use pygb::{
     apply, reduce, reduce_rows, reduce_rows_t, Accumulator, ArithmeticSemiring, BinaryOp, DType,
     LogicalSemiring, Matrix, MaxMonoid, MinPlusSemiring, Replace, UnaryOp, Vector,
 };
-use pygb_integration::stats_serial;
+
+/// Serializes the tests of this binary around the global trace switch.
+fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// The canonical keys `op` dispatches, in order, with tracing on.
 fn traced(op: &mut dyn FnMut()) -> Vec<String> {
@@ -120,7 +127,7 @@ fn mask33() -> Matrix {
 
 #[test]
 fn mxv_and_vxm() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let m = mask3();
@@ -150,7 +157,7 @@ fn mxv_and_vxm() {
 
 #[test]
 fn bfs_step_under_logical_semiring_and_replace() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let g = a3().cast(DType::Bool);
     let mut levels = Vector::new(3, DType::UInt64);
     levels.set(0, 1u64).unwrap();
@@ -174,7 +181,7 @@ fn bfs_step_under_logical_semiring_and_replace() {
 
 #[test]
 fn ewise_add_and_mult() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let v = Vector::from_dense(&[4i16, 5, 6]);
     let m = mask3();
@@ -201,7 +208,7 @@ fn ewise_add_and_mult() {
 
 #[test]
 fn apply_extract_and_reduce_rows() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let m = mask3();
@@ -260,7 +267,7 @@ fn apply_extract_and_reduce_rows() {
 
 #[test]
 fn container_references_and_regions() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let small = Vector::from_dense(&[7i32, 8]);
     let m = mask3();
@@ -301,7 +308,7 @@ fn container_references_and_regions() {
 
 #[test]
 fn scalar_assignments() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let m = mask3();
     let mut w = fp64(&[0.5, 0.5, 0.5]);
     pin(
@@ -350,7 +357,7 @@ fn scalar_assignments() {
 
 #[test]
 fn fused_mxv_apply() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let m = mask3();
@@ -389,7 +396,7 @@ fn fused_mxv_apply() {
 
 #[test]
 fn fused_ewise_chain() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let u = fp64(&[1.0, 2.0, 3.0]);
     let v = fp64(&[10.0, 20.0, 30.0]);
     let x = Vector::from_dense(&[2i64, 2, 2]);
@@ -420,7 +427,7 @@ fn fused_ewise_chain() {
 
 #[test]
 fn scalar_reductions() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let u = fp64(&[1.0, 2.0, 3.0]);
     pin_terminating(
@@ -438,7 +445,7 @@ fn scalar_reductions() {
 
 #[test]
 fn fused_ewise_reduce() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let u = fp64(&[1.0, 2.0, 3.0, 4.0]);
     let v = Vector::from_dense(&[1i32, 1, 1, 1]);
     let mut d = Vector::new(4, DType::Fp64);
@@ -461,7 +468,7 @@ fn fused_ewise_reduce() {
 
 #[test]
 fn mxm() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let b = a3().cast(DType::Fp32);
     let mm = mask33();
@@ -483,7 +490,7 @@ fn mxm() {
 
 #[test]
 fn matrix_ewise_apply_transpose_extract() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let b = a3().cast(DType::Fp32);
     let mm = mask33();
@@ -539,7 +546,7 @@ fn matrix_ewise_apply_transpose_extract() {
 
 #[test]
 fn matrix_references_and_regions() {
-    let _serial = stats_serial();
+    let _trace = trace_lock();
     let a = a3();
     let small = Matrix::from_dense(&[vec![1u16, 2], vec![3, 4]]).unwrap();
     let mm = mask33();

@@ -2,7 +2,7 @@
 //! verified: `f(A ⊕.⊗ u)` as one module vs. two.
 
 use pygb::prelude::*;
-use pygb_integration::stats_serial;
+use pygb_integration::measure_dispatches;
 
 fn graph() -> Matrix {
     Matrix::from_dense(&[
@@ -15,7 +15,6 @@ fn graph() -> Matrix {
 
 #[test]
 fn fused_chain_matches_two_step_evaluation() {
-    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[0.3f64, 0.3, 0.4]);
 
@@ -45,7 +44,6 @@ fn fused_chain_matches_two_step_evaluation() {
 
 #[test]
 fn fused_chain_is_one_dispatch() {
-    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
     let _sr = ArithmeticSemiring.enter();
@@ -56,12 +54,12 @@ fn fused_chain_is_one_dispatch() {
     let mut out = Vector::new(3, DType::Fp64);
     out.no_mask().assign(warm).unwrap();
 
-    let before = pygb::runtime().cache().stats().snapshot();
-    let expr = u.vxm(&m).then_apply().unwrap();
-    out.no_mask().assign(expr).unwrap();
-    let after = pygb::runtime().cache().stats().snapshot();
+    let ((), d) = measure_dispatches(|| {
+        let expr = u.vxm(&m).then_apply().unwrap();
+        out.no_mask().assign(expr).unwrap();
+    });
     assert_eq!(
-        after.total_dispatches() - before.total_dispatches(),
+        d.total_dispatches(),
         1,
         "the whole chain must be one module dispatch"
     );
@@ -69,7 +67,6 @@ fn fused_chain_is_one_dispatch() {
 
 #[test]
 fn fused_chain_respects_mask_accum_replace() {
-    let _serial = stats_serial();
     // The write controls apply to the *applied* result, once.
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
@@ -87,7 +84,6 @@ fn fused_chain_respects_mask_accum_replace() {
 
 #[test]
 fn mxv_and_vxm_orientations() {
-    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 2.0, 3.0]);
     let _sr = ArithmeticSemiring.enter();
@@ -102,7 +98,6 @@ fn mxv_and_vxm_orientations() {
 
 #[test]
 fn fusion_requires_a_product_head() {
-    let _serial = stats_serial();
     let u = Vector::from_dense(&[1.0f64]);
     let v = Vector::from_dense(&[2.0f64]);
     let err = (&u + &v).then_apply().unwrap_err();
@@ -111,7 +106,6 @@ fn fusion_requires_a_product_head() {
 
 #[test]
 fn fusion_without_unary_in_context_errors_at_eval() {
-    let _serial = stats_serial();
     let m = graph();
     let u = Vector::from_dense(&[1.0f64, 1.0, 1.0]);
     let _sr = ArithmeticSemiring.enter();

@@ -3,14 +3,26 @@
 //! combinatorics.
 
 use pygb::prelude::*;
-use pygb_jit::{CacheOutcome, JitRuntime, ModuleKey, Stage};
+use pygb_jit::{CacheOutcome, JitRuntime, ModuleKey, Stage, StatsSnapshot};
+use pygb_obs::Scope;
 
 /// An isolated runtime with PyGB's factories (the global one is shared
-/// across tests in this binary, so counting tests build their own).
+/// across tests in this binary, so tests that count compiles per key
+/// build their own cache).
 fn isolated_runtime() -> JitRuntime {
     let rt = JitRuntime::in_memory();
     pygb::kernels::register_all(rt.registry());
     rt
+}
+
+/// The JIT counters `f` moved, read from a census scope of its own.
+fn counted(f: impl FnOnce()) -> StatsSnapshot {
+    let scope = Scope::new();
+    {
+        let _in = scope.enter();
+        f();
+    }
+    StatsSnapshot::of(&scope)
 }
 
 #[test]
@@ -21,15 +33,15 @@ fn one_compile_per_distinct_key_through_the_dsl() {
     // across a *novel* dtype combination instead).
     let u = Vector::from_dense(&[1i16, 2]); // int16: unlikely elsewhere
     let v = Vector::from_dense(&[3i16, 4]);
-    let before = pygb::runtime().cache().stats().snapshot();
-    for _ in 0..10 {
-        let _op = BinaryOp::new("Max").unwrap().enter();
-        let w = Vector::from_expr(&u * &v).unwrap();
-        assert_eq!(w.get(0).unwrap().as_i64(), 3);
-    }
-    let after = pygb::runtime().cache().stats().snapshot();
-    let new_compiles = after.compiles - before.compiles;
-    let new_dispatches = after.total_dispatches() - before.total_dispatches();
+    let got = counted(|| {
+        for _ in 0..10 {
+            let _op = BinaryOp::new("Max").unwrap().enter();
+            let w = Vector::from_expr(&u * &v).unwrap();
+            assert_eq!(w.get(0).unwrap().as_i64(), 3);
+        }
+    });
+    let new_compiles = got.compiles;
+    let new_dispatches = got.total_dispatches();
     assert!(new_compiles <= 1, "expected ≤1 compile, got {new_compiles}");
     assert_eq!(new_dispatches, 10);
 }
@@ -37,18 +49,20 @@ fn one_compile_per_distinct_key_through_the_dsl() {
 #[test]
 fn distinct_dtypes_are_distinct_modules() {
     let rt = isolated_runtime();
-    for dtype in ["fp64", "fp32", "int64", "int32", "bool"] {
-        let key = ModuleKey::new("apply_v")
-            .with("c_type", dtype)
-            .with("unary", "Identity");
-        let (_, outcome) = rt
-            .cache()
-            .get_or_compile(&key, |k| rt.registry().instantiate(k))
-            .unwrap();
-        assert_eq!(outcome, CacheOutcome::Compiled, "{dtype}");
-    }
+    let got = counted(|| {
+        for dtype in ["fp64", "fp32", "int64", "int32", "bool"] {
+            let key = ModuleKey::new("apply_v")
+                .with("c_type", dtype)
+                .with("unary", "Identity");
+            let (_, outcome) = rt
+                .cache()
+                .get_or_compile(&key, |k| rt.registry().instantiate(k))
+                .unwrap();
+            assert_eq!(outcome, CacheOutcome::Compiled, "{dtype}");
+        }
+    });
     assert_eq!(rt.cache().resident_modules(), 5);
-    assert_eq!(rt.cache().stats().snapshot().compiles, 5);
+    assert_eq!(got.compiles, 5);
 }
 
 #[test]
@@ -128,17 +142,18 @@ fn warm_dispatch_is_much_cheaper_than_compile() {
     let key = ModuleKey::new("reduce_v_scalar")
         .with("c_type", "fp64")
         .with("monoid", "Plus_Zero");
-    rt.cache()
-        .get_or_compile(&key, |k| rt.registry().instantiate(k))
-        .unwrap();
-    for _ in 0..100 {
-        let (_, outcome) = rt
-            .cache()
+    let snap = counted(|| {
+        rt.cache()
             .get_or_compile(&key, |k| rt.registry().instantiate(k))
             .unwrap();
-        assert_eq!(outcome, CacheOutcome::MemoryHit);
-    }
-    let snap = rt.cache().stats().snapshot();
+        for _ in 0..100 {
+            let (_, outcome) = rt
+                .cache()
+                .get_or_compile(&key, |k| rt.registry().instantiate(k))
+                .unwrap();
+            assert_eq!(outcome, CacheOutcome::MemoryHit);
+        }
+    });
     assert_eq!(snap.compiles, 1);
     assert_eq!(snap.memory_hits, 100);
     assert!(snap.hit_rate() > 0.98);

@@ -9,7 +9,6 @@ use pygb::{
 };
 use pygb_integration::{
     assert_matrices_identical, assert_vectors_identical, fig1_graph, measure_dispatches,
-    stats_serial,
 };
 
 fn dense(vals: &[f64]) -> Vector {
@@ -25,7 +24,6 @@ fn dense(vals: &[f64]) -> Vector {
 /// masked SpMV dispatch.
 #[test]
 fn ref_collapse_fuses_masked_spmv() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let run = |frontier: &mut Vector, levels: &Vector| {
         let _nb = pygb_runtime::nonblocking().unwrap();
@@ -46,8 +44,8 @@ fn ref_collapse_fuses_masked_spmv() {
     let ((), d) = measure_dispatches(|| run(&mut frontier2, &levels));
     frontier2.settle().unwrap();
     assert_eq!(d.invocations, 1, "temp + masked assign must fuse");
-    assert_eq!(d.fused, 1);
-    assert_eq!(d.deferred, 2);
+    assert_eq!(d.fused_ops, 1);
+    assert_eq!(d.deferred_ops, 2);
     // The collapsed node carries the consumer's complemented mask, so
     // the substrate must have picked a *masked* kernel for the single
     // fused dispatch. The frontier's density (1/7) sits above the
@@ -76,7 +74,6 @@ fn ref_collapse_fuses_masked_spmv() {
 /// single `vxm_apply` composite dispatch.
 #[test]
 fn apply_after_mxv_fuses() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let u = dense(&[1.0; 7]);
     let run = |out: &mut Vector| {
@@ -93,7 +90,7 @@ fn apply_after_mxv_fuses() {
     let ((), d) = measure_dispatches(|| run(&mut out));
     out.settle().unwrap();
     assert_eq!(d.invocations, 1, "vxm + apply must fuse");
-    assert_eq!(d.fused, 1);
+    assert_eq!(d.fused_ops, 1);
 
     // Blocking reference through the eager two-dispatch spelling.
     let mut blocking = Vector::new(7, DType::Fp64);
@@ -110,7 +107,6 @@ fn apply_after_mxv_fuses() {
 /// becomes one `fused_ewise_chain` dispatch.
 #[test]
 fn ewise_chain_with_third_operand_fuses() {
-    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0]);
     let v = dense(&[10.0, 20.0, 30.0]);
     let x = dense(&[2.0, 2.0, 2.0]);
@@ -126,7 +122,7 @@ fn ewise_chain_with_third_operand_fuses() {
     let ((), d) = measure_dispatches(|| run(&mut w));
     w.settle().unwrap();
     assert_eq!(d.invocations, 1);
-    assert_eq!(d.fused, 1);
+    assert_eq!(d.fused_ops, 1);
     assert_eq!(w.to_dense_f64(), vec![22.0, 44.0, 66.0]);
 }
 
@@ -135,7 +131,6 @@ fn ewise_chain_with_third_operand_fuses() {
 /// vector for later reads.
 #[test]
 fn reduce_after_ewise_fuses() {
-    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0, 4.0]);
     let mut d_vec = Vector::new(4, DType::Fp64);
     let mut run = || {
@@ -148,7 +143,7 @@ fn reduce_after_ewise_fuses() {
     let (total, d) = measure_dispatches(run);
     assert_eq!(total, 30.0);
     assert_eq!(d.invocations, 1, "eWise + reduce must fuse");
-    assert_eq!(d.fused, 1);
+    assert_eq!(d.fused_ops, 1);
     assert_eq!(d_vec.to_dense_f64(), vec![1.0, 4.0, 9.0, 16.0]);
 }
 
@@ -156,7 +151,6 @@ fn reduce_after_ewise_fuses() {
 /// bitwise-identical containers to blocking mode.
 #[test]
 fn masked_accumulated_ops_match_blocking() {
-    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0, 3.0, 4.0, 5.0]);
     let v = dense(&[10.0, 0.0, 30.0, 0.0, 50.0]);
     let mut mask = Vector::new(5, DType::Bool);
@@ -189,7 +183,6 @@ fn masked_accumulated_ops_match_blocking() {
 /// A deferred matrix product chain matches blocking mode.
 #[test]
 fn deferred_matrix_chain_matches_blocking() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let body = |b: &mut Matrix| -> pygb::Result<()> {
         let _sr = ArithmeticSemiring.enter();
@@ -215,7 +208,6 @@ fn deferred_matrix_chain_matches_blocking() {
 /// parallel scheduler.
 #[test]
 fn independent_wave_executes_in_parallel_correctly() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let inputs: Vec<Vector> = (0..8).map(|k| dense(&[k as f64 + 1.0; 7])).collect();
 
@@ -260,7 +252,6 @@ fn probe_times(a: f64, b: f64) -> f64 {
 /// fresh threads per flush.
 #[test]
 fn wave_jobs_run_on_a_bounded_thread_set() {
-    let _serial = stats_serial();
     let probe = BinaryOp::define("ThreadProbeTimes", probe_times);
     let u = dense(&[1.0, 2.0, 3.0]);
     let v = dense(&[4.0, 5.0, 6.0]);
@@ -285,7 +276,6 @@ fn wave_jobs_run_on_a_bounded_thread_set() {
 /// Dtype promotion through deferred expressions matches blocking mode.
 #[test]
 fn promotion_matches_blocking() {
-    let _serial = stats_serial();
     let mut a = Vector::new(4, DType::Int32);
     let mut b = Vector::new(4, DType::Int64);
     for i in 0..4 {
@@ -312,7 +302,6 @@ fn promotion_matches_blocking() {
 /// deferred writes.
 #[test]
 fn nvals_is_a_flush_point() {
-    let _serial = stats_serial();
     let u = dense(&[1.0, 0.0, 3.0]);
     let mut w = Vector::new(3, DType::Fp64);
     let _nb = pygb_runtime::nonblocking().unwrap();
@@ -324,7 +313,6 @@ fn nvals_is_a_flush_point() {
 /// is fully resolved once the scope exits, and can be read anywhere.
 #[test]
 fn worker_thread_scope_resolves_before_handoff() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let handle = std::thread::spawn(move || {
         let u = dense(&[1.0; 7]);
@@ -345,7 +333,6 @@ fn worker_thread_scope_resolves_before_handoff() {
 /// the Fig. 1 graph.
 #[test]
 fn algorithms_match_blocking_on_fig1() {
-    let _serial = stats_serial();
     let g = fig1_graph();
 
     let bfs_b = pygb_algorithms::bfs_dsl_loops(&g, 3).unwrap();
@@ -376,7 +363,6 @@ fn algorithms_match_blocking_on_fig1() {
 /// the valid operations around it.
 #[test]
 fn invalid_op_is_rejected_at_enqueue_with_provenance() {
-    let _serial = stats_serial();
     let u = dense(&[1.0, 2.0]);
     let bad = dense(&[1.0, 2.0, 3.0]);
     let mut w = Vector::new(2, DType::Fp64);
@@ -404,7 +390,6 @@ fn invalid_op_is_rejected_at_enqueue_with_provenance() {
 /// and the unfused execution still matches blocking mode exactly.
 #[test]
 fn aliased_output_refuses_fusion_then_executes_correctly() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let u = dense(&[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
 
@@ -427,11 +412,11 @@ fn aliased_output_refuses_fusion_then_executes_correctly() {
         w.settle().unwrap();
     });
     assert_eq!(
-        d.refused, 1,
+        d.refused_fusions, 1,
         "the aliasing analysis must refuse the collapse"
     );
-    assert_eq!(d.fused, 0);
-    assert_eq!(d.deferred, 2);
+    assert_eq!(d.fused_ops, 0);
+    assert_eq!(d.deferred_ops, 2);
     assert_eq!(d.invocations, 2, "refused pair dispatches unfused");
     let refusals = pygb_runtime::last_refusals();
     assert_eq!(refusals.len(), 1);
@@ -454,7 +439,6 @@ fn aliased_output_refuses_fusion_then_executes_correctly() {
 /// dependencies, and fusion decisions of the pending DAG — read-only.
 #[test]
 fn plan_reports_shapes_kernels_and_fusion_decisions() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let mut f = Vector::new(7, DType::Bool);
     f.set(3, true).unwrap();
@@ -499,7 +483,6 @@ fn plan_reports_shapes_kernels_and_fusion_decisions() {
 /// placeholder that names it.
 #[test]
 fn views_come_from_the_resolved_store_not_its_placeholder() {
-    let _serial = stats_serial();
     let g = fig1_graph();
     let mut a = Matrix::new(7, 7, DType::Fp64);
     {

@@ -172,7 +172,7 @@ fn trace_is_deterministic_for_identical_single_thread_runs() {
 #[test]
 fn kernel_histograms_match_selection_counters() {
     let _g = obs_guard();
-    traced_mxv_flush(); // ensure the global runtime (and its "jit" source) exists
+    traced_mxv_flush(); // ensure the global runtime exists
     pygb_obs::enable();
     let before = pygb_obs::registry().snapshot();
     const RUNS: u64 = 3;
@@ -330,9 +330,9 @@ fn disabled_mode_records_nothing() {
     }
 }
 
-/// The legacy JitStats snapshot facade and the unified registry agree:
-/// every jit/* counter in the registry equals the corresponding
-/// snapshot field.
+/// `JitStats` reads the census cells the registry exports: each
+/// snapshot field equals its registry series (`jit/*`, and `opt/*` for
+/// the optimizer's counts).
 #[test]
 fn jit_stats_facade_matches_registry() {
     let _g = obs_guard();
@@ -345,7 +345,7 @@ fn jit_stats_facade_matches_registry() {
         ("jit/memory_hits", stats.memory_hits),
         ("jit/deferred_ops", stats.deferred_ops),
         ("jit/fused_ops", stats.fused_ops),
-        ("jit/elided_ops", stats.elided_ops),
+        ("opt/dce_elided", stats.elided_ops),
         ("jit/refused_fusions", stats.refused_fusions),
         ("jit/sel_pull", stats.sel_pull),
     ];

@@ -12,8 +12,8 @@
 //! (d) views are freed with the last handle on their store;
 //! (e) concurrent first uses of one store run one conversion.
 //!
-//! Every test holds `stats_serial()`: (c) and (e) difference the
-//! process-wide `views/*` counters.
+//! (c) and (e) read the `views/*` census cells from a scope of their
+//! own, so concurrent tests' conversions never land in their counts.
 
 use std::sync::{Arc, Barrier};
 
@@ -26,22 +26,22 @@ use pygb::{
     Accumulator, ArithmeticSemiring, BinaryOp, DType, DynScalar, EdgeUpdate, Matrix, Vector,
 };
 use pygb_algorithms::{bfs_dsl_loops, cc_dsl_loops};
-use pygb_integration::{assert_matrices_identical, assert_vectors_identical, stats_serial};
+use pygb_integration::{assert_matrices_identical, assert_vectors_identical};
+use pygb_obs::{Census, Scope};
 
 const N: usize = 6;
 
-fn counter(name: &str) -> u64 {
-    pygb_obs::registry().counter(name).get()
-}
-
-/// `f`'s effect on (`views/cast_built`, `views/cast_hit`).
+/// `f`'s own (`views/cast_built`, `views/cast_hit`) counts.
 fn cast_counts<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
-    let (built, hit) = (counter("views/cast_built"), counter("views/cast_hit"));
-    let out = f();
+    let scope = Scope::new();
+    let out = {
+        let _in = scope.enter();
+        f()
+    };
     (
         out,
-        counter("views/cast_built") - built,
-        counter("views/cast_hit") - hit,
+        scope.get(Census::CastBuilt),
+        scope.get(Census::CastHit),
     )
 }
 
@@ -208,7 +208,6 @@ fn assert_identical(got: &Output, want: &Output, context: &str) {
 proptest! {
     #[test]
     fn ops_through_memoized_views_match_fresh_casts(case in case_strategy()) {
-        let _serial = stats_serial();
         let x = Operands::of(&case);
         let want = run(&case, &x.fresh()).unwrap();
         // The first run builds whatever views the op needs, the second
@@ -255,7 +254,6 @@ fn masked_in(g: &Matrix) -> usize {
 
 #[test]
 fn each_handle_sees_its_own_data_after_a_write() {
-    let _serial = stats_serial();
     type Write = fn(&mut Matrix);
     let writes: [(&str, Write); 3] = [
         ("set", |g| g.set(0, 2, 5.0f64).unwrap()),
@@ -300,7 +298,6 @@ fn path(n: usize) -> Matrix {
 
 #[test]
 fn bfs_converts_its_graph_once_whatever_the_depth() {
-    let _serial = stats_serial();
     for depth in [3usize, 9] {
         let g = path(depth);
         let (levels, built, hit) = cast_counts(|| bfs_dsl_loops(&g, 0).unwrap());
@@ -322,7 +319,6 @@ fn bfs_converts_its_graph_once_whatever_the_depth() {
 
 #[test]
 fn cc_converts_its_graph_once() {
-    let _serial = stats_serial();
     let g = path(5);
     let ((_, rounds), built, hit) = cast_counts(|| cc_dsl_loops(&g).unwrap());
     assert_eq!(built, 1, "one UInt64 view of the fp64 graph");
@@ -338,7 +334,6 @@ fn cc_converts_its_graph_once() {
 
 #[test]
 fn views_die_with_the_last_handle() {
-    let _serial = stats_serial();
     let g = ring(5);
     let clone = g.clone();
     assert_eq!(out_degrees(&g), [1; 5]); // builds the int64 view
@@ -354,15 +349,18 @@ fn views_die_with_the_last_handle() {
 
 #[test]
 fn concurrent_first_uses_build_once() {
-    let _serial = stats_serial();
     const THREADS: usize = 8;
     let store = (&ring(64)).into_operand().store;
     let start = Barrier::new(THREADS);
     let (views, built, hit) = cast_counts(|| {
+        // The spawned threads count into this scope too.
+        let scope = pygb_obs::current_scope();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
+                    let scope = scope.clone();
                     s.spawn(|| {
+                        let _in = pygb_obs::install_scope(scope);
                         start.wait();
                         store.cast_view(DType::Bool)
                     })

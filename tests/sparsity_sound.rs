@@ -24,6 +24,7 @@ use pygb::{
     apply, reduce, Accumulator, BinaryOp, DType, DynScalar, EdgeUpdate, Matrix, MergePolicy,
     StreamingMatrix, UnaryOp, Vector,
 };
+use pygb_obs::{Census, Scope};
 use pygb_runtime::{reset_passes, set_passes, PassKind};
 
 const N: usize = 8;
@@ -31,18 +32,15 @@ const POOL: usize = 5;
 const OPS: [&str; 4] = ["Plus", "Times", "Min", "Max"];
 const ACCUMS: [&str; 2] = ["Plus", "Min"];
 
-fn fact_misses() -> u64 {
-    pygb_obs::registry().snapshot().counter("opt/fact_misses")
-}
-
-fn empty_folded() -> u64 {
-    pygb_obs::registry().snapshot().counter("opt/empty_folded")
-}
-
-fn static_hints() -> u64 {
-    pygb_obs::registry()
-        .snapshot()
-        .counter("opt/static_kernel_hints")
+/// `f`'s result and its own count of `cell` (`opt/fact_misses`,
+/// `opt/empty_folded`, …), read from a census scope of its own.
+fn counted<R>(cell: Census, f: impl FnOnce() -> R) -> (R, u64) {
+    let scope = Scope::new();
+    let out = {
+        let _in = scope.enter();
+        f()
+    };
+    (out, scope.get(cell))
 }
 
 /// Restore the ambient pass configuration on drop, so a panicking case
@@ -287,20 +285,16 @@ proptest! {
         prog in proptest::collection::vec(step_strategy(), 1..14),
     ) {
         let g = graph();
-        let misses_before = fact_misses();
-        let (o_pool, o_red) = run_program(&g, &prog, None);
         let passes = full_pipeline();
-        let (pool, red) = run_program(&g, &prog, Some(&passes));
+        let (((o_pool, o_red), (pool, red)), misses) = counted(Census::FactMisses, || {
+            (run_program(&g, &prog, None), run_program(&g, &prog, Some(&passes)))
+        });
         for (i, (o, p)) in o_pool.iter().zip(&pool).enumerate() {
             prop_assert_eq!(o.dtype(), p.dtype(), "slot {} dtype", i);
             prop_assert_eq!(o.extract_pairs(), p.extract_pairs(), "slot {}", i);
         }
         prop_assert_eq!(&o_red, &red, "reductions");
-        prop_assert_eq!(
-            fact_misses(),
-            misses_before,
-            "checked interpretation recorded a fact miss"
-        );
+        prop_assert_eq!(misses, 0, "checked interpretation recorded a fact miss");
     }
 
     /// Streamed-graph coverage: SpMV over a mid-stream
@@ -346,7 +340,6 @@ proptest! {
             m
         };
 
-        let misses_before = fact_misses();
         let run = |passes: Option<&[PassKind]>| -> Vec<(usize, DynScalar)> {
             let _scope = passes.map(PassScope::new);
             let mut y = Vector::new(N, DType::Fp64);
@@ -366,10 +359,11 @@ proptest! {
             y.settle().unwrap();
             y.extract_pairs()
         };
-        let oracle = run(None);
         let passes = full_pipeline();
-        prop_assert_eq!(&run(Some(&passes)), &oracle, "streamed snapshot spmv");
-        prop_assert_eq!(fact_misses(), misses_before, "fact miss on streamed snapshot");
+        let ((oracle, got), misses) =
+            counted(Census::FactMisses, || (run(None), run(Some(&passes))));
+        prop_assert_eq!(&got, &oracle, "streamed snapshot spmv");
+        prop_assert_eq!(misses, 0, "fact miss on streamed snapshot");
     }
 }
 
@@ -386,10 +380,9 @@ fn empty_chain_through_pending_placeholders_folds_and_lints() {
     for i in 0..N {
         dense.set(i, i as f64 + 1.0).unwrap();
     }
-    let folded_before = empty_folded();
     let _ = pygb::take_lints();
     let mut out = Vector::new(N, DType::Fp64);
-    {
+    let ((), folded) = counted(Census::EmptyFolded, || {
         let _nb = pygb_runtime::nonblocking().unwrap();
         let _op = BinaryOp::new("Times").unwrap().enter();
         // t1 = empty ⊗ dense: provably empty (and syntactically so).
@@ -400,14 +393,13 @@ fn empty_chain_through_pending_placeholders_folds_and_lints() {
         let t2 = Vector::from_expr(&t1 * &dense).unwrap();
         // out = t2 ⊗ dense: consumed downstream → lint.
         out.no_mask().assign(&t2 * &dense).unwrap();
-    }
+    });
     out.settle().unwrap();
     assert_eq!(out.nvals(), 0, "folded chain must still produce emptiness");
     assert!(
-        empty_folded() - folded_before >= 2,
+        folded >= 2,
         "sparsity pass must fold the provably-empty chain (pending-placeholder \
-         emptiness is invisible to noop): folded delta {}",
-        empty_folded() - folded_before
+         emptiness is invisible to noop): folded delta {folded}"
     );
     let lints = pygb::take_lints();
     assert!(
@@ -429,23 +421,19 @@ fn empty_mask_replace_folds_with_disjoint_lint() {
         dense.set(i, 2.0 * i as f64).unwrap();
     }
     let _ = pygb::take_lints();
-    let folded_before = empty_folded();
     let mut out = Vector::new(N, DType::Fp64);
     out.set(0, 9.0f64).unwrap();
-    {
+    let ((), folded) = counted(Census::EmptyFolded, || {
         let _nb = pygb_runtime::nonblocking().unwrap();
         let _op = BinaryOp::new("Plus").unwrap().enter();
         out.masked(&empty_mask)
             .replace()
             .assign(&dense + &dense)
             .unwrap();
-    }
+    });
     out.settle().unwrap();
     assert_eq!(out.nvals(), 0, "empty mask + replace must clear the target");
-    assert!(
-        empty_folded() > folded_before,
-        "provably-empty masked write must fold"
-    );
+    assert!(folded > 0, "provably-empty masked write must fold");
     let lints = pygb::take_lints();
     assert!(
         lints.iter().any(|l| l.contains("disjoint")),
@@ -474,11 +462,7 @@ fn bfs_frontier_mxv_selects_direction_from_static_hint() {
         next.extract_pairs()
     };
     let oracle = run(false);
-    let hints_before = static_hints();
-    let got = run(true);
+    let (got, hints) = counted(Census::StaticKernelHints, || run(true));
     assert_eq!(got, oracle, "hinted SpMV must match blocking results");
-    assert!(
-        static_hints() > hints_before,
-        "frontier mxv must take a static push/pull hint"
-    );
+    assert!(hints > 0, "frontier mxv must take a static push/pull hint");
 }

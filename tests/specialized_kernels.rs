@@ -22,8 +22,11 @@
 //! the factory's own fallback instantiation, reached directly; there is
 //! no switch that makes dispatch use it.
 //!
-//! Every test holds `stats_serial()`: they difference process-wide
-//! counters (`jit/*_modules`, the JIT statistics).
+//! Counts (`jit/*_modules`, the kernel selections) are read from a
+//! census scope of the test's own. The two tests that flip process-wide
+//! runtime state — the trace switch and the global cache's eviction —
+//! hold [`RUNTIME_LOCK`], so neither sees the other's traces or loses a
+//! warm module to the other's eviction.
 
 use std::sync::{Arc, OnceLock};
 
@@ -39,9 +42,10 @@ use pygb::kernels::{interpreted_spmv, register_all, VecArgs};
 use pygb::prelude::*;
 use pygb::store::VectorStore;
 use pygb::Element;
-use pygb_integration::{fig1_graph, stats_serial};
-use pygb_jit::stats::StatsSnapshot;
+use pygb_integration::fig1_graph;
+use pygb_jit::StatsSnapshot;
 use pygb_jit::{CacheOutcome, FactoryRegistry, ModuleKey};
+use pygb_obs::{Census, Scope};
 
 const N: usize = 6;
 
@@ -58,28 +62,31 @@ const NAMED: [&str; 8] = [
 
 const FAMILY: [&str; 4] = ["mxv", "vxm", "mxv_apply", "vxm_apply"];
 
-/// (`jit/specialized_modules`, `jit/interpreted_modules`).
-fn module_counts() -> (u64, u64) {
-    let reg = pygb_obs::registry();
-    (
-        reg.counter("jit/specialized_modules").get(),
-        reg.counter("jit/interpreted_modules").get(),
-    )
+/// Held by the tests that turn the global runtime's tracing on or evict
+/// its cache.
+static RUNTIME_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// `f` under a scope of its own, and the scope.
+fn scoped<R>(f: impl FnOnce() -> R) -> (R, Arc<Scope>) {
+    let scope = Scope::new();
+    let out = {
+        let _in = scope.enter();
+        f()
+    };
+    (out, scope)
 }
 
-/// How far the two module counters have moved since `before`.
-fn modules_since(before: (u64, u64)) -> (u64, u64) {
-    let now = module_counts();
-    (now.0 - before.0, now.1 - before.1)
+/// (`jit/specialized_modules`, `jit/interpreted_modules`) in `scope`.
+fn modules(scope: &Scope) -> (u64, u64) {
+    (
+        scope.get(Census::SpecializedModules),
+        scope.get(Census::InterpretedModules),
+    )
 }
 
 /// The four SpMV selection counters.
 fn selections(s: &StatsSnapshot) -> [u64; 4] {
     [s.sel_pull, s.sel_masked_pull, s.sel_push, s.sel_masked_push]
-}
-
-fn jit_stats() -> StatsSnapshot {
-    pygb::runtime().cache().stats().snapshot()
 }
 
 // ---------------------------------------------------------------------
@@ -251,15 +258,14 @@ fn check<T: Element>(case: &Case) {
             );
 
             let run = |kernel: &dyn pygb_jit::Kernel| {
-                let before = selections(&jit_stats());
                 let mut args = bundle::<T>(case, sr);
-                kernel
-                    .invoke(&mut args)
-                    .unwrap_or_else(|e| panic!("{context}: {e}"));
+                let ((), scope) = scoped(|| {
+                    kernel
+                        .invoke(&mut args)
+                        .unwrap_or_else(|e| panic!("{context}: {e}"))
+                });
                 assert_eq!(args.c.dtype(), T::DTYPE, "{context}");
-                let after = selections(&jit_stats());
-                let selected: [u64; 4] = std::array::from_fn(|k| after[k] - before[k]);
-                (bits(&args.c), selected)
+                (bits(&args.c), selections(&StatsSnapshot::of(&scope)))
             };
             let (got, got_kernel) = run(&*specialized);
             let (want, want_kernel) = run(&*interpreted);
@@ -273,7 +279,6 @@ fn check<T: Element>(case: &Case) {
 proptest! {
     #[test]
     fn specialized_modules_write_what_the_interpreter_writes(case in case_strategy()) {
-        let _serial = stats_serial();
         check::<bool>(&case);
         check::<i8>(&case);
         check::<i16>(&case);
@@ -294,7 +299,6 @@ proptest! {
 
 #[test]
 fn unlisted_and_user_triples_fall_back_and_match_the_oracle() {
-    let _serial = stats_serial();
     let a = gbtl::Matrix::from_triples(
         3,
         3,
@@ -340,19 +344,14 @@ fn unlisted_and_user_triples_fall_back_and_match_the_oracle() {
     for (kind, semiring) in dsl {
         let name = semiring_key(kind);
         let (pa, pu) = (Matrix::from_typed(a.clone()), Vector::from_typed(u.clone()));
-        let before = module_counts();
         // `w<accum Plus> = A ⊕.⊗ u`.
         let mut w = Vector::from_typed(w0.clone());
-        {
+        let ((), scope) = scoped(|| {
             let _sr = semiring.enter();
             let _acc = Accumulator::new("Plus").unwrap().enter();
             w.no_mask().accum_assign(pa.mxv(&pu)).unwrap();
-        }
-        assert_eq!(
-            modules_since(before),
-            (0, 1),
-            "{name}: one module, interpreted"
-        );
+        });
+        assert_eq!(modules(&scope), (0, 1), "{name}: one module, interpreted");
         let want = gbtl::reference::mxv(
             &w0,
             &gbtl::NoMask,
@@ -377,7 +376,7 @@ fn unlisted_and_user_triples_fall_back_and_match_the_oracle() {
 
 #[test]
 fn hand_assembled_arithmetic_is_the_named_module() {
-    let _serial = stats_serial();
+    let _lock = RUNTIME_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let rt = pygb::runtime();
     // uint16 operands: a key nothing else in this binary dispatches.
     let a = Matrix::from_dense(&[vec![1u16, 2], vec![3, 4]]).unwrap();
@@ -386,16 +385,14 @@ fn hand_assembled_arithmetic_is_the_named_module() {
 
     rt.set_tracing(true);
     rt.take_traces();
-    let before = module_counts();
-    let by_hand = {
-        let _sr = hand.enter();
-        Vector::from_expr(a.mxv(&u)).unwrap()
-    };
-    let by_name = {
+    let ((by_hand, by_name), scope) = scoped(|| {
+        let by_hand = {
+            let _sr = hand.enter();
+            Vector::from_expr(a.mxv(&u)).unwrap()
+        };
         let _sr = ArithmeticSemiring.enter();
-        Vector::from_expr(a.mxv(&u)).unwrap()
-    };
-    let modules = modules_since(before);
+        (by_hand, Vector::from_expr(a.mxv(&u)).unwrap())
+    });
     let traces = rt.take_traces();
     rt.set_tracing(false);
 
@@ -414,7 +411,7 @@ fn hand_assembled_arithmetic_is_the_named_module() {
     );
     assert_eq!(mxv[0].outcome, Some(CacheOutcome::Compiled));
     assert_eq!(mxv[1].outcome, Some(CacheOutcome::MemoryHit));
-    assert_eq!(modules, (1, 0), "one module, specialized");
+    assert_eq!(modules(&scope), (1, 0), "one module, specialized");
 }
 
 // ---------------------------------------------------------------------
@@ -424,7 +421,7 @@ fn hand_assembled_arithmetic_is_the_named_module() {
 
 #[test]
 fn census_of_the_dsl_algorithms_is_unchanged() {
-    let _serial = stats_serial();
+    let _lock = RUNTIME_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let rt = pygb::runtime();
     let g = fig1_graph();
     let lower = Matrix::from_triples(
@@ -438,26 +435,25 @@ fn census_of_the_dsl_algorithms_is_unchanged() {
     .unwrap();
 
     rt.cache().evict_memory();
-    let (stats0, modules0) = (jit_stats(), module_counts());
-    pygb_algorithms::bfs_dsl_loops(&g, 3).unwrap();
-    let mut path = Vector::new(7, DType::Fp64);
-    path.set(3, 0.0f64).unwrap();
-    pygb_algorithms::sssp_dsl_loops(&g, &mut path).unwrap();
-    pygb_algorithms::pagerank_dsl_loops(&g, Default::default()).unwrap();
-    pygb_algorithms::tricount_dsl_loops(&lower).unwrap();
-    pygb_algorithms::cc_dsl_loops(&g).unwrap();
-    let (stats1, modules) = (jit_stats(), modules_since(modules0));
+    let ((), scope) = scoped(|| {
+        pygb_algorithms::bfs_dsl_loops(&g, 3).unwrap();
+        let mut path = Vector::new(7, DType::Fp64);
+        path.set(3, 0.0f64).unwrap();
+        pygb_algorithms::sssp_dsl_loops(&g, &mut path).unwrap();
+        pygb_algorithms::pagerank_dsl_loops(&g, Default::default()).unwrap();
+        pygb_algorithms::tricount_dsl_loops(&lower).unwrap();
+        pygb_algorithms::cc_dsl_loops(&g).unwrap();
+    });
+    let stats = StatsSnapshot::of(&scope);
 
     // Pinned at the parent of the specialization change (same census,
     // every module interpreted): the keys and the kernel selections are
     // not allowed to move with how a module is instantiated.
-    assert_eq!(stats1.compiles - stats0.compiles, CENSUS_KEYS);
-    let (sel0, sel1) = (selections(&stats0), selections(&stats1));
-    let selected: [u64; 4] = std::array::from_fn(|k| sel1[k] - sel0[k]);
-    assert_eq!(selected, CENSUS_SPMV);
+    assert_eq!(stats.compiles, CENSUS_KEYS);
+    assert_eq!(selections(&stats), CENSUS_SPMV);
     // Every SpMV key of the five algorithms names a semiring with a
     // specialized instantiation.
-    assert_eq!(modules, (CENSUS_SPMV_KEYS, 0));
+    assert_eq!(modules(&scope), (CENSUS_SPMV_KEYS, 0));
 }
 
 /// Distinct module keys of the census.

@@ -71,22 +71,20 @@ fn user_unary_op_in_apply() {
 #[test]
 fn user_ops_get_their_own_jit_modules() {
     // Distinct user ops must hash to distinct module keys.
-    let before = pygb::runtime().cache().stats().snapshot();
     let u = Vector::from_dense(&[1.0f64]);
     let v = Vector::from_dense(&[2.0f64]);
-    for (name, f) in [
-        ("ModKeyOpA", (|a, b| a + 2.0 * b) as fn(f64, f64) -> f64),
-        ("ModKeyOpB", |a, b| 2.0 * a + b),
-    ] {
-        let op = BinaryOp::define(name, f);
-        let _g = op.enter();
-        let _ = Vector::from_expr(&u * &v).unwrap();
-    }
-    let after = pygb::runtime().cache().stats().snapshot();
-    assert!(
-        after.compiles >= before.compiles + 2,
-        "each user op is its own module"
-    );
+    let ((), d) = pygb_integration::measure_dispatches(|| {
+        for (name, f) in [
+            ("ModKeyOpA", (|a, b| a + 2.0 * b) as fn(f64, f64) -> f64),
+            ("ModKeyOpB", |a, b| 2.0 * a + b),
+        ] {
+            let op = BinaryOp::define(name, f);
+            let _g = op.enter();
+            let _ = Vector::from_expr(&u * &v).unwrap();
+        }
+    });
+    assert_eq!(d.total_dispatches(), 2);
+    assert_eq!(d.compiles, 2, "each user op is its own module");
 }
 
 #[test]
