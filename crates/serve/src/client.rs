@@ -4,7 +4,7 @@
 //! load generator. One request in flight per connection; open several
 //! clients for concurrency.
 
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -44,9 +44,11 @@ impl Client {
     /// Send one request line and read the response frame.
     pub fn request(&mut self, line: &str) -> io::Result<Frame> {
         debug_assert!(!line.contains('\n'), "request lines are single lines");
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // Line and newline in one write, so the server wakes once.
+        wire::write_parts(
+            &mut self.writer,
+            &mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")],
+        )?;
         let (frame, id) = wire::read_frame_tagged(&mut self.reader)?;
         self.last_id = id;
         Ok(frame)

@@ -61,6 +61,7 @@ pub mod client;
 pub mod flightlog;
 pub mod pool;
 pub mod query;
+mod reply;
 pub mod server;
 pub mod wire;
 

@@ -63,6 +63,7 @@ use std::result::Result;
 use std::sync::Arc;
 
 use crate::catalog::{Catalog, Snapshot};
+use crate::reply::{with_element, Reply};
 use crate::wire::ErrCode;
 use pygb_obs::json_escape;
 
@@ -801,65 +802,69 @@ fn run_algo(snap: &Snapshot, algo: Algo) -> Result<String, QueryError> {
     let graph = &snap.graph;
     let n = graph.nrows();
     let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
-    let head = format!(
-        "{{\"graph\":\"{}\",\"version\":{},\"algo\":\"{}\"",
-        json_escape(&snap.name),
-        snap.version,
-        algo.label()
-    );
+    let mut reply = Reply::new();
+    reply
+        .str("graph", &snap.name)
+        .uint("version", snap.version as usize)
+        .str("algo", algo.label());
     match algo {
         Algo::Bfs(src) => {
             check_source(src, n)?;
-            let levels = algos::bfs_nonblocking(graph, src).map_err(internal)?;
-            let (body, truncated) = pairs_json(&levels);
-            Ok(format!(
-                "{head},\"source\":{src},\"levels\":{body},\"nvals\":{},\"truncated\":{truncated}}}",
-                levels.nvals()
-            ))
+            let mut levels = algos::bfs_nonblocking(graph, src).map_err(internal)?;
+            reply.uint("source", src);
+            let truncated = reply.pairs("levels", &mut levels).map_err(internal)?;
+            reply
+                .uint("nvals", levels.nvals())
+                .flag("truncated", truncated);
         }
         Algo::Sssp(src) => {
             check_source(src, n)?;
             let mut path = Vector::new(n, DType::Fp64);
             path.set(src, 0.0f64).map_err(internal)?;
             algos::sssp_nonblocking(graph, &mut path).map_err(internal)?;
-            let (body, truncated) = pairs_json(&path);
-            Ok(format!(
-                "{head},\"source\":{src},\"dist\":{body},\"nvals\":{},\"truncated\":{truncated}}}",
-                path.nvals()
-            ))
+            reply.uint("source", src);
+            let truncated = reply.pairs("dist", &mut path).map_err(internal)?;
+            reply
+                .uint("nvals", path.nvals())
+                .flag("truncated", truncated);
         }
         Algo::PageRank(max_iters) => {
             let opts = algos::PageRankOptions {
                 max_iters: max_iters.unwrap_or(100).min(10_000),
                 ..Default::default()
             };
-            let (ranks, iters) = algos::pagerank_nonblocking(graph, opts).map_err(internal)?;
-            let (body, truncated) = pairs_json(&ranks);
-            Ok(format!(
-                "{head},\"iters\":{iters},\"ranks\":{body},\"nvals\":{},\"truncated\":{truncated}}}",
-                ranks.nvals()
-            ))
+            let (mut ranks, iters) = algos::pagerank_nonblocking(graph, opts).map_err(internal)?;
+            reply.uint("iters", iters);
+            let truncated = reply.pairs("ranks", &mut ranks).map_err(internal)?;
+            reply
+                .uint("nvals", ranks.nvals())
+                .flag("truncated", truncated);
         }
         Algo::Tricount => {
-            let lower: Vec<(usize, usize, DynScalar)> = graph
-                .extract_triples()
-                .into_iter()
-                .filter(|&(i, j, _)| j < i)
-                .collect();
-            let l = Matrix::from_triples_dyn(n, graph.ncols(), &lower, Some(graph.dtype()))
-                .map_err(internal)?;
+            let store = graph.store();
+            let l = with_element!(store.dtype(), strictly_lower(store));
             let count = algos::tricount_nonblocking(&l).map_err(internal)?;
-            Ok(format!("{head},\"triangles\":{}}}", count.as_i64()))
+            reply.int("triangles", count.as_i64());
         }
         Algo::Cc => {
-            let (labels, rounds) = algos::cc_dsl_loops(graph).map_err(internal)?;
-            let components = algos::count_components(&labels);
-            let (body, truncated) = pairs_json(&labels);
-            Ok(format!(
-                "{head},\"components\":{components},\"rounds\":{rounds},\"labels\":{body},\"truncated\":{truncated}}}"
-            ))
+            let (mut labels, rounds) = algos::cc_dsl_loops(graph).map_err(internal)?;
+            reply
+                .uint("components", algos::count_components(&labels))
+                .uint("rounds", rounds);
+            let truncated = reply.pairs("labels", &mut labels).map_err(internal)?;
+            reply.flag("truncated", truncated);
         }
     }
+    Ok(reply.finish())
+}
+
+/// The strictly-lower triangle `L` that triangle counting expects, cut
+/// from a (settled, catalog-published) graph without leaving its dtype.
+fn strictly_lower<T: pygb::Element>(store: &pygb::store::MatrixStore) -> Matrix {
+    let Some(m) = T::unwrap_matrix(store) else {
+        unreachable!("dispatched on the store's own dtype")
+    };
+    Matrix::from_typed(algos::tril(m))
 }
 
 fn check_source(src: usize, n: usize) -> Result<(), QueryError> {
@@ -868,18 +873,6 @@ fn check_source(src: usize, n: usize) -> Result<(), QueryError> {
     } else {
         Ok(())
     }
-}
-
-/// Serialize a sparse vector as `[[i, v], ...]`, capped.
-fn pairs_json(v: &Vector) -> (String, bool) {
-    let pairs = v.extract_pairs();
-    let truncated = pairs.len() > MAX_RESULT_ENTRIES;
-    let items: Vec<String> = pairs
-        .iter()
-        .take(MAX_RESULT_ENTRIES)
-        .map(|(i, val)| format!("[{i},{val}]"))
-        .collect();
-    (format!("[{}]", items.join(",")), truncated)
 }
 
 fn run_expr(catalog: &Catalog, spec: &ExprSpec) -> (Result<String, QueryError>, u64) {
@@ -993,29 +986,19 @@ fn enqueue_expr(p: &PreparedExpr<'_>) -> Result<Matrix, QueryError> {
 fn finish_expr(catalog: &Catalog, spec: &ExprSpec, mut out: Matrix) -> Result<String, QueryError> {
     let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
     out.settle().map_err(internal)?;
-
     if let Some(into) = &spec.into {
-        let snap = catalog
-            .register(into, out)
-            .map_err(|e| (ErrCode::Internal, e.to_string()))?;
+        let snap = catalog.register(into, out).map_err(internal)?;
         return Ok(snap.info_json());
     }
-
-    let triples = out.extract_triples();
-    let truncated = triples.len() > MAX_RESULT_ENTRIES;
-    let items: Vec<String> = triples
-        .iter()
-        .take(MAX_RESULT_ENTRIES)
-        .map(|(i, j, v)| format!("[{i},{j},{v}]"))
-        .collect();
-    Ok(format!(
-        "{{\"nrows\":{},\"ncols\":{},\"dtype\":\"{}\",\"nvals\":{},\"triples\":[{}],\"truncated\":{truncated}}}",
-        out.nrows(),
-        out.ncols(),
-        out.dtype(),
-        out.nvals(),
-        items.join(",")
-    ))
+    let mut reply = Reply::new();
+    reply
+        .uint("nrows", out.nrows())
+        .uint("ncols", out.ncols())
+        .str("dtype", out.dtype().name())
+        .uint("nvals", out.nvals());
+    let truncated = reply.triples("triples", &mut out).map_err(internal)?;
+    reply.flag("truncated", truncated);
+    Ok(reply.finish())
 }
 
 /// Evaluate several `EXPR` members inside ONE nonblocking scope with a

@@ -29,9 +29,31 @@
 //! header token, so `pygb-wire/1` stays backward compatible: parsers
 //! that know the token read it via [`read_frame_tagged`]; the framing
 //! of payload and warnings is unchanged either way.
+//!
+//! A frame goes out in one write: the header is built in a small
+//! buffer and sent together with the payload (not copied) and the
+//! trailing newline and warning lines through one `write_vectored`,
+//! which on a socket is one `writev` and, with `TCP_NODELAY`, one
+//! segment for a reply that fits in one. Partial writes resume where
+//! they stopped. [`crate::client::Client`] sends each request line and
+//! its newline the same way.
+//!
+//! Payloads are JSON. A float that is not finite is spelled as the JSON
+//! string `"NaN"`, `"inf"` or `"-inf"` wherever a number would stand
+//! (a `QUERY` distance or rank, an `EXPR` triple's value); every finite
+//! value is the bare number `Display` writes.
+
+// Reply path: no `unwrap`/`expect` (clippy.toml), no `format!` per part.
+#![warn(
+    clippy::disallowed_methods,
+    clippy::format_collect,
+    clippy::format_push_string
+)]
 
 use std::fmt;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, IoSlice, Read, Write};
+
+use crate::reply::push_uint;
 
 /// Protocol identifier sent back on `HELLO`.
 pub const PROTOCOL: &str = "pygb-wire/1";
@@ -139,19 +161,28 @@ pub fn write_ok_tagged(
     warnings: &[String],
     id: Option<u64>,
 ) -> io::Result<()> {
-    write!(w, "OK {}", payload.len())?;
+    let mut head = String::with_capacity(HEAD_CAPACITY);
+    head.push_str("OK ");
+    push_uint(&mut head, payload.len() as u64);
     if !warnings.is_empty() {
-        write!(w, " WARN {}", warnings.len())?;
+        head.push_str(" WARN ");
+        push_uint(&mut head, warnings.len() as u64);
     }
-    if let Some(id) = id {
-        write!(w, " ID r{id}")?;
-    }
-    write!(w, "\n{payload}\n")?;
+    push_id(&mut head, id);
+    // The payload's terminator, then one flattened line per warning.
+    let mut tail = String::from("\n");
     for warning in warnings {
-        let flat = warning.replace(['\n', '\r'], " ");
-        writeln!(w, "{flat}")?;
+        tail.push_str(&warning.replace(['\n', '\r'], " "));
+        tail.push('\n');
     }
-    w.flush()
+    write_parts(
+        w,
+        &mut [
+            IoSlice::new(head.as_bytes()),
+            IoSlice::new(payload.as_bytes()),
+            IoSlice::new(tail.as_bytes()),
+        ],
+    )
 }
 
 /// Write an `ERR` frame.
@@ -166,11 +197,51 @@ pub fn write_err_tagged(
     msg: &str,
     id: Option<u64>,
 ) -> io::Result<()> {
-    write!(w, "ERR {} {}", code.name(), msg.len())?;
+    let mut head = String::with_capacity(HEAD_CAPACITY);
+    head.push_str("ERR ");
+    head.push_str(code.name());
+    head.push(' ');
+    push_uint(&mut head, msg.len() as u64);
+    push_id(&mut head, id);
+    write_parts(
+        w,
+        &mut [
+            IoSlice::new(head.as_bytes()),
+            IoSlice::new(msg.as_bytes()),
+            IoSlice::new(b"\n"),
+        ],
+    )
+}
+
+/// Room for the longest header: `ERR bad-request <n> ID r<N>\n`.
+const HEAD_CAPACITY: usize = 64;
+
+/// End a header: the optional ` ID r<N>` echo, then its newline.
+fn push_id(head: &mut String, id: Option<u64>) {
     if let Some(id) = id {
-        write!(w, " ID r{id}")?;
+        head.push_str(" ID r");
+        push_uint(head, id);
     }
-    write!(w, "\n{msg}\n")?;
+    head.push('\n');
+}
+
+/// Send `parts` back to back with vectored writes — one call when the
+/// sink takes everything — resuming after partial writes, then flush.
+pub(crate) fn write_parts(w: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut parts, 0); // drop leading empty parts
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -301,6 +372,7 @@ fn read_payload(r: &mut impl BufRead, n: usize) -> io::Result<String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use std::io::BufReader;
@@ -387,6 +459,83 @@ mod tests {
             let mut r = BufReader::new(header.as_bytes());
             assert!(read_frame_tagged(&mut r).is_err(), "accepted: {header:?}");
         }
+    }
+
+    /// A sink that counts write calls and accepts at most `per_call`
+    /// bytes in each.
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+        per_call: usize,
+    }
+
+    impl Counting {
+        fn new(per_call: usize) -> Counting {
+            Counting {
+                bytes: Vec::new(),
+                calls: 0,
+                per_call,
+            }
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.per_call;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.per_call - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_frame_is_one_write_call() {
+        let warnings = ["lint one".to_string(), "lint\ntwo".to_string()];
+        let mut ok = Counting::new(usize::MAX);
+        write_ok_tagged(&mut ok, "{\"x\":1}", &warnings, Some(12)).unwrap();
+        assert_eq!(ok.calls, 1);
+        assert_eq!(
+            ok.bytes,
+            b"OK 7 WARN 2 ID r12\n{\"x\":1}\nlint one\nlint two\n".to_vec()
+        );
+
+        let mut err = Counting::new(usize::MAX);
+        write_err_tagged(&mut err, ErrCode::NotFound, "no graph", Some(3)).unwrap();
+        assert_eq!(err.calls, 1);
+        assert_eq!(err.bytes, b"ERR not-found 8 ID r3\nno graph\n".to_vec());
+
+        // A sink that takes 7 bytes a call still gets the exact frames.
+        let mut slow = Counting::new(7);
+        write_ok_tagged(&mut slow, "{\"x\":1}", &warnings, Some(12)).unwrap();
+        assert_eq!(slow.bytes, ok.bytes);
+        let mut slow = Counting::new(7);
+        write_err_tagged(&mut slow, ErrCode::NotFound, "no graph", Some(3)).unwrap();
+        assert_eq!(slow.bytes, err.bytes);
+        assert_eq!(slow.calls, err.bytes.len().div_ceil(7));
+
+        // An empty payload is still framed.
+        let mut empty = Counting::new(usize::MAX);
+        write_ok(&mut empty, "").unwrap();
+        assert_eq!((empty.calls, &empty.bytes[..]), (1, &b"OK 0\n\n"[..]));
+    }
+
+    #[test]
+    fn a_sink_that_accepts_nothing_is_an_error() {
+        let mut stuck = Counting::new(0);
+        let err = write_ok(&mut stuck, "p").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]
