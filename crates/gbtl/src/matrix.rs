@@ -71,6 +71,8 @@ impl<T: Scalar> Matrix<T> {
     }
 
     /// Build from triples, combining duplicate coordinates with `dup`.
+    /// Equal coordinates are folded left to right in input order, so
+    /// `|_, b| b` keeps the last value.
     pub fn from_triples_dedup_with<I, F>(
         nrows: IndexType,
         ncols: IndexType,
@@ -109,7 +111,14 @@ impl<T: Scalar> Matrix<T> {
                 });
             }
         }
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        // `dup` folds equal coordinates left to right in input order, so
+        // the combining path needs a stable sort; without `dup` a
+        // repeated coordinate is an error and any order will do.
+        if dup.is_some() {
+            entries.sort_by_key(|&(r, c, _)| (r, c));
+        } else {
+            entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        }
 
         let mut row_ptr = vec![0; nrows + 1];
         let mut col_idx: Vec<IndexType> = Vec::with_capacity(entries.len());
@@ -448,6 +457,49 @@ mod tests {
         assert!(Matrix::from_triples(2, 2, dup).is_err());
         let m = Matrix::from_triples_dedup_with(2, 2, dup, |a, b| a + b).unwrap();
         assert_eq!(m.get(0, 0), Some(3));
+    }
+
+    /// 20 000 triples scattered over a 50×50 grid, value = insertion
+    /// index: a fixed LCG picks the coordinates.
+    fn scattered_triples() -> Vec<(usize, usize, i64)> {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        (0..20_000)
+            .map(|k| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let cell = (x >> 33) as usize % 2500;
+                (cell / 50, cell % 50, k)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dedup_keeps_the_last_value() {
+        let triples = scattered_triples();
+        let mut last = std::collections::HashMap::new();
+        for &(r, c, v) in &triples {
+            last.insert((r, c), v);
+        }
+        let m = Matrix::from_triples_dedup_with(50, 50, triples, |_, b| b).unwrap();
+        assert_eq!(m.nvals(), last.len());
+        for ((r, c), v) in last {
+            assert_eq!(m.get(r, c), Some(v), "({r}, {c})");
+        }
+    }
+
+    #[test]
+    fn dedup_folds_left_in_input_order() {
+        let triples = scattered_triples();
+        let mut fold: std::collections::HashMap<(usize, usize), i64> = Default::default();
+        for &(r, c, v) in &triples {
+            fold.entry((r, c)).and_modify(|a| *a -= v).or_insert(v);
+        }
+        let m = Matrix::from_triples_dedup_with(50, 50, triples, |a, b| a - b).unwrap();
+        assert_eq!(m.nvals(), fold.len());
+        for ((r, c), v) in fold {
+            assert_eq!(m.get(r, c), Some(v), "({r}, {c})");
+        }
     }
 
     #[test]

@@ -61,13 +61,16 @@ impl<T: Scalar> Vector<T> {
     }
 
     /// Build from `(index, value)` pairs, combining duplicates with `dup`.
+    /// Equal indices are folded left to right in input order, so
+    /// `|_, b| b` keeps the last value.
     pub fn from_pairs_dedup_with<I, F>(size: IndexType, pairs: I, mut dup: F) -> Result<Self>
     where
         I: IntoIterator<Item = (IndexType, T)>,
         F: FnMut(T, T) -> T,
     {
         let mut entries: Vec<(IndexType, T)> = pairs.into_iter().collect();
-        entries.sort_unstable_by_key(|&(i, _)| i);
+        // Stable: `dup` folds equal indices left to right in input order.
+        entries.sort_by_key(|&(i, _)| i);
         let mut indices: Vec<IndexType> = Vec::with_capacity(entries.len());
         let mut values: Vec<T> = Vec::with_capacity(entries.len());
         for (i, v) in entries {
@@ -294,6 +297,23 @@ mod tests {
         assert_eq!(v.get(1), Some(3));
         assert_eq!(v.get(3), Some(5));
         assert_eq!(v.nvals(), 2);
+    }
+
+    #[test]
+    fn dedup_folds_left_in_input_order() {
+        // 4 000 pairs over 40 indices; value = insertion index.
+        let pairs: Vec<(usize, i64)> = (0..4000)
+            .map(|k| ((k * 7919 % 4001) % 40, k as i64))
+            .collect();
+        let mut fold = std::collections::HashMap::new();
+        for &(i, v) in &pairs {
+            fold.entry(i).and_modify(|a: &mut i64| *a -= v).or_insert(v);
+        }
+        let v = Vector::from_pairs_dedup_with(40, pairs, |a, b| a - b).unwrap();
+        assert_eq!(v.nvals(), fold.len());
+        for (i, x) in fold {
+            assert_eq!(v.get(i), Some(x), "index {i}");
+        }
     }
 
     #[test]

@@ -13,9 +13,35 @@
 //! Supported header: `%%MatrixMarket matrix coordinate
 //! {real|integer|pattern} {general|symmetric}`. Indices are 1-based in
 //! the file, 0-based in memory.
+//!
+//! **One scanner.** Every reader takes its input the same way: read
+//! once into one byte buffer, check it is UTF-8, parse the two header
+//! lines, then walk the body in place — no per-line `String`, tokens
+//! split on ASCII whitespace, indices through a checked digit loop that
+//! accepts a leading `+` as `usize::from_str` does. The buffer is
+//! dropped before the matrix is assembled. Errors carry the 1-based
+//! line they were found on.
+//!
+//! **Values are bit-identical to `str::parse::<f64>`.** A token of at
+//! most 15 plain digits is below 2⁵³, so a digit loop is exact; every
+//! other token (signs, `-0`, fractions, exponents, `inf`/`NaN`, 16 or
+//! more digits) goes to `str::parse::<f64>` on its own slice.
+//!
+//! **Where this differs from a `BufRead::lines` + `split_whitespace`
+//! reader** (`crates/io/tests/mm_scanner_oracle.rs` names each case):
+//! a failing reader is [`MmError::Io`] and a byte that is not UTF-8 is
+//! a parse error on its line, where such a reader ends the input
+//! silently there; and non-ASCII whitespace (U+00A0, U+3000, …) does
+//! not separate tokens. A size line claiming more entries than the
+//! input can hold is a count error, not an allocation that overflows
+//! or aborts.
+
+// `REGISTER … MM` runs this reader on a serve worker: no panicking
+// unwrap/expect on input-driven paths (clippy.toml lists them).
+#![warn(clippy::disallowed_methods)]
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 
 use gbtl::{GblasError, Matrix as GMatrix};
 use pygb::{DType, Matrix};
@@ -90,7 +116,7 @@ struct Header {
     nnz: usize,
 }
 
-fn parse_header(lines: &mut impl Iterator<Item = (usize, String)>) -> Result<Header, MmError> {
+fn parse_header<'a>(lines: &mut impl Iterator<Item = (usize, &'a str)>) -> Result<Header, MmError> {
     let (lineno, banner) = lines.next().ok_or_else(|| parse_err(1, "empty file"))?;
     let tokens: Vec<&str> = banner.split_whitespace().collect();
     if tokens.len() < 5 || !tokens[0].eq_ignore_ascii_case("%%MatrixMarket") {
@@ -138,71 +164,193 @@ fn parse_header(lines: &mut impl Iterator<Item = (usize, String)>) -> Result<Hea
     Err(parse_err(0, "missing size line"))
 }
 
-fn parse_entries(
-    header: &Header,
-    lines: impl Iterator<Item = (usize, String)>,
-) -> Result<Vec<(usize, usize, f64)>, MmError> {
-    let mut triples = Vec::with_capacity(
-        header.nnz
-            * if header.symmetry == Symmetry::Symmetric {
-                2
-            } else {
-                1
-            },
-    );
-    let mut count = 0usize;
-    for (lineno, line) in lines {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let i: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(lineno, "bad row index"))?;
-        let j: usize = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| parse_err(lineno, "bad column index"))?;
-        if i == 0 || j == 0 || i > header.nrows || j > header.ncols {
-            return Err(parse_err(lineno, "index out of declared bounds"));
-        }
-        let v: f64 = match header.field {
-            Field::Pattern => 1.0,
-            _ => parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| parse_err(lineno, "bad value"))?,
-        };
-        triples.push((i - 1, j - 1, v));
-        if header.symmetry == Symmetry::Symmetric && i != j {
-            triples.push((j - 1, i - 1, v));
-        }
-        count += 1;
-    }
-    if count != header.nnz {
-        return Err(parse_err(
-            0,
-            format!("declared {} entries, found {count}", header.nnz),
-        ));
-    }
-    Ok(triples)
+/// The ASCII members of Unicode `White_Space` (tab, LF, VT, FF, CR,
+/// space): what `str::split_whitespace` splits ASCII text on.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
 }
 
-fn numbered_lines(reader: impl Read) -> impl Iterator<Item = (usize, String)> {
-    BufReader::new(reader)
-        .lines()
-        .map_while(|l| l.ok())
-        .enumerate()
-        .map(|(i, l)| (i + 1, l))
+/// A 1-based index token, accepting what `usize::from_str` accepts: an
+/// optional `+`, then at least one digit, without overflow.
+fn parse_index(tok: &[u8]) -> Option<usize> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0usize, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(usize::from(d))
+    })
 }
 
-/// Native typed read: straight into a `gbtl::Matrix<f64>`.
+/// A value token, bit-identical to `str::parse::<f64>`. Up to 15 plain
+/// digits is below 2⁵³ and converts exactly; anything else parses as
+/// text.
+fn parse_value(tok: &[u8]) -> Option<f64> {
+    if !tok.is_empty() && tok.len() <= 15 && tok.iter().all(u8::is_ascii_digit) {
+        let n = tok.iter().fold(0u64, |n, &b| n * 10 + u64::from(b - b'0'));
+        return Some(n as f64);
+    }
+    std::str::from_utf8(tok).ok()?.parse().ok()
+}
+
+/// The input as text. A byte that is not UTF-8 is a parse error on the
+/// line that holds it.
+fn as_text(buf: &[u8]) -> Result<&str, MmError> {
+    std::str::from_utf8(buf).map_err(|e| {
+        let newlines = buf[..e.valid_up_to()].iter().filter(|&&b| b == b'\n');
+        parse_err(newlines.count() + 1, "invalid UTF-8")
+    })
+}
+
+/// A 0-based `(row, col, value)` entry.
+type Triple = (usize, usize, f64);
+
+/// A cursor over the whole input text. As an iterator it yields whole
+/// 1-based lines without their `\n` (what [`parse_header`] reads); the
+/// body is then scanned token by token in place.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// 1-based number of the line `pos` is on.
+    line: usize,
+}
+
+impl<'a> Iterator for Cursor<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        let rest = self.text.get(self.pos..).filter(|r| !r.is_empty())?;
+        let line = rest.split_once('\n').map_or(rest, |(line, _)| line);
+        let lineno = self.line;
+        self.skip_line();
+        Some((lineno, line))
+    }
+}
+
+impl<'a> Cursor<'a> {
+    fn new(text: &'a str) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    /// The next token on the current line, split on [`is_space`];
+    /// `None` at the end of the line.
+    fn token(&mut self) -> Option<&'a [u8]> {
+        let b = self.text.as_bytes();
+        let mut p = self.pos;
+        while let Some(&c) = b.get(p) {
+            if c == b'\n' || !is_space(c) {
+                break;
+            }
+            p += 1;
+        }
+        let start = p;
+        while let Some(&c) = b.get(p) {
+            if is_space(c) {
+                break;
+            }
+            p += 1;
+        }
+        self.pos = p;
+        b.get(start..p).filter(|t| !t.is_empty())
+    }
+
+    /// Moves past the current line's `\n`, ignoring what is left of it.
+    fn skip_line(&mut self) {
+        let b = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        match b.iter().position(|&c| c == b'\n') {
+            Some(n) => {
+                self.pos += n + 1;
+                self.line += 1;
+            }
+            None => self.pos += b.len(),
+        }
+    }
+
+    /// Scans the body after the size line into 0-based triples,
+    /// mirroring the off-diagonal entries of a symmetric file.
+    fn entries(&mut self, header: &Header) -> Result<Vec<Triple>, MmError> {
+        let symmetric = header.symmetry == Symmetry::Symmetric;
+        // An entry line takes at least 4 bytes (`1 1` and a newline), so
+        // the input bounds the reservation whatever the size line claims.
+        let reserve = header.nnz.min(self.text.len() / 4 + 1);
+        let mut triples = Vec::with_capacity(if symmetric { 2 * reserve } else { reserve });
+        let mut count = 0usize;
+        while self.pos < self.text.len() {
+            let lineno = self.line;
+            let i = match self.token() {
+                Some(t) if !t.starts_with(b"%") => {
+                    parse_index(t).ok_or_else(|| parse_err(lineno, "bad row index"))?
+                }
+                // A blank or comment line.
+                _ => {
+                    self.skip_line();
+                    continue;
+                }
+            };
+            let j = self
+                .token()
+                .and_then(parse_index)
+                .ok_or_else(|| parse_err(lineno, "bad column index"))?;
+            if i == 0 || j == 0 || i > header.nrows || j > header.ncols {
+                return Err(parse_err(lineno, "index out of declared bounds"));
+            }
+            let v = match header.field {
+                Field::Pattern => 1.0,
+                _ => self
+                    .token()
+                    .and_then(parse_value)
+                    .ok_or_else(|| parse_err(lineno, "bad value"))?,
+            };
+            triples.push((i - 1, j - 1, v));
+            if symmetric && i != j {
+                triples.push((j - 1, i - 1, v));
+            }
+            count += 1;
+            self.skip_line();
+        }
+        if count != header.nnz {
+            return Err(parse_err(
+                0,
+                format!("declared {} entries, found {count}", header.nnz),
+            ));
+        }
+        Ok(triples)
+    }
+}
+
+/// Reads the whole input once and scans it: header, then body. When
+/// `square_only` is set, a non-square header is that error before the
+/// body is read. The byte buffer is dropped on return, so no caller
+/// holds it while assembling a matrix.
+fn scan(
+    mut reader: impl Read,
+    square_only: Option<&str>,
+) -> Result<(Header, Vec<Triple>), MmError> {
+    let mut buf = Vec::new();
+    reader.read_to_end(&mut buf)?;
+    let mut cursor = Cursor::new(as_text(&buf)?);
+    let header = parse_header(&mut cursor)?;
+    if let Some(message) = square_only {
+        if header.nrows != header.ncols {
+            return Err(parse_err(0, message));
+        }
+    }
+    let triples = cursor.entries(&header)?;
+    Ok((header, triples))
+}
+
+/// Native typed read: straight into a `gbtl::Matrix<f64>`. A repeated
+/// coordinate keeps its last value.
 pub fn read_native(reader: impl Read) -> Result<GMatrix<f64>, MmError> {
-    let mut lines = numbered_lines(reader);
-    let header = parse_header(&mut lines)?;
-    let triples = parse_entries(&header, lines)?;
+    let (header, triples) = scan(reader, None)?;
     Ok(GMatrix::from_triples_dedup_with(
         header.nrows,
         header.ncols,
@@ -213,12 +361,7 @@ pub fn read_native(reader: impl Read) -> Result<GMatrix<f64>, MmError> {
 
 /// Native read into an [`EdgeList`] (square matrices only).
 pub fn read_edge_list(reader: impl Read) -> Result<EdgeList, MmError> {
-    let mut lines = numbered_lines(reader);
-    let header = parse_header(&mut lines)?;
-    if header.nrows != header.ncols {
-        return Err(parse_err(0, "edge lists require a square matrix"));
-    }
-    let edges = parse_entries(&header, lines)?;
+    let (header, edges) = scan(reader, Some("edge lists require a square matrix"))?;
     Ok(EdgeList {
         n: header.nrows,
         edges,
@@ -230,12 +373,7 @@ pub fn read_edge_list(reader: impl Read) -> Result<EdgeList, MmError> {
 /// container is built through per-element dynamic calls — the Python
 /// read path of Fig. 11.
 pub fn read_interpreted(reader: impl Read, dtype: DType) -> Result<Matrix, MmError> {
-    let mut lines = numbered_lines(reader);
-    let header = parse_header(&mut lines)?;
-    if header.nrows != header.ncols {
-        return Err(parse_err(0, "interpreted path expects a square matrix"));
-    }
-    let triples = parse_entries(&header, lines)?;
+    let (header, triples) = scan(reader, Some("interpreted path expects a square matrix"))?;
     // The "three Python lists of PyObjects" intermediate.
     let coo = crate::interpreted::PyCoo::from_edges(header.nrows, &triples);
     coo.to_matrix(dtype)
@@ -303,6 +441,7 @@ pub fn to_string(edges: &EdgeList) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 
@@ -410,5 +549,31 @@ mod tests {
         assert!(read_native(oob.as_bytes()).is_err());
         let zero_idx = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1\n";
         assert!(read_native(zero_idx.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn size_line_claim_does_not_size_the_reservation() {
+        let huge =
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 18446744073709551615\n1 1 1\n";
+        match read_native(huge.as_bytes()) {
+            Err(MmError::Parse { line: 0, message }) => {
+                assert_eq!(message, "declared 18446744073709551615 entries, found 1")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn repeated_coordinates_keep_the_last_value() {
+        let text = "%%MatrixMarket matrix coordinate real general\n\
+            2 2 4\n\
+            1 2 1\n\
+            2 1 5\n\
+            1 2 2\n\
+            1 2 3\n";
+        let m = read_native(text.as_bytes()).unwrap();
+        assert_eq!(m.get(0, 1), Some(3.0));
+        let dsl = read_native_pygb(text.as_bytes(), DType::Fp64).unwrap();
+        assert_eq!(dsl.get(0, 1).unwrap().as_f64(), 3.0);
     }
 }

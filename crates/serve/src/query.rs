@@ -455,6 +455,9 @@ fn parse_register(toks: &[&str]) -> Result<Request, QueryError> {
                 let i = parse_num(parts.next(), "triple row")?;
                 let j = parse_num(parts.next(), "triple col")?;
                 let v = parse_num(parts.next(), "triple value")?;
+                if parts.next().is_some() {
+                    return Err(bad(format!("TRIPLES entries are i:j:v, got `{entry}`")));
+                }
                 triples.push((i, j, v));
             }
             GraphSource::Triples {
@@ -1172,6 +1175,16 @@ mod tests {
         ] {
             assert!(parse(line).is_err(), "line should fail: {line:?}");
         }
+    }
+
+    #[test]
+    fn triples_entry_with_extra_fields_is_rejected_like_add() {
+        let err = parse("REGISTER t TRIPLES 2 2 fp64 0:1:1:junk").unwrap_err();
+        assert_eq!(err.0, ErrCode::BadRequest);
+        assert_eq!(err.1, "TRIPLES entries are i:j:v, got `0:1:1:junk`");
+        assert!(parse("REGISTER t TRIPLES 2 2 fp64 0:1:1,1:0:2:3").is_err());
+        let add = parse("UPDATE t ADD 0:1:1:junk").unwrap_err();
+        assert_eq!(add.1, "ADD entries are i:j:v, got `0:1:1:junk`");
     }
 
     #[test]
