@@ -234,8 +234,14 @@ fn main() {
     }
 
     // --- Batched duplicate EXPR traffic against pygb-serve ---
-    let srv =
-        Server::start(Arc::new(Catalog::new()), ServerConfig::default()).expect("start server");
+    // No kept answers: the 16 unbatched lines repeat two requests on
+    // one snapshot, and hits would compare lookups against the batched
+    // side's real work.
+    let config = ServerConfig {
+        result_cache_bytes: 0,
+        ..ServerConfig::default()
+    };
+    let srv = Server::start(Arc::new(Catalog::new()), config).expect("start server");
     let mut c = Client::connect(srv.local_addr()).expect("connect");
     let n = 512usize;
     c.request_ok(&format!("REGISTER g ER {n} {} 42 SYM", n * 5))
@@ -271,6 +277,11 @@ fn main() {
     assert_eq!(
         unbatched_counters.cse_deduped, 0,
         "separate requests flush separately — nothing to CSE"
+    );
+    assert!(
+        unbatched_counters.invocations >= 16,
+        "every unbatched request must run its own kernel, got {} invocations",
+        unbatched_counters.invocations
     );
     assert!(
         batched_counters.cse_deduped >= 14,

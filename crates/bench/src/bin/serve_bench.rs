@@ -13,6 +13,9 @@
 //! the measured value either way so CI trends it). A final phase
 //! measures the observability verbs themselves (`TAIL`, `SLOW`,
 //! `EXPLAIN`, `METRICS`) against the ring the load phases populated.
+//! The server keeps no answers (`result_cache_bytes: 0`), so every
+//! request runs on a worker: the run prices the worker path, not the
+//! cache-hit path.
 //!
 //! Writes `results/serve_bench.json`:
 //!
@@ -161,6 +164,12 @@ fn main() -> std::io::Result<()> {
                 per_tenant: clients * 2,
                 queue_timeout: Duration::from_secs(30),
             },
+            // Every client repeats the same six lines on two graphs
+            // that never change: with answers kept, all but the first
+            // of each would be a cache hit answered on the connection
+            // thread, and the phases below would no longer price
+            // admission, the pool or the recorder on the worker path.
+            result_cache_bytes: 0,
             ..ServerConfig::default()
         },
     )?;
@@ -233,7 +242,9 @@ fn main() -> std::io::Result<()> {
 
     // Phase C: the observability verbs themselves, against the ring and
     // metric registry the load phases filled. EXPLAIN reads a capture
-    // forced by a momentary zero threshold.
+    // forced by a momentary zero threshold; only a request that ran on
+    // a worker leaves one, which this server's zero answer budget
+    // guarantees.
     let mut obs = Client::connect(addr)?;
     obs.hello("observer")?;
     obs.request_ok("SLOW THRESHOLD 1")

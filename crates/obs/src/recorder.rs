@@ -66,6 +66,9 @@ pub enum Outcome {
     ShedQueue = 4,
     /// Admitted but expired in the queue past its deadline.
     Timeout = 5,
+    /// Answered from the answer its snapshot already held: no queue,
+    /// no worker, no kernel.
+    Cached = 6,
 }
 
 impl Outcome {
@@ -78,6 +81,7 @@ impl Outcome {
             Outcome::ShedTenant => "shed-tenant",
             Outcome::ShedQueue => "shed-queue",
             Outcome::Timeout => "timeout",
+            Outcome::Cached => "cached",
         }
     }
 
@@ -88,6 +92,7 @@ impl Outcome {
             3 => Outcome::ShedTenant,
             4 => Outcome::ShedQueue,
             5 => Outcome::Timeout,
+            6 => Outcome::Cached,
             _ => Outcome::Ok,
         }
     }
@@ -470,6 +475,7 @@ mod tests {
             Outcome::ShedTenant,
             Outcome::ShedQueue,
             Outcome::Timeout,
+            Outcome::Cached,
         ] {
             assert_eq!(Outcome::from_u8(o as u8), o);
             assert!(!o.as_str().is_empty());

@@ -90,7 +90,7 @@ fn main() -> std::io::Result<()> {
             per_tenant: env_parse("PYGB_SERVE_PER_TENANT", 128),
             queue_timeout: Duration::from_millis(env_parse("PYGB_SERVE_TIMEOUT_MS", 5000)),
         },
-        response_wait: Duration::from_secs(600),
+        ..ServerConfig::default()
     };
 
     let server = Server::start(catalog, config)?;

@@ -14,12 +14,19 @@
 //! last in-flight reader drops it. This is exactly the DSL's own
 //! copy-on-write discipline (`Matrix` clones share a store until
 //! someone writes), promoted from per-handle to per-catalog-entry.
+//!
+//! Because a snapshot never changes, an answer computed on it stays
+//! true for as long as it lives: each snapshot carries the slot the
+//! server files its served answers in (see [`crate::answers`]), and
+//! the answers go when the snapshot does.
 
 use parking_lot::RwLock;
 use pygb::{EdgeUpdate, Matrix, PygbError, StreamingMatrix};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::answers::Answers;
 use pygb_obs::json_escape;
 
 /// How many lost publish races [`Catalog::update_edges`] re-applies a
@@ -27,18 +34,48 @@ use pygb_obs::json_escape;
 /// winner's snapshot, so one writer always makes global progress.
 const UPDATE_PUBLISH_RETRIES: usize = 64;
 
+/// Source of [`Snapshot::id`]s: one counter for the whole process.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
+
 /// An immutable published version of a named graph.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Snapshot {
     /// Catalog name the snapshot was published under.
     pub name: String,
-    /// Monotonic per-name version, starting at 1.
+    /// Per-name version: 1 on first publication, then one more with
+    /// each publish under the name. A name that is dropped and
+    /// registered again starts over at 1, so only [`Snapshot::id`]
+    /// tells two snapshots apart in every case.
     pub version: u64,
     /// The graph itself. Never mutated after publication.
     pub graph: Matrix,
+    id: u64,
+    answers: Answers,
 }
 
 impl Snapshot {
+    fn new(name: &str, version: u64, graph: Matrix) -> Snapshot {
+        Snapshot {
+            name: name.to_string(),
+            version,
+            graph,
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
+            answers: Answers::default(),
+        }
+    }
+
+    /// Process-unique identity of this snapshot: no two snapshots of
+    /// any catalog in the process share it, across names, drops and
+    /// re-registrations.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The answers served from this snapshot, freed with it.
+    pub(crate) fn answers(&self) -> &Answers {
+        &self.answers
+    }
+
     /// One-line JSON descriptor used by `LIST` and query responses.
     pub fn info_json(&self) -> String {
         let (r, c) = self.graph.shape();
@@ -74,11 +111,7 @@ impl Catalog {
         graph.settle()?;
         let mut map = self.graphs.write();
         let version = map.get(name).map_or(1, |old| old.version + 1);
-        let snap = Arc::new(Snapshot {
-            name: name.to_string(),
-            version,
-            graph,
-        });
+        let snap = Arc::new(Snapshot::new(name, version, graph));
         map.insert(name.to_string(), Arc::clone(&snap));
         pygb_obs::registry()
             .counter("serve/catalog_registers")
@@ -116,12 +149,11 @@ impl Catalog {
             let mut map = self.graphs.write();
             match map.get(name) {
                 None => return Ok(None),
-                Some(entry) if entry.version == cur.version => {
-                    let snap = Arc::new(Snapshot {
-                        name: name.to_string(),
-                        version: cur.version + 1,
-                        graph,
-                    });
+                // The snapshot we built on is still the current one
+                // (compared by id: a drop and re-register can reuse the
+                // version number).
+                Some(entry) if entry.id == cur.id => {
+                    let snap = Arc::new(Snapshot::new(name, cur.version + 1, graph));
                     map.insert(name.to_string(), Arc::clone(&snap));
                     pygb_obs::registry().counter("serve/catalog_updates").inc();
                     return Ok(Some(snap));
@@ -210,6 +242,39 @@ mod tests {
         assert!(!cat.drop_graph("g"));
         assert!(cat.get("g").is_none());
         assert_eq!(s.graph.nvals(), 1);
+    }
+
+    #[test]
+    fn a_dropped_name_registered_again_is_a_new_snapshot_at_version_one() {
+        let cat = Catalog::new();
+        let old = cat.register("g", tiny(1)).unwrap();
+        assert!(cat.drop_graph("g"));
+        let again = cat.register("g", tiny(3)).unwrap();
+        // The version restarts (the repo benchmark resets its scratch
+        // graphs this way and expects version 1); the id never repeats.
+        assert_eq!((again.version, old.version), (1, 1));
+        assert_ne!(again.id(), old.id());
+        let updated = cat
+            .update_edges("g", &[EdgeUpdate::add(1usize, 0usize, 4i64)])
+            .unwrap()
+            .unwrap();
+        assert_eq!(updated.version, 2);
+        assert_eq!(updated.graph.get(0, 1).unwrap().as_i64(), 3);
+    }
+
+    #[test]
+    fn snapshot_ids_are_unique_across_names_and_versions() {
+        let cat = Catalog::new();
+        let ids = [
+            cat.register("a", tiny(1)).unwrap().id(),
+            cat.register("a", tiny(2)).unwrap().id(),
+            cat.register("b", tiny(1)).unwrap().id(),
+            Catalog::new().register("a", tiny(1)).unwrap().id(),
+        ];
+        let mut distinct = ids.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), ids.len(), "{ids:?}");
     }
 
     #[test]

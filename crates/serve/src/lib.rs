@@ -16,6 +16,10 @@
 //!   count / connected components plus raw `C[M, accum] = A op B`
 //!   expressions, each compiled into a per-request nonblocking DAG on
 //!   a worker thread;
+//! - served answers kept on their snapshot: a repeated `QUERY` (or
+//!   `EXPR` without `INTO`) on a version already answered is served
+//!   from the bytes the first reply sent, on the connection thread,
+//!   within a per-server byte budget (`ServerConfig::result_cache_bytes`);
 //! - streaming mutations: `UPDATE <graph> ADD|DEL <edges>` absorbs an
 //!   edge batch into a hypersparse delta over the current snapshot
 //!   (see [`pygb::StreamingMatrix`]) and publishes the merge as the
@@ -56,6 +60,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+mod answers;
 pub mod catalog;
 pub mod client;
 pub mod flightlog;

@@ -122,7 +122,7 @@ pub enum GraphSource {
 }
 
 /// One graph algorithm exposed over the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Algo {
     /// Level-synchronous BFS from a source vertex.
     Bfs(usize),
@@ -150,7 +150,7 @@ impl Algo {
 }
 
 /// Which binary combining form an `EXPR` uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ExprOp {
     /// Matrix product `A ⊕.⊗ B`.
     Mxm,
@@ -161,7 +161,7 @@ pub enum ExprOp {
 }
 
 /// A raw GraphBLAS assignment `C[M, accum] = A op B` over catalog graphs.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ExprSpec {
     /// Left operand graph name.
     pub a: String,
@@ -679,7 +679,10 @@ fn execute_cheap(catalog: &Catalog, req: &Request) -> Result<String, QueryError>
             Some(entry) => Ok(entry.render()),
             None => Err((
                 ErrCode::NotFound,
-                format!("no capture for r{id} (request was never slow, or the entry was evicted)"),
+                format!(
+                    "no capture for r{id} (request was never slow, was answered \
+                     from a kept answer, or the entry was evicted)"
+                ),
             )),
         },
         Request::Metrics => Ok(pygb_obs::registry().snapshot().to_prometheus()),
@@ -801,7 +804,8 @@ fn run_update(
         .ok_or_else(not_found)
 }
 
-fn run_algo(snap: &Snapshot, algo: Algo) -> Result<String, QueryError> {
+/// Run `algo` on a resolved snapshot and render its reply.
+pub(crate) fn run_algo(snap: &Snapshot, algo: Algo) -> Result<String, QueryError> {
     let graph = &snap.graph;
     let n = graph.nrows();
     let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
@@ -884,6 +888,21 @@ fn run_expr(catalog: &Catalog, spec: &ExprSpec) -> (Result<String, QueryError>, 
         .expect("one member in, one result out")
 }
 
+/// Evaluate one `EXPR` on operands already resolved: `a`, `b` and the
+/// mask named by `spec` (`catalog` is only written for `INTO`).
+pub(crate) fn run_expr_on(
+    catalog: &Catalog,
+    spec: &ExprSpec,
+    a: &Arc<Snapshot>,
+    b: &Arc<Snapshot>,
+    mask: Option<&Arc<Snapshot>>,
+) -> Result<String, QueryError> {
+    let prepared = prepare_expr(spec, Arc::clone(a), Arc::clone(b), mask.cloned());
+    run_prepared(catalog, vec![prepared])
+        .pop()
+        .expect("one member in, one result out")
+}
+
 /// An `EXPR` member with its operands resolved, shapes checked, and
 /// operator session built — everything that can fail cheaply, done
 /// before any graph work is enqueued.
@@ -896,7 +915,7 @@ struct PreparedExpr<'a> {
     session: Session,
 }
 
-fn prepare_expr<'a>(catalog: &Catalog, spec: &'a ExprSpec) -> Result<PreparedExpr<'a>, QueryError> {
+fn resolve_expr<'a>(catalog: &Catalog, spec: &'a ExprSpec) -> Result<PreparedExpr<'a>, QueryError> {
     let a = resolve(catalog, &spec.a)?;
     let b = resolve(catalog, &spec.b)?;
     let mask = spec
@@ -904,7 +923,15 @@ fn prepare_expr<'a>(catalog: &Catalog, spec: &'a ExprSpec) -> Result<PreparedExp
         .as_ref()
         .map(|m| resolve(catalog, m))
         .transpose()?;
+    prepare_expr(spec, a, b, mask)
+}
 
+fn prepare_expr(
+    spec: &ExprSpec,
+    a: Arc<Snapshot>,
+    b: Arc<Snapshot>,
+    mask: Option<Arc<Snapshot>>,
+) -> Result<PreparedExpr<'_>, QueryError> {
     let (ar, ac) = a.graph.shape();
     let (br, bc) = b.graph.shape();
     let out_shape = match spec.op {
@@ -1019,41 +1046,49 @@ pub(crate) fn run_expr_group(
     catalog: &Catalog,
     specs: &[&ExprSpec],
 ) -> Vec<(Result<String, QueryError>, u64)> {
-    let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
-    let mut results: Vec<Option<Result<String, QueryError>>> = specs.iter().map(|_| None).collect();
-    let mut versions = vec![0; specs.len()];
-    let mut outs: Vec<(usize, Matrix)> = Vec::new();
-
-    let flush_result: Result<(), QueryError> = (|| {
-        let _nb = pygb_runtime::nonblocking().map_err(internal)?;
-        for (i, spec) in specs.iter().enumerate() {
-            let enqueued = prepare_expr(catalog, spec).and_then(|p| {
-                versions[i] = p.a.version;
-                enqueue_expr(&p)
-            });
-            match enqueued {
-                Ok(out) => outs.push((i, out)),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        // The only window where the request's DAG is still pending: if
-        // a request scope is installed, render the plan (raw vs
-        // optimized, sparsity facts, kernel hints) into it now, before
-        // the flush consumes the nodes. Other threads skip the render.
-        crate::flightlog::offer_plan(|| pygb_runtime::plan().to_string());
-        pygb_runtime::flush().map_err(internal)
-    })();
-
-    for (i, out) in outs {
-        results[i] = Some(match &flush_result {
-            Ok(()) => finish_expr(catalog, specs[i], out),
-            Err(e) => Err(e.clone()),
-        });
-    }
-    results
+    let prepared: Vec<_> = specs.iter().map(|s| resolve_expr(catalog, s)).collect();
+    let versions: Vec<u64> = prepared
+        .iter()
+        .map(|p| p.as_ref().map_or(0, |p| p.a.version))
+        .collect();
+    run_prepared(catalog, prepared)
         .into_iter()
         .zip(versions)
-        .map(|(r, v)| (r.expect("every member resolved or errored"), v))
+        .collect()
+}
+
+/// Enqueue every prepared member in one nonblocking scope, flush once,
+/// and render each member's result in order.
+fn run_prepared(
+    catalog: &Catalog,
+    prepared: Vec<Result<PreparedExpr<'_>, QueryError>>,
+) -> Vec<Result<String, QueryError>> {
+    let internal = |e: pygb::PygbError| (ErrCode::Internal, e.to_string());
+    let scope = match pygb_runtime::nonblocking() {
+        Ok(scope) => scope,
+        Err(e) => return prepared.iter().map(|_| Err(internal(e.clone()))).collect(),
+    };
+    let enqueued: Vec<Result<(&ExprSpec, Matrix), QueryError>> = prepared
+        .iter()
+        .map(|p| {
+            let p = p.as_ref().map_err(Clone::clone)?;
+            enqueue_expr(p).map(|out| (p.spec, out))
+        })
+        .collect();
+    // The only window where the request's DAG is still pending: if a
+    // request scope is installed, render the plan (raw vs optimized,
+    // sparsity facts, kernel hints) into it now, before the flush
+    // consumes the nodes. Other threads skip the render.
+    crate::flightlog::offer_plan(|| pygb_runtime::plan().to_string());
+    let flushed = pygb_runtime::flush().map_err(internal);
+    drop(scope);
+    enqueued
+        .into_iter()
+        .map(|member| {
+            let (spec, out) = member?;
+            flushed.clone()?;
+            finish_expr(catalog, spec, out)
+        })
         .collect()
 }
 

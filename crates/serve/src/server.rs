@@ -6,6 +6,14 @@
 //! the connection thread blocks on the reply, so slow queries exert
 //! backpressure on their own socket while other connections proceed.
 //!
+//! A `QUERY`, or an `EXPR` without `INTO`, is first resolved to its
+//! operand snapshots on the connection thread and looked up in the
+//! answers its snapshot already holds (see [`crate::answers`]). A hit
+//! is written inline — no admission ticket, no pool hop, no algorithm —
+//! and recorded with outcome `cached`. A miss is dispatched like any
+//! heavy request, carrying the resolved snapshots, and the worker files
+//! its reply on the snapshot it computed on.
+//!
 //! Every request line is minted a stable request ID before parsing and
 //! the ID is echoed as the trailing `ID rN` token on the response
 //! frame, so even a `bad-request` reply is addressable. Every admitted
@@ -37,6 +45,7 @@ use pygb_obs::{
 };
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError};
+use crate::answers::{Answer, AnswerCache, Read};
 use crate::catalog::Catalog;
 use crate::flightlog;
 use crate::pool::{Job, WorkerPool};
@@ -57,6 +66,11 @@ pub struct ServerConfig {
     /// How long a connection thread waits for its job's reply before
     /// giving up on it (covers queue wait plus execution).
     pub response_wait: Duration,
+    /// Byte budget for served answers kept on their snapshots; an
+    /// answer that does not fit is sent but not kept. 0 keeps nothing:
+    /// every request runs on a worker, by the same path a miss takes
+    /// (load generators that price the worker path set this).
+    pub result_cache_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -67,6 +81,7 @@ impl Default for ServerConfig {
             queue_capacity: 512,
             admission: AdmissionConfig::default(),
             response_wait: Duration::from_secs(600),
+            result_cache_bytes: 32 << 20,
         }
     }
 }
@@ -80,6 +95,7 @@ struct Shared {
     queue_wait_ns: Arc<Histogram>,
     request_ns: Arc<Histogram>,
     worker_panics: Arc<Counter>,
+    answers: AnswerCache,
 }
 
 /// A running `pygb-serve` instance.
@@ -109,6 +125,7 @@ impl Server {
             queue_wait_ns: pygb_obs::registry().histogram("serve/queue_wait_ns"),
             request_ns: pygb_obs::registry().histogram("serve/request_ns"),
             worker_panics: pygb_obs::registry().counter("serve/worker_panics"),
+            answers: AnswerCache::new(config.result_cache_bytes),
         });
         let accept_shared = Arc::clone(&shared);
         let accept_thread = thread::Builder::new()
@@ -139,6 +156,14 @@ impl Server {
     /// Admitted-but-unfinished request count.
     pub fn inflight(&self) -> usize {
         self.shared.admission.inflight()
+    }
+
+    /// Bytes held by the answers this server has kept on snapshots
+    /// (charged against [`ServerConfig::result_cache_bytes`]). For
+    /// tests of the budget.
+    #[doc(hidden)]
+    pub fn cached_answer_bytes(&self) -> usize {
+        self.shared.answers.resident_bytes()
     }
 
     /// Stop accepting and join the accept thread. Existing connections
@@ -230,7 +255,21 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<
                 dispatch_heavy(&shared, &mut writer, &tenant, Work::Batch(subs), id)?;
             }
             req if req.is_heavy() => {
-                dispatch_heavy(&shared, &mut writer, &tenant, Work::One(req), id)?;
+                let Some(read) = shared.answers.resolve(&shared.catalog, &req) else {
+                    dispatch_heavy(&shared, &mut writer, &tenant, Work::One(req), id)?;
+                    continue;
+                };
+                let lookup = Instant::now();
+                match shared.answers.lookup(&read) {
+                    Some(answer) => {
+                        let lookup_ns = lookup.elapsed().as_nanos() as u64;
+                        send_cached(&shared, &mut writer, &tenant, &read, &answer, lookup_ns, id)?;
+                    }
+                    None => {
+                        let work = Work::Read(Box::new(read));
+                        dispatch_heavy(&shared, &mut writer, &tenant, work, id)?;
+                    }
+                }
             }
             req => {
                 // Cheap metadata verbs answer inline on the connection
@@ -269,8 +308,46 @@ fn read_batch(
     Ok(subs)
 }
 
+/// Answer a hit inline: leave a `cached` flight record whose execution
+/// time is the lookup's, then write the kept reply.
+fn send_cached(
+    shared: &Shared,
+    writer: &mut TcpStream,
+    tenant: &str,
+    read: &Read,
+    answer: &Answer,
+    exec_ns: u64,
+    id: u64,
+) -> std::io::Result<()> {
+    let snap = read.snapshot();
+    let verb = read.verb();
+    recorder().record(&RequestRecord {
+        id,
+        tenant,
+        verb,
+        graph: &snap.name,
+        version: snap.version,
+        queue_wait_ns: 0,
+        exec_ns,
+        outcome: Outcome::Cached,
+        kernel_delta: 0,
+        opt_delta: 0,
+    });
+    let labels = [("tenant", tenant), ("verb", verb)];
+    let registry = pygb_obs::registry();
+    shared.request_ns.record(exec_ns);
+    registry
+        .labeled_histogram("serve/request_ns", &labels)
+        .record(exec_ns);
+    registry.counter("serve/completed").inc();
+    registry.labeled_counter("serve/completed", &labels).inc();
+    wire::write_ok_tagged(writer, &answer.payload, &answer.warnings, Some(id))
+}
+
 enum Work {
     One(Request),
+    /// A cacheable read whose lookup missed, with its operands resolved.
+    Read(Box<Read>),
     Batch(Vec<Request>),
     /// A request body that panics (containment tests).
     #[cfg(test)]
@@ -291,6 +368,7 @@ fn dispatch_heavy(
 ) -> std::io::Result<()> {
     let (verb, graph) = match &work {
         Work::One(req) => (req.verb().to_string(), req.graph_name().to_string()),
+        Work::Read(read) => (read.verb().to_string(), read.snapshot().name.clone()),
         Work::Batch(_) => ("BATCH".to_string(), String::new()),
         #[cfg(test)]
         Work::Panic => ("PANIC".to_string(), String::new()),
@@ -323,7 +401,7 @@ fn dispatch_heavy(
             return wire::write_err_tagged(writer, ErrCode::Overloaded, &e.message(), Some(id));
         }
     };
-    let (tx, rx) = mpsc::channel::<Result<Response, query::QueryError>>();
+    let (tx, rx) = mpsc::channel::<Result<Arc<Answer>, query::QueryError>>();
     let admitted_at = Instant::now();
     let deadline = admitted_at + shared.admission.config().queue_timeout;
 
@@ -445,7 +523,9 @@ fn dispatch_heavy(
     }
 
     match rx.recv_timeout(shared.response_wait) {
-        Ok(Ok(resp)) => wire::write_ok_tagged(writer, &resp.payload, &resp.warnings, Some(id)),
+        Ok(Ok(answer)) => {
+            wire::write_ok_tagged(writer, &answer.payload, &answer.warnings, Some(id))
+        }
         Ok(Err((code, msg))) => wire::write_err_tagged(writer, code, &msg, Some(id)),
         // The job dropped its reply channel unanswered: it panicked
         // outside the contained request body.
@@ -467,7 +547,8 @@ fn dispatch_heavy(
 }
 
 /// Run one unit of heavy work on the worker thread, returning its reply
-/// and the catalog version it read. A panic in the library code it
+/// and the catalog version it read. A cacheable read's reply is filed
+/// on the snapshot it was computed on. A panic in the library code it
 /// calls is contained here: counted as `serve/worker_panics` and
 /// answered `internal`, so the request still gets a reply and a flight
 /// record and the worker keeps serving.
@@ -476,7 +557,7 @@ fn execute_contained(
     work: &Work,
     tenant: &str,
     id: u64,
-) -> (Result<Response, query::QueryError>, u64) {
+) -> (Result<Arc<Answer>, query::QueryError>, u64) {
     let run = || match work {
         Work::One(req) => {
             let _span = span_labeled(Cat::Serve, || {
@@ -495,17 +576,29 @@ fn execute_contained(
                 let _ = pygb::analyze::take_lints();
                 Vec::new()
             };
-            (out.map(|payload| Response { payload, warnings }), version)
+            (
+                out.map(|payload| Arc::new(Answer::unfiled(payload, warnings))),
+                version,
+            )
+        }
+        Work::Read(read) => {
+            let _span = span_labeled(Cat::Serve, || {
+                format!("serve {} tenant={tenant} r{id}", read.verb())
+            });
+            let _ = pygb::analyze::take_lints();
+            let out = read.run(&shared.catalog);
+            let warnings = pygb::analyze::take_lints();
+            let out = out.map(|payload| shared.answers.file(read, payload, warnings));
+            (out, read.snapshot().version)
         }
         Work::Batch(subs) => {
             let _span = span_labeled(Cat::Serve, || format!("serve BATCH tenant={tenant} r{id}"));
             let out = run_batch(&shared.catalog, subs, tenant);
             let _ = pygb::analyze::take_lints();
-            let out = out.map(|payload| Response {
-                payload,
-                warnings: Vec::new(),
-            });
-            (out, 0)
+            (
+                out.map(|payload| Arc::new(Answer::unfiled(payload, Vec::new()))),
+                0,
+            )
         }
         #[cfg(test)]
         Work::Panic => panic!("injected request panic"),
@@ -515,14 +608,6 @@ fn execute_contained(
         let msg = format!("request r{id} panicked; the worker recovered");
         (Err((ErrCode::Internal, msg)), 0)
     })
-}
-
-/// A successful heavy-request result: the payload plus any analyzer
-/// lints the execution raised on the worker thread (surfaced to the
-/// client as the frame's `WARN` section).
-struct Response {
-    payload: String,
-    warnings: Vec<String>,
 }
 
 /// Execute batch members sequentially on the worker. The batch

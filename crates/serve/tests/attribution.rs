@@ -4,7 +4,8 @@
 //!
 //! * its `kernel_delta` (kernel invocations) and `opt_delta` (launches
 //!   the optimizer saved) equal what the same request records when it
-//!   runs alone;
+//!   runs alone — or are both 0 when the request was answered from the
+//!   answer its snapshot already held (outcome `cached`);
 //! * the records of a run sum to the process-wide counter deltas over
 //!   that run, so no work goes unattributed or is counted twice;
 //! * its `version` is the snapshot version the request's reply names,
@@ -17,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
+use pygb_obs::Outcome;
 use pygb_serve::{Catalog, Client, Frame, Server, ServerConfig};
 
 /// Read traffic: a label (the solo-census key) and its request lines.
@@ -178,18 +180,30 @@ fn flight_records_attribute_exactly_their_own_request() {
         let after = global_census();
         let recs = records();
 
-        let (mut kernels, mut saved) = (0, 0);
+        let (mut kernels, mut saved, mut cached) = (0, 0, 0);
         for s in &sent {
             let r = recs
                 .get(&s.id)
                 .unwrap_or_else(|| panic!("{workers} workers: r{} has no record", s.id));
-            assert_eq!(
-                (r.kernel_delta, r.opt_delta),
-                solo[s.label],
-                "{workers} workers: r{} ({}) counted other requests' work",
-                s.id,
-                s.label
-            );
+            if r.outcome == Outcome::Cached {
+                // A hit runs no kernel and waits in no queue.
+                assert_eq!(
+                    (r.kernel_delta, r.opt_delta, r.queue_wait_ns),
+                    (0, 0, 0),
+                    "{workers} workers: cached r{} ({}) claims work",
+                    s.id,
+                    s.label
+                );
+                cached += 1;
+            } else {
+                assert_eq!(
+                    (r.kernel_delta, r.opt_delta),
+                    solo[s.label],
+                    "{workers} workers: r{} ({}) counted other requests' work",
+                    s.id,
+                    s.label
+                );
+            }
             // A batch reads several snapshots and records none.
             if let Some(v) = reply_version(&s.payload).filter(|_| s.label != "batch") {
                 assert_eq!(
@@ -206,6 +220,9 @@ fn flight_records_attribute_exactly_their_own_request() {
             (after.0 - before.0, after.1 - before.1),
             "{workers} workers: records must sum to the process-wide deltas"
         );
+        // The static graph's reads were answered in the solo run, so
+        // their repeats here are hits.
+        assert!(cached > 0, "{workers} workers: no request was a hit");
         srv.shutdown();
     }
 }

@@ -162,16 +162,21 @@ fn stream_path_len(version: u64) -> usize {
     8 + (version as usize - 1).div_ceil(3)
 }
 
+/// Whether the self-loop at vertex 0 is present at `version`.
+fn stream_loop_present(version: u64) -> bool {
+    (version - 1) % 3 == 2
+}
+
 /// The UPDATE line for update number `u` (the one that publishes
-/// version `u + 1`).
-fn stream_update_line(u: u64) -> String {
+/// version `u + 1`) of the streamed graph `graph`.
+fn stream_update_line(graph: &str, u: u64) -> String {
     match u % 3 {
         1 => {
             let end = stream_path_len(u) - 1;
-            format!("UPDATE stream ADD {end}:{}:1", end + 1)
+            format!("UPDATE {graph} ADD {end}:{}:1", end + 1)
         }
-        2 => "UPDATE stream ADD 0:0:1".to_string(),
-        _ => "UPDATE stream DEL 0:0".to_string(),
+        2 => format!("UPDATE {graph} ADD 0:0:1"),
+        _ => format!("UPDATE {graph} DEL 0:0"),
     }
 }
 
@@ -206,7 +211,7 @@ fn parallel_readers_stay_oracle_exact_across_streamed_updates() {
             c.hello("stream-writer").unwrap();
             let mut u = 1u64;
             while !stop.load(Ordering::Relaxed) && u < 900 {
-                let info = c.request_ok(&stream_update_line(u)).unwrap();
+                let info = c.request_ok(&stream_update_line("stream", u)).unwrap();
                 assert!(
                     info.contains(&format!("\"version\":{}", u + 1)),
                     "update {u} saw {info}"
@@ -309,8 +314,149 @@ fn parallel_readers_stay_oracle_exact_across_streamed_updates() {
     let snap = server.catalog().get("stream").unwrap();
     assert_eq!(snap.version, last_version);
     let n = stream_path_len(last_version);
-    let loop_present = (last_version - 1) % 3 == 2;
+    let loop_present = stream_loop_present(last_version);
     assert_eq!(snap.graph.nvals(), n - 1 + usize::from(loop_present));
+}
+
+/// Exact `EXPR race EWADD race BINOP Plus` payload at `version`: every
+/// edge doubled.
+fn expected_doubled(version: u64) -> String {
+    let n = stream_path_len(version);
+    let mut triples: Vec<String> = Vec::new();
+    if stream_loop_present(version) {
+        triples.push("[0,0,2]".to_string());
+    }
+    triples.extend((0..n - 1).map(|i| format!("[{i},{},2]", i + 1)));
+    format!(
+        "{{\"nrows\":{STREAM_CAP},\"ncols\":{STREAM_CAP},\"dtype\":\"fp64\",\"nvals\":{},\"triples\":[{}],\"truncated\":false}}",
+        triples.len(),
+        triples.join(",")
+    )
+}
+
+/// Readers repeat a few `QUERY` and `EXPR` lines on a graph a writer
+/// streams UPDATEs into, so most repeats hit an answer kept on a
+/// snapshot while new versions keep arriving. Every reply must be the
+/// oracle's for the version it was served from — the version the reply
+/// names, or for an `EXPR` (which names none) the version its flight
+/// record names — so an answer filed on, or served from, the wrong
+/// snapshot fails.
+#[test]
+fn repeated_reads_never_mix_versions_under_racing_updates() {
+    let server = Server::start(Arc::new(Catalog::new()), ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let base: Vec<String> = (0..7).map(|i| format!("{i}:{}:1", i + 1)).collect();
+    Client::connect(addr)
+        .unwrap()
+        .request_ok(&format!(
+            "REGISTER race TRIPLES {STREAM_CAP} {STREAM_CAP} fp64 {}",
+            base.join(",")
+        ))
+        .unwrap();
+    let hits_before = pygb_obs::registry().counter("serve/result_hit").get();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut u = 1u64;
+            while !stop.load(Ordering::Relaxed) && u < 300 {
+                c.request_ok(&stream_update_line("race", u)).unwrap();
+                u += 1;
+                // Long enough for several readers to repeat a line on
+                // each version, short enough to race many publishes.
+                thread::sleep(Duration::from_millis(20));
+            }
+            u
+        })
+    };
+
+    const LINES: [&str; 3] = [
+        "QUERY race BFS 0",
+        "EXPR race EWADD race BINOP Plus",
+        "QUERY race BFS 0",
+    ];
+    let checked = Arc::new(AtomicUsize::new(0));
+    let cached = Arc::new(AtomicUsize::new(0));
+    let readers: Vec<_> = (0..8)
+        .map(|r| {
+            let stop = Arc::clone(&stop);
+            let (checked, cached) = (Arc::clone(&checked), Arc::clone(&cached));
+            thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                let mut k = r;
+                while !stop.load(Ordering::Relaxed) {
+                    let line = LINES[k % LINES.len()];
+                    k += 1;
+                    let payload = match c.request(line).unwrap() {
+                        Frame::Ok(payload) | Frame::OkWarn(payload, _) => payload,
+                        Frame::Err(ErrCode::Overloaded | ErrCode::Timeout, _) => continue,
+                        Frame::Err(code, msg) => panic!("{line}: unexpected error {code}: {msg}"),
+                    };
+                    // The record is written before the reply is sent. The
+                    // recorder stress test beside this one may have pushed
+                    // it out of the ring already; such replies go unchecked.
+                    let id = c.last_request_id().expect("every reply echoes its ID");
+                    let Some(record) = pygb_obs::recorder()
+                        .tail(pygb_obs::RECORDER_CAPACITY)
+                        .into_iter()
+                        .find(|rec| rec.id == id)
+                    else {
+                        continue;
+                    };
+                    if line.starts_with("EXPR") {
+                        assert_eq!(
+                            payload,
+                            expected_doubled(record.version),
+                            "{line} served as version {} ({:?})",
+                            record.version,
+                            record.outcome
+                        );
+                    } else {
+                        let v = extract_version(&payload);
+                        assert_eq!(record.version, v, "{line}: record and reply disagree");
+                        let n = stream_path_len(v);
+                        assert!(
+                            payload.contains(&expected_levels(n)),
+                            "version {v} reply ({:?}) is not the version-{v} graph: {payload}",
+                            record.outcome
+                        );
+                    }
+                    checked.fetch_add(1, Ordering::Relaxed);
+                    if record.outcome == pygb_obs::Outcome::Cached {
+                        cached.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            })
+        })
+        .collect();
+
+    // Each check drains the whole flight ring, which is slow under a
+    // sanitizer: run at least 750 ms, longer until 100 replies are
+    // checked (at most 30 s).
+    let start = std::time::Instant::now();
+    while start.elapsed() < Duration::from_millis(750)
+        || (checked.load(Ordering::Relaxed) < 100 && start.elapsed() < Duration::from_secs(30))
+    {
+        thread::sleep(Duration::from_millis(10));
+    }
+    stop.store(true, Ordering::Relaxed);
+    for r in readers {
+        r.join().unwrap();
+    }
+    let last_version = writer.join().unwrap();
+    let (checked, cached) = (
+        checked.load(Ordering::Relaxed),
+        cached.load(Ordering::Relaxed),
+    );
+    assert!(
+        last_version >= 10,
+        "writer only reached version {last_version}"
+    );
+    assert!(checked >= 50, "only {checked} oracle-checked replies");
+    assert!(cached > 0, "no checked reply was served from a kept answer");
+    assert!(pygb_obs::registry().counter("serve/result_hit").get() > hits_before);
 }
 
 #[test]

@@ -3,11 +3,17 @@
 //! hand-built graph per dtype. Any change to how replies are rendered
 //! must leave these literals byte-identical. Also: replies past the
 //! entry cap are cut at exactly the cap, and replies carrying
-//! non-finite values are still valid JSON.
+//! non-finite values are still valid JSON. Through a live server, a
+//! repeated request is answered with the first reply's frame, byte for
+//! byte but for its `ID rN`.
+
+use std::io::{BufReader, Read, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
 
 use pygb_jit::json::{self, Value};
 use pygb_serve::query::{execute, parse, MAX_RESULT_ENTRIES};
-use pygb_serve::Catalog;
+use pygb_serve::{wire, Catalog, Frame, Server, ServerConfig};
 
 /// A symmetric 5-vertex graph (vertex 4 isolated): edges 0–1, 0–2,
 /// 1–2, 1–3, 2–3, so two triangles, with the given weights in order.
@@ -248,4 +254,79 @@ fn non_finite_values_render_as_json_strings() {
         .collect();
     let s = |v: &str| Value::String(v.to_string());
     assert_eq!(values, [&s("inf"), &s("NaN"), &s("-inf"), &s("inf")]);
+}
+
+/// A reader that keeps every byte it passes on.
+struct Tee<R> {
+    inner: R,
+    seen: Vec<u8>,
+}
+
+impl<R: Read> Read for Tee<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.seen.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+}
+
+/// Send `line` and return the raw reply frame with its `ID rN` echo
+/// cut out, plus the parsed frame.
+fn exchange(conn: &mut BufReader<Tee<TcpStream>>, line: &str) -> (Vec<u8>, Frame) {
+    let stream = &mut conn.get_mut().inner;
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let (frame, id) = wire::read_frame_tagged(conn).unwrap();
+    // One request in flight: the bytes seen are exactly this frame.
+    assert_eq!(conn.buffer().len(), 0, "{line}: bytes past the frame");
+    let raw = std::mem::take(&mut conn.get_mut().seen);
+    let echo = format!(" ID r{}\n", id.expect("every reply echoes its ID"));
+    let head_end = raw.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert!(raw[..head_end].ends_with(echo.as_bytes()), "{line}");
+    let mut unstamped = raw[..head_end - echo.len()].to_vec();
+    unstamped.push(b'\n');
+    unstamped.extend_from_slice(&raw[head_end..]);
+    (unstamped, frame)
+}
+
+#[test]
+fn a_repeated_request_replays_the_first_frame_byte_for_byte() {
+    let server = Server::start(Arc::new(catalog()), ServerConfig::default()).unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut conn = BufReader::new(Tee {
+        inner: stream,
+        seen: Vec::new(),
+    });
+    let hits = pygb_obs::registry().counter("serve/result_hit");
+    // `REPLACE` without a mask raises an analyzer lint: the repeat must
+    // replay the `WARN` section too.
+    let linted = "EXPR fi EWADD fi BINOP Plus REPLACE";
+    let requests = GOLDENS
+        .iter()
+        .map(|&(line, want)| (line, Some(want)))
+        .chain([(linted, None)]);
+    for (line, want) in requests {
+        let (first, frame) = exchange(&mut conn, line);
+        let warnings = frame.warnings().to_vec();
+        let payload = frame
+            .into_result()
+            .unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        match want {
+            Some(want) => assert_eq!(payload, want, "{line}"),
+            None => assert!(
+                warnings
+                    .iter()
+                    .any(|w| w.contains("replace without a mask")),
+                "{line}: {warnings:?}"
+            ),
+        }
+        let before = hits.get();
+        let (second, _) = exchange(&mut conn, line);
+        assert_eq!(hits.get(), before + 1, "{line}: the repeat is one hit");
+        assert_eq!(
+            String::from_utf8_lossy(&second),
+            String::from_utf8_lossy(&first),
+            "{line}"
+        );
+    }
+    server.shutdown();
 }
