@@ -12,8 +12,15 @@
 //! * **independent_wave** — k data-independent SpMVs: blocking runs
 //!   them back to back; nonblocking defers all k and executes the wave
 //!   through the parallel job runner.
-//! * **pagerank_body** — the full Fig. 7 iteration body, the issue's
-//!   acceptance workload (rules 2 and 4 fire every iteration).
+//! * **pagerank_body** — the full Fig. 7 iteration body (rules 2 and
+//!   4 fire every iteration).
+//! * **flush_chain** — a dependent chain `w = w + u` of k operations
+//!   per flush, k = 16 … 1024, on a 64-entry vector where dispatch,
+//!   not the kernel, is the cost. Every sample runs 1024 operations
+//!   (1024/k flushes of k), so the reported time ÷ 1024 is the per-op
+//!   cost, and equal times across k mean a flush costs what its nodes
+//!   cost. A scheduler that rescans the DAG per wave makes the
+//!   nonblocking column grow with k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pygb::prelude::*;
@@ -121,5 +128,42 @@ fn bench(c: &mut Criterion) {
     pr.finish();
 }
 
-criterion_group!(benches, bench);
+/// Ops per `flush_chain` sample, whatever the chain length.
+const CHAIN_OPS: usize = 1024;
+
+fn flush_chain(c: &mut Criterion) {
+    let mut group = c.benchmark_group("nonblocking_flush_chain");
+    group.sample_size(15);
+    let u = dense_vec(64);
+    for &k in &[16usize, 64, 256, 1024] {
+        let chain = |w: &mut Vector| {
+            for _ in 0..k {
+                let prev = w.clone();
+                w.no_mask().assign(&prev + &u).expect("assign");
+            }
+        };
+        group.bench_with_input(BenchmarkId::new("blocking", k), &k, |bch, _| {
+            let mut w = Vector::new(64, DType::Fp64);
+            bch.iter(|| {
+                let _op = BinaryOp::new("Plus").expect("op").enter();
+                for _ in 0..CHAIN_OPS / k {
+                    chain(&mut w);
+                }
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("nonblocking", k), &k, |bch, _| {
+            let mut w = Vector::new(64, DType::Fp64);
+            bch.iter(|| {
+                let _op = BinaryOp::new("Plus").expect("op").enter();
+                for _ in 0..CHAIN_OPS / k {
+                    let _nb = pygb_runtime::nonblocking().expect("nb");
+                    chain(&mut w);
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench, flush_chain);
 criterion_main!(benches);

@@ -16,9 +16,9 @@
 //!   reached only through pending placeholders: invisible to the
 //!   syntactic no-op pass, folded wholesale by the sparsity abstract
 //!   interpretation (`opt/empty_folded`), with zero kernel launches.
-//! * **bfs_hint** — a BFS wavefront whose masked frontier `mxv` takes
-//!   its push/pull direction from the statically inferred frontier
-//!   density (`opt/static_kernel_hints`), levels bit-exact vs off.
+//! * **bfs_wave** — a BFS wavefront whose masked frontier `mxv` pushes
+//!   with the passes on and off (the analysis decides no SpMV
+//!   direction; empty levels may fold), levels bit-exact vs off.
 //!
 //! Writes `results/ablation_passes.json` (time samples plus the raw
 //! counter deltas) so CI can archive the numbers.
@@ -103,9 +103,9 @@ fn empty_chain(n: usize, chains: usize, depth: usize) -> Vector {
 }
 
 /// BFS wavefront sweep: per level, the unvisited-neighbor `mxv` is
-/// masked by the complement of `visited` — and the frontier's density
-/// is statically known, so with the sparsity pass on, the push/pull
-/// direction comes from the plan-time hint.
+/// masked by the complement of `visited`. The frontier's density is
+/// statically known, yet the product runs the orientation its operand
+/// carries with the passes on or off.
 fn bfs_wave(m: &Matrix, levels: usize) -> Vector {
     let n = m.nrows();
     let mut frontier = Vector::new(n, DType::Fp64);
@@ -138,6 +138,8 @@ struct CounterDelta {
     static_kernel_hints: u64,
     fact_misses: u64,
     invocations: u64,
+    spmv_push: u64,
+    spmv_pull: u64,
 }
 
 fn measure_counters<R>(f: impl FnOnce() -> R) -> (R, CounterDelta) {
@@ -159,13 +161,15 @@ fn measure_counters<R>(f: impl FnOnce() -> R) -> (R, CounterDelta) {
             static_kernel_hints: d("opt/static_kernel_hints"),
             fact_misses: d("opt/fact_misses"),
             invocations: inv_after - inv_before,
+            spmv_push: d("jit/sel_push") + d("jit/sel_masked_push"),
+            spmv_pull: d("jit/sel_pull") + d("jit/sel_masked_pull"),
         },
     )
 }
 
 fn counters_json(name: &str, c: &CounterDelta) -> String {
     format!(
-        "\"{name}\":{{\"launches_saved\":{},\"dce_elided\":{},\"cse_deduped\":{},\"noop_folded\":{},\"empty_folded\":{},\"static_kernel_hints\":{},\"fact_misses\":{},\"invocations\":{}}}",
+        "\"{name}\":{{\"launches_saved\":{},\"dce_elided\":{},\"cse_deduped\":{},\"noop_folded\":{},\"empty_folded\":{},\"static_kernel_hints\":{},\"fact_misses\":{},\"invocations\":{},\"spmv_push\":{},\"spmv_pull\":{}}}",
         c.launches_saved,
         c.dce_elided,
         c.cse_deduped,
@@ -173,7 +177,9 @@ fn counters_json(name: &str, c: &CounterDelta) -> String {
         c.empty_folded,
         c.static_kernel_hints,
         c.fact_misses,
-        c.invocations
+        c.invocations,
+        c.spmv_push,
+        c.spmv_pull
     )
 }
 
@@ -352,7 +358,7 @@ fn main() {
         counter_blobs.push(counters_json("empty_chain_on", &on));
     }
 
-    // --- BFS frontier mxv direction from the static density hint ---
+    // --- BFS frontier mxv: the passes leave the SpMV kernels alone ---
     {
         let n = 1024usize;
         let levels = 6usize;
@@ -369,32 +375,45 @@ fn main() {
         assert_eq!(
             vis_off.extract_pairs(),
             vis_on.extract_pairs(),
-            "static kernel hints changed BFS reachability"
+            "the passes changed BFS reachability"
+        );
+        // `m.t()` pushes in both modes; the passes may only drop
+        // launches (empty levels fold), never turn one into a pull.
+        assert_eq!(
+            (on.spmv_pull, off.spmv_pull),
+            (0, 0),
+            "a transposed frontier product must push, passes on or off"
         );
         assert!(
-            on.static_kernel_hints > 0,
-            "frontier mxv must take at least one static push/pull hint"
+            on.spmv_push <= off.spmv_push,
+            "the passes added SpMV launches: {} vs {}",
+            on.spmv_push,
+            off.spmv_push
         );
-        assert_eq!(off.static_kernel_hints, 0, "passes-off must hint nothing");
+        assert_eq!(
+            on.static_kernel_hints + off.static_kernel_hints,
+            0,
+            "a vector-only BFS takes no static kernel hint"
+        );
         assert_eq!(
             on.fact_misses + off.fact_misses,
             0,
             "checked interpretation recorded a fact miss during BFS"
         );
         samples.push(Sample::new(
-            "ablation/passes_bfs_hint",
+            "ablation/passes_bfs_wave",
             "passes-off",
             n,
             t_off,
         ));
         samples.push(Sample::new(
-            "ablation/passes_bfs_hint",
+            "ablation/passes_bfs_wave",
             "passes-on",
             n,
             t_on,
         ));
-        counter_blobs.push(counters_json("bfs_hint_off", &off));
-        counter_blobs.push(counters_json("bfs_hint_on", &on));
+        counter_blobs.push(counters_json("bfs_wave_off", &off));
+        counter_blobs.push(counters_json("bfs_wave_on", &on));
     }
 
     let pr: Vec<Sample> = samples
@@ -422,7 +441,7 @@ fn main() {
         .collect();
     let bfs: Vec<Sample> = samples
         .iter()
-        .filter(|s| s.experiment.ends_with("bfs_hint"))
+        .filter(|s| s.experiment.ends_with("bfs_wave"))
         .cloned()
         .collect();
     println!(
@@ -431,7 +450,7 @@ fn main() {
     );
     println!(
         "{}",
-        render_table("ablation: static SpMV direction hints (BFS)", &bfs)
+        render_table("ablation: BFS wavefront (push in both modes)", &bfs)
     );
 
     // `cargo bench` runs with cwd = crates/bench; anchor the output at

@@ -256,7 +256,7 @@ fn main() {
     if !families.contains_key("pygb_tunables_slow_ns") {
         fail("pygb_tunables_slow_ns missing — the slow threshold is not mirrored");
     }
-    for view in ["cast_built", "cast_hit", "transpose_built", "transpose_hit"] {
+    for view in ["cast_built", "cast_hit"] {
         let family = format!("pygb_views_{view}");
         if families.get(&family).map(String::as_str) != Some("counter") {
             fail(&format!(

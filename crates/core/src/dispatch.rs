@@ -349,7 +349,6 @@ fn lower_vector(
     replace: bool,
     region: Option<Indices>,
     rhs: &VecRhs,
-    choice: KernelChoice,
 ) -> Result<(ModuleKey, VecArgs)> {
     use VectorExprKind as V;
     let mut l = Lowering::new(
@@ -362,7 +361,6 @@ fn lower_vector(
     let mut args = VecArgs::new(VectorStore::placeholder());
     (args.mask, args.complemented) = l.vec_mask(mask)?;
     (args.accum, args.replace) = l.accum_replace(accum, replace);
-    args.choice = choice;
     args.ix = region;
     let e = match rhs {
         VecRhs::Scalar(value) => {
@@ -545,7 +543,6 @@ pub(crate) fn eval_vector(
     replace: bool,
     region: Option<Indices>,
     rhs: VecRhs,
-    choice: KernelChoice,
 ) -> Result<()> {
     // Static analysis first, on both paths: a malformed operation is
     // rejected here — at the statement that built it — whether it would
@@ -583,23 +580,14 @@ pub(crate) fn eval_vector(
     if let (Some(_), VecRhs::Expr(e)) = (&region, &rhs) {
         if !matches!(e.kind, VectorExprKind::Ref { .. }) {
             let mut temp = Vector::new(e.result_size(), target.dtype());
-            eval_vector(&mut temp, None, None, false, None, rhs, choice)?;
+            eval_vector(&mut temp, None, None, false, None, rhs)?;
             let rhs = VecRhs::Expr(VectorExpr::from(&temp));
-            return eval_vector(
-                target,
-                mask,
-                accum,
-                replace,
-                region,
-                rhs,
-                KernelChoice::default(),
-            );
+            return eval_vector(target, mask, accum, replace, region, rhs);
         }
     }
 
     let infer_start = Instant::now();
-    let (key, mut args) =
-        lower_vector(target.dtype(), &mask, accum, replace, region, &rhs, choice)?;
+    let (key, mut args) = lower_vector(target.dtype(), &mask, accum, replace, region, &rhs)?;
     let infer_ns = elapsed_ns(infer_start);
     args.c = target.take_store();
     let outcome = run(&key, &mut args, build_ns, infer_ns);

@@ -434,23 +434,12 @@ pub fn full_iso(dim: usize) -> Fact {
 // Plan-time kernel choice (an argument of the dispatch call).
 // ---------------------------------------------------------------------
 
-/// A pre-decided SpMV direction.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum SpmvDirection {
-    /// Row-parallel gather over the logical matrix (dense operand).
-    Pull,
-    /// Frontier-driven scatter over the transposed rows (sparse
-    /// operand).
-    Push,
-}
-
-/// What plan-time analysis decided about one node's kernel. `None`
-/// fields (the default) leave the decision to the orientation and the
-/// run-time probes, as every blocking dispatch does.
+/// What plan-time analysis decided about one node's kernel. The
+/// default leaves the decision to the run-time probes, as every
+/// blocking dispatch does. SpMV direction is never decided here: both
+/// execution modes run the orientation the operand carries.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelChoice {
-    /// SpMV direction for `mxv`/`vxm` and their fused-apply forms.
-    pub spmv: Option<SpmvDirection>,
     /// Masked-SpGEMM family for `mxm`.
     pub mxm: Option<MxmFamily>,
 }

@@ -46,7 +46,7 @@ use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
 use pygb_obs::Census;
 
 use crate::dtype::DType;
-use crate::facts::{KernelChoice, SpmvDirection};
+use crate::facts::KernelChoice;
 use crate::store::{Element, MatrixStore, VectorStore};
 use crate::value::DynScalar;
 
@@ -151,8 +151,6 @@ pub struct VecArgs {
     pub value: Option<DynScalar>,
     /// Scalar result (fused eWise-reduce), written by the kernel.
     pub out: Option<DynScalar>,
-    /// Plan-time kernel choice (default: the orientation decides).
-    pub choice: KernelChoice,
 }
 
 impl VecArgs {
@@ -177,7 +175,6 @@ impl VecArgs {
             ix: None,
             value: None,
             out: None,
-            choice: KernelChoice::default(),
         }
     }
 }
@@ -375,29 +372,6 @@ fn view<T: gbtl::Scalar>(m: &gbtl::Matrix<T>, transposed: bool) -> gbtl::MatrixA
         gbtl::transpose(m)
     } else {
         gbtl::MatrixArg::Plain(m)
-    }
-}
-
-/// Resolve the SpMV operand under a plan-time direction choice.
-///
-/// At this layer orientation is *forced*: a plain operand always runs
-/// pull, a transposed one always runs push (there is no dual view, so
-/// the gbtl density probe never fires). A choice that agrees with the
-/// forced direction changes nothing; one that disagrees swaps in the
-/// memoized transpose of the store ([`MatrixStore::transpose_view`])
-/// with the orientation flag flipped — same logical operand, opposite
-/// kernel direction. `natural_pull` is whether the undecided selection
-/// pulls (`!at` for mxv, `at` for vxm).
-fn spmv_operand(args: &VecArgs, natural_pull: bool) -> (Option<Arc<MatrixStore>>, bool) {
-    let (a, at) = (&args.a, args.at);
-    let Some(dir) = args.choice.spmv else {
-        return (a.clone(), at);
-    };
-    Census::StaticKernelHints.inc();
-    let want_pull = dir == SpmvDirection::Pull;
-    match a {
-        Some(src) if want_pull != natural_pull => (Some(src.transpose_view()), !at),
-        _ => (a.clone(), at),
     }
 }
 
@@ -713,15 +687,13 @@ fn k_spmv<T: Element, S: ModuleSemiring<T>>(
         None
     };
     let mut c = take_c_v::<T>(args)?;
-    let natural_pull = if form.vxm { args.at } else { !args.at };
-    let (astore, at) = spmv_operand(args, natural_pull);
-    let a = typed_m::<T>(&astore, "a")?;
+    let a = typed_m::<T>(&args.a, "a")?;
     let u = typed_v::<T>(&args.u, "u")?;
     // u·A = Aᵀ·u: `vxm` is `mxv` on the flipped view.
     let a = if form.vxm {
-        view(a, at).flip()
+        view(a, args.at).flip()
     } else {
-        view(a, at)
+        view(a, args.at)
     };
     let mask = vmask(&args.mask, args.complemented);
     let (accum, replace) = (MaybeAccum(args.accum), gbtl::Replace(args.replace));

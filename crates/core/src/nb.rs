@@ -443,9 +443,8 @@ pub(crate) fn try_fused_reduce(
 /// path and return the resulting store. The descriptor's operand
 /// handles must already be substituted with resolved stores; deferral
 /// and flushing are suspended for the duration so the evaluation
-/// cannot re-enter the engine. `choice` is the engine's plan-time
-/// kernel decision for this node (default: none made).
-pub fn run_vec_op(desc: VecOpDesc, choice: KernelChoice) -> Result<VectorStore> {
+/// cannot re-enter the engine.
+pub fn run_vec_op(desc: VecOpDesc) -> Result<VectorStore> {
     suspend(|| {
         let mut target = Vector { store: desc.target };
         crate::dispatch::eval_vector(
@@ -455,13 +454,13 @@ pub fn run_vec_op(desc: VecOpDesc, choice: KernelChoice) -> Result<VectorStore> 
             desc.replace,
             desc.region,
             desc.rhs,
-            choice,
         )?;
         Ok(target.take_store())
     })
 }
 
-/// Matrix analog of [`run_vec_op`].
+/// Matrix analog of [`run_vec_op`]. `choice` is the engine's plan-time
+/// kernel decision for this node (default: none made).
 pub fn run_mat_op(desc: MatOpDesc, choice: KernelChoice) -> Result<MatrixStore> {
     suspend(|| {
         let mut target = Matrix { store: desc.target };

@@ -9,10 +9,10 @@
 //! right instantiation.
 //!
 //! A [`MatrixStore`] also owns its *derived views* — the same matrix
-//! cast to another dtype ([`MatrixStore::cast_view`]) or transposed
-//! ([`MatrixStore::transpose_view`]) — each built on first use and kept
-//! until the store is dropped, so an operand that dispatch must convert
-//! is converted once per store, not once per operation. A view can
+//! cast to another dtype ([`MatrixStore::cast_view`]) — each built on
+//! first use and kept until the store is dropped, so an operand that
+//! dispatch must convert is converted once per store, not once per
+//! operation. A view can
 //! never be stale: the matrix is reachable for writing only through
 //! `MatrixStore::data_mut`, which empties the views, and a `clone`
 //! (what `Arc::make_mut` does to a shared handle) starts with none.
@@ -32,14 +32,13 @@ pub struct MatrixStore {
 }
 
 /// The views derived from one store's matrix. A view is a store of its
-/// own (a cast view memoizes its own transpose), owned by its source
-/// and never pointing back at it, so there is no `Arc` cycle: dropping
-/// the source frees every view no other handle still uses.
+/// own, owned by its source and never pointing back at it, so there is
+/// no `Arc` cycle: dropping the source frees every view no other handle
+/// still uses.
 #[derive(Default)]
 struct Views {
     /// Slot `d as usize`: the matrix cast to dtype `d`.
     cast: [OnceLock<Arc<MatrixStore>>; ALL_DTYPES.len()],
-    transpose: OnceLock<Arc<MatrixStore>>,
 }
 
 /// The slot's view, built by `build` if this is the first request.
@@ -385,20 +384,6 @@ impl MatrixStore {
         dispatch_matrix!(&self.data, |m| Element::wrap_matrix(m.transpose_owned()))
     }
 
-    /// The memoized [`MatrixStore::transposed`]. Kernels use it to
-    /// honor a plan-time SpMV direction that disagrees with the stored
-    /// orientation, so a loop that pulls the same graph every ply pays
-    /// the counting sort once. The view's own transpose slot starts
-    /// empty — it does not point back here.
-    pub fn transpose_view(&self) -> Arc<MatrixStore> {
-        view_or_build(
-            &self.views.transpose,
-            Census::TransposeBuilt,
-            Census::TransposeHit,
-            || self.transposed(),
-        )
-    }
-
     /// Placeholder store used when temporarily taking ownership.
     pub(crate) fn placeholder() -> MatrixStore {
         MatrixData::Bool(GMatrix::new(0, 0)).into()
@@ -590,21 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_view_is_memoized_per_store() {
-        let m = one_entry();
-        let t1 = m.transpose_view();
-        let t2 = m.transpose_view();
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!((t1.nrows(), t1.ncols()), (3, 2));
-        assert_eq!(t1.get(2, 0).map(|v| v.as_i64()), Some(7));
-        // A distinct store with equal contents has views of its own.
-        assert!(!Arc::ptr_eq(&t1, &one_entry().transpose_view()));
-        // The view does not point back: its transpose is a third store.
-        assert!(!Arc::ptr_eq(&t1.transpose_view(), &m));
-        assert_eq!(*t1.transpose_view(), *m);
-    }
-
-    #[test]
     fn cast_view_is_memoized_and_is_the_store_itself_for_its_own_dtype() {
         let m = one_entry();
         assert!(Arc::ptr_eq(&m.cast_view(DType::Int64), &m));
@@ -620,12 +590,10 @@ mod tests {
     fn dropping_the_store_frees_its_views() {
         let m = one_entry();
         let cast = Arc::downgrade(&m.cast_view(DType::Fp64));
-        let transpose = Arc::downgrade(&m.transpose_view());
-        let nested = Arc::downgrade(&m.cast_view(DType::Fp64).transpose_view());
-        assert!(cast.upgrade().is_some() && transpose.upgrade().is_some());
+        let nested = Arc::downgrade(&m.cast_view(DType::Fp64).cast_view(DType::Bool));
+        assert!(cast.upgrade().is_some() && nested.upgrade().is_some());
         drop(m);
         assert!(cast.upgrade().is_none());
-        assert!(transpose.upgrade().is_none());
         assert!(nested.upgrade().is_none());
     }
 
@@ -633,7 +601,6 @@ mod tests {
     fn a_write_or_a_clone_starts_with_no_views() {
         let mut m = one_entry();
         let stale = m.cast_view(DType::Bool);
-        let stale_t = m.transpose_view();
         // A shared handle copies on write; the copy has no views yet.
         let snapshot = Arc::clone(&m);
         Arc::make_mut(&mut m)
@@ -651,8 +618,6 @@ mod tests {
         let after = m.cast_view(DType::Bool);
         assert!(!Arc::ptr_eq(&before, &after));
         assert_eq!((before.nvals(), after.nvals()), (2, 3));
-        assert_eq!(m.transpose_view().get(1, 1), Some(DynScalar::Int64(5)));
-        assert_eq!(stale_t.nvals(), 1);
     }
 
     #[test]

@@ -161,15 +161,7 @@ impl<'a> VectorAssign<'a> {
 
     fn eval(self, accum: Option<BinaryOpKind>, rhs: VecRhs) -> Result<()> {
         let replace = self.replace_flag();
-        dispatch::eval_vector(
-            self.target,
-            self.mask,
-            accum,
-            replace,
-            self.region,
-            rhs,
-            KernelChoice::default(),
-        )
+        dispatch::eval_vector(self.target, self.mask, accum, replace, self.region, rhs)
     }
 
     /// `w[...] = expr`.

@@ -142,7 +142,6 @@ impl Vector {
             false,
             None,
             crate::nb::VecRhs::Expr(expr),
-            crate::facts::KernelChoice::default(),
         )?;
         Ok(out)
     }

@@ -102,10 +102,6 @@ census! {
     CastBuilt = "views/cast_built",
     /// Operand dtype views reused.
     CastHit = "views/cast_hit",
-    /// Operand transpose views built.
-    TransposeBuilt = "views/transpose_built",
-    /// Operand transpose views reused.
-    TransposeHit = "views/transpose_hit",
 }
 
 const CELLS: usize = Census::ALL.len();
@@ -314,11 +310,11 @@ mod tests {
         let captured = current_scope();
         std::thread::spawn(move || {
             let _job = install_scope(captured);
-            Census::TransposeHit.add(2);
+            Census::CastBuilt.add(2);
         })
         .join()
         .unwrap();
-        assert_eq!(scope.get(Census::TransposeHit), 2);
+        assert_eq!(scope.get(Census::CastBuilt), 2);
     }
 
     #[test]

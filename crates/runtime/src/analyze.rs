@@ -148,21 +148,22 @@ pub(crate) enum FuseCheck {
 /// the module docs).
 ///
 /// Observation is established from the frozen external counts (`ext`)
-/// plus fresh structural scans, never from `Arc::strong_count` (which
-/// is skewed while a plan simulation's clone is alive): the producer's
-/// placeholder must have zero external handles, exactly one DAG
-/// reference (the producer's own `out` — alias-set entries count and
-/// block), and exactly `consumer_refs` references from the consumer's
-/// descriptor. `skip` names the consumer's still-attached slot when
-/// the caller could not detach it (the read-only plan assessment); the
-/// fusion pass detaches consumers, so its slot is already empty.
+/// plus the structural counts (`refs`), never from `Arc::strong_count`
+/// (which is skewed while a plan simulation's clone is alive): the
+/// producer's placeholder must have zero external handles, exactly one
+/// DAG reference besides the consumer's (the producer's own `out` —
+/// alias-set entries count and block), and exactly `consumer_refs`
+/// references from the consumer's descriptor. `refs` must include the
+/// consumer's references as `c` holds them now — the fusion pass keeps
+/// a detached consumer's counts until it rewrites it. The check reads
+/// two counts, never the whole DAG.
 pub(crate) fn check_producer(
     dag: &Dag,
     ext: &crate::dataflow::ExtRefs,
+    refs: &crate::dataflow::RefCounts,
     c: &VecOpDesc,
     out: &Arc<VectorStore>,
     consumer_refs: usize,
-    skip: Option<usize>,
     want: &dyn Fn(&VectorExprKind) -> bool,
 ) -> FuseCheck {
     let p = vptr(out);
@@ -178,8 +179,8 @@ pub(crate) fn check_producer(
         && matches!(&d.rhs, VecRhs::Expr(e) if want(&e.kind));
     if !plain
         || ext.get(p) != 0
-        || crate::dataflow::dag_ref_count(dag, p, skip) != 1
         || crate::dataflow::vec_desc_ref_count(c, p) != consumer_refs
+        || refs.get(p) != 1 + consumer_refs
     {
         return FuseCheck::No;
     }
@@ -347,6 +348,7 @@ pub fn plan() -> Plan {
         // Freeze external-reference counts before the simulation clone
         // exists: with one descriptor copy alive, multiplicity is 1.
         let ext = crate::dataflow::ExtRefs::freeze(dag, 1);
+        let refs = crate::dataflow::RefCounts::count(dag);
         // Abstractly interpret the raw DAG (no lints: plan() is a
         // read-only assessment, the real flush reports them) so every
         // node renders its inferred fact next to its kernel verdict.
@@ -355,7 +357,7 @@ pub fn plan() -> Plan {
             .filter_map(|i| {
                 dag.nodes[i]
                     .as_ref()
-                    .map(|n| plan_node(dag, Some(&ext), i, n, raw_facts.facts.get(&i)))
+                    .map(|n| plan_node(dag, Some((&ext, &refs)), i, n, raw_facts.facts.get(&i)))
             })
             .collect();
         // Simulate the pipeline on a clone. The clone doubles every
@@ -415,12 +417,13 @@ pub(crate) fn node_dep_ids(dag: &Dag, index: usize, n: &Node) -> Vec<NodeId> {
     deps.into_iter().map(|i| dag.ids[i]).collect()
 }
 
-/// Render one DAG slot as a [`PlanNode`]. `ext` enables the fusion
-/// assessment (raw view); the optimized view passes `None` — its
-/// fusion rewrites already happened in the simulation.
+/// Render one DAG slot as a [`PlanNode`]. `counts` (external and
+/// structural) enables the fusion assessment (raw view); the optimized
+/// view passes `None` — its fusion rewrites already happened in the
+/// simulation.
 fn plan_node(
     dag: &Dag,
-    ext: Option<&crate::dataflow::ExtRefs>,
+    counts: Option<(&crate::dataflow::ExtRefs, &crate::dataflow::RefCounts)>,
     index: usize,
     n: &Node,
     nf: Option<&crate::sparsity::NodeFacts>,
@@ -440,7 +443,7 @@ fn plan_node(
             accum: d.accum.is_some(),
             replace: d.replace,
             deps,
-            fusion: ext.and_then(|e| assess_fusion(dag, e, index, d)),
+            fusion: counts.and_then(|(ext, refs)| assess_fusion(dag, ext, refs, d)),
         },
         Node::Mat(d) => PlanNode {
             id: dag.ids[index],
@@ -461,14 +464,13 @@ fn plan_node(
 
 /// Read-only mirror of the fusion pass's candidate matching: report
 /// what the optimizer would decide for this consumer without detaching
-/// anything or moving counters. The reference reasoning is identical
-/// because the structural scan skips the consumer's own slot (`index`)
-/// — exactly what detaching it would remove — and counts the
-/// consumer's references directly from its descriptor.
+/// anything or moving counters. The reference reasoning is identical:
+/// `refs` counts the attached consumer exactly as the fusion pass's
+/// counts keep a detached one.
 fn assess_fusion(
     dag: &Dag,
     ext: &crate::dataflow::ExtRefs,
-    index: usize,
+    refs: &crate::dataflow::RefCounts,
     c: &VecOpDesc,
 ) -> Option<String> {
     if c.region.is_some() {
@@ -497,9 +499,9 @@ fn assess_fusion(
         VectorExprKind::EWiseAdd { u, v, op: Some(_) }
         | VectorExprKind::EWiseMult { u, v, op: Some(_) } => {
             for cand in [u, v] {
-                let refs = (vptr(u) == vptr(cand)) as usize + (vptr(v) == vptr(cand)) as usize;
+                let n = (vptr(u) == vptr(cand)) as usize + (vptr(v) == vptr(cand)) as usize;
                 let res = verdict(
-                    check_producer(dag, ext, c, cand, refs, Some(index), &is_ewise),
+                    check_producer(dag, ext, refs, c, cand, n, &is_ewise),
                     "rule 1: eWise chain",
                 );
                 if res.is_some() {
@@ -509,11 +511,11 @@ fn assess_fusion(
             None
         }
         VectorExprKind::Apply { u, op: Some(_) } => verdict(
-            check_producer(dag, ext, c, u, 1, Some(index), &is_spmv),
+            check_producer(dag, ext, refs, c, u, 1, &is_spmv),
             "rule 2: mxv/vxm + apply",
         ),
         VectorExprKind::Ref { u } => verdict(
-            check_producer(dag, ext, c, u, 1, Some(index), &is_spmv),
+            check_producer(dag, ext, refs, c, u, 1, &is_spmv),
             "rule 3: ref collapse",
         ),
         _ => None,
@@ -645,7 +647,7 @@ struct ReportEntry {
 
 struct ReportState {
     /// DAG slot index → report entry, for every node alive after the
-    /// fusion pass.
+    /// fusion pass, in slot order.
     entries: Vec<(usize, ReportEntry)>,
     /// The request tag in effect when the flush began, if any.
     request: Option<u64>,
@@ -678,6 +680,12 @@ pub(crate) fn report_forced() -> bool {
     pygb_obs::current_scope().is_some_and(|s| s.report_forced())
 }
 
+/// Whether a flush starting now captures a report ([`begin_report`]):
+/// tracing is on, or the installed scope forces reports.
+pub(crate) fn report_wanted() -> bool {
+    pygb_obs::enabled() || report_forced()
+}
+
 /// The request ID the installed [`pygb_obs::Scope`] tags flushes with.
 /// Tagged flushes publish their [`TraceReport`] into a bounded
 /// cross-thread ring keyed by ID (see [`trace_report_for`]); when one
@@ -691,6 +699,10 @@ pub(crate) fn request_tag() -> Option<u64> {
 /// the flush that produced it carried a request tag. Called by the
 /// flush path after the wave loop; a no-op for untagged flushes.
 pub(crate) fn publish_tagged_report() {
+    let tagged = REPORT.with(|r| r.borrow().as_ref().is_some_and(|s| s.request.is_some()));
+    if !tagged {
+        return;
+    }
     let report = trace_report();
     let Some(id) = report.request else { return };
     if report.nodes.is_empty() {
@@ -732,7 +744,7 @@ pub fn trace_report_for(id: u64) -> Option<TraceReport> {
 pub(crate) fn begin_report(dag: &Dag, summary: &crate::passes::PipelineSummary) {
     REPORT.with(|r| {
         let mut slot = r.borrow_mut();
-        if !pygb_obs::enabled() && !report_forced() {
+        if !report_wanted() {
             *slot = None;
             return;
         }
@@ -784,7 +796,8 @@ pub(crate) fn record_exec(idx: usize, wave: usize, ns: u64) {
         let mut slot = r.borrow_mut();
         let Some(state) = slot.as_mut() else { return };
         state.waves = state.waves.max(wave + 1);
-        if let Some((_, e)) = state.entries.iter_mut().find(|(i, _)| *i == idx) {
+        if let Ok(at) = state.entries.binary_search_by_key(&idx, |(i, _)| *i) {
+            let e = &mut state.entries[at].1;
             e.node.wave = wave;
             e.node.ns = ns;
             e.executed = true;

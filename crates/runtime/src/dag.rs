@@ -9,12 +9,20 @@
 //! resolved runs — in parallel via [`gbtl::parallel::run_jobs`] —
 //! then the next wave is collected, until the DAG drains.
 //!
+//! The next wave is never found by rescanning the DAG. A [`ReadySet`]
+//! counts each node's pending inputs once per flush and indexes the
+//! readers of every pending placeholder; a landing result decrements
+//! its readers, and a node joins the next wave when its count reaches
+//! zero. A flush of `N` nodes and `E` edges therefore schedules in
+//! `O(N + E)`, however many waves it takes.
+//!
 //! The `RefCell` borrow on the DAG is never held across node
 //! execution: executing a node re-enters the core dispatch layer,
 //! which probes the resolution maps through the engine hooks.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use gbtl::ops::kind::KindMonoid;
@@ -26,6 +34,37 @@ use pygb::{DynScalar, PygbError, Result};
 use pygb_obs::Census;
 
 use crate::analyze::NodeId;
+
+/// Hasher for the runtime's maps, whose keys are store addresses, slot
+/// indices or already-mixed fingerprints — none chosen by an adversary.
+/// One multiply spreads a key over the high bits; folding them back
+/// reaches the low bits a table indexes by (addresses share their low
+/// bits, being aligned).
+#[derive(Default, Clone, Copy)]
+pub(crate) struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+/// A map keyed by address, slot index or fingerprint.
+pub(crate) type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;
 
 /// One deferred operation.
 #[derive(Clone)]
@@ -67,29 +106,30 @@ pub(crate) struct Dag {
     /// Placeholder address → producing node index. Vector and matrix
     /// placeholders share the map safely: live allocations are
     /// distinct.
-    pub(crate) pending: HashMap<usize, usize>,
+    pub(crate) pending: AddrMap<usize, usize>,
     /// Placeholder address → (keepalive placeholder, computed store).
     /// The keepalive pins the address so it cannot be reused by a new
     /// allocation while it still keys this map.
-    pub(crate) resolved_v: HashMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>,
+    pub(crate) resolved_v: AddrMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>,
     /// Matrix analog of `resolved_v`.
-    pub(crate) resolved_m: HashMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>,
+    pub(crate) resolved_m: AddrMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>,
     /// True while a flush is draining this DAG (re-entrant flushes
     /// no-op).
     pub(crate) flushing: bool,
     /// Representative placeholder address → vector placeholders that
     /// resolve to its value (populated by the optimization passes,
     /// drained as results land, cleared by flush cleanup).
-    pub(crate) alias_v: HashMap<usize, AliasSet<VectorStore>>,
+    pub(crate) alias_v: AddrMap<usize, AliasSet<VectorStore>>,
     /// Matrix analog of `alias_v`.
-    pub(crate) alias_m: HashMap<usize, AliasSet<MatrixStore>>,
+    pub(crate) alias_m: AddrMap<usize, AliasSet<MatrixStore>>,
 }
 
 /// Resolve every aliased placeholder reachable from `start`: if an
 /// alias set is keyed by a placeholder that has a computed store in the
 /// resolution maps, each duplicate resolves to that same store —
-/// cascading, since a duplicate may itself key a further set.
-pub(crate) fn drain_aliases(dag: &mut Dag, start: usize) {
+/// cascading, since a duplicate may itself key a further set. Each
+/// duplicate resolved is reported to `resolved`.
+pub(crate) fn drain_aliases(dag: &mut Dag, start: usize, resolved: &mut dyn FnMut(usize)) {
     let mut work = vec![start];
     while let Some(p) = work.pop() {
         if let Some(set) = dag.alias_v.remove(&p) {
@@ -99,6 +139,7 @@ pub(crate) fn drain_aliases(dag: &mut Dag, start: usize) {
                         let dp = vptr(&dup);
                         dag.pending.remove(&dp);
                         dag.resolved_v.insert(dp, (dup, Arc::clone(&store)));
+                        resolved(dp);
                         work.push(dp);
                     }
                 }
@@ -114,6 +155,7 @@ pub(crate) fn drain_aliases(dag: &mut Dag, start: usize) {
                         let dp = mptr(&dup);
                         dag.pending.remove(&dp);
                         dag.resolved_m.insert(dp, (dup, Arc::clone(&store)));
+                        resolved(dp);
                         work.push(dp);
                     }
                 }
@@ -220,9 +262,110 @@ pub(crate) fn begin_flush(dag: &mut Dag) -> bool {
     true
 }
 
-/// Indices of nodes whose inputs are all resolved — the next wave the
-/// scheduler will run.
-pub(crate) fn ready_indices(dag: &Dag) -> Vec<usize> {
+/// The flush scheduler's incremental ready set. Built once per flush,
+/// after the pass pipeline, in one walk over the surviving nodes:
+/// each slot counts its inputs that are still pending (one per
+/// occurrence), and each pending placeholder lists the slots that read
+/// it. When a placeholder resolves ([`ReadySet::resolve`]), its readers
+/// lose one pending input each; a slot whose count reaches zero is
+/// ready. Scheduling a flush of `N` nodes with `E` input edges costs
+/// `O(N + E)` in total.
+pub(crate) struct ReadySet {
+    /// Per slot: inputs still pending.
+    waiting: Vec<u32>,
+    /// Pending placeholder address → slots reading it.
+    readers: AddrMap<usize, Vec<usize>>,
+    /// Slots whose count is zero and that have not been handed out.
+    ready: Vec<usize>,
+    /// Live slots not yet handed out.
+    remaining: usize,
+}
+
+impl ReadySet {
+    /// Index the DAG as it stands: live slots, their pending inputs,
+    /// and the readers of every pending placeholder.
+    pub(crate) fn new(dag: &Dag) -> ReadySet {
+        let mut waiting = vec![0u32; dag.nodes.len()];
+        let mut readers: AddrMap<usize, Vec<usize>> = AddrMap::default();
+        let mut ready = Vec::new();
+        let mut remaining = 0;
+        for (i, n) in dag.nodes.iter().enumerate() {
+            let Some(n) = n else { continue };
+            count_visits(1);
+            remaining += 1;
+            crate::dataflow::visit_inputs(n, &mut |p| {
+                if dag.pending.contains_key(&p) {
+                    waiting[i] += 1;
+                    readers.entry(p).or_default().push(i);
+                }
+            });
+            if waiting[i] == 0 {
+                ready.push(i);
+            }
+        }
+        ReadySet {
+            waiting,
+            readers,
+            ready,
+            remaining,
+        }
+    }
+
+    /// Hand out the next wave: every slot ready now, in slot order.
+    pub(crate) fn take_wave(&mut self) -> Vec<usize> {
+        let mut wave = std::mem::take(&mut self.ready);
+        wave.sort_unstable();
+        self.remaining -= wave.len();
+        wave
+    }
+
+    /// Placeholder `p` resolved: each slot reading it has one pending
+    /// input fewer.
+    pub(crate) fn resolve(&mut self, p: usize) {
+        let Some(slots) = self.readers.remove(&p) else {
+            return;
+        };
+        count_visits(slots.len());
+        for i in slots {
+            self.waiting[i] -= 1;
+            if self.waiting[i] == 0 {
+                self.ready.push(i);
+            }
+        }
+    }
+
+    /// Live slots not yet handed out. Nonzero with no slot ready means
+    /// the remaining nodes can never run.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// The slots ready now, in slot order, without handing them out.
+    #[cfg(test)]
+    pub(crate) fn ready(&self) -> Vec<usize> {
+        let mut r = self.ready.clone();
+        r.sort_unstable();
+        r
+    }
+
+    /// Hand out one ready slot (a schedule that starts the nodes of a
+    /// wave one at a time). False when `i` is not ready.
+    #[cfg(test)]
+    pub(crate) fn take(&mut self, i: usize) -> bool {
+        let Some(at) = self.ready.iter().position(|&r| r == i) else {
+            return false;
+        };
+        self.ready.swap_remove(at);
+        self.remaining -= 1;
+        true
+    }
+}
+
+/// The scheduler's oracle: the slots whose inputs are all resolved,
+/// found by rescanning every live slot — what [`ReadySet`] must equal,
+/// minus the slots it has already handed out.
+#[cfg(test)]
+pub(crate) fn ready_by_rescan(dag: &Dag) -> Vec<usize> {
     (0..dag.nodes.len())
         .filter(|&i| match &dag.nodes[i] {
             Some(node) => node_inputs(node)
@@ -231,6 +374,28 @@ pub(crate) fn ready_indices(dag: &Dag) -> Vec<usize> {
             None => false,
         })
         .collect()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Slots and readers visited by the scheduler and the fusion
+    /// checks on this thread — the linearity tests' cost measure.
+    static VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Count `n` visits to DAG slots (tests only; free otherwise).
+#[inline]
+pub(crate) fn count_visits(n: usize) {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + n as u64));
+    #[cfg(not(test))]
+    let _ = n;
+}
+
+/// Visits counted on this thread so far.
+#[cfg(test)]
+pub(crate) fn visits() -> u64 {
+    VISITS.with(|v| v.get())
 }
 
 /// Execute every node in the calling thread's DAG. No-op when empty or
@@ -297,22 +462,17 @@ fn flush_inner() -> Result<()> {
     // removes pending edges (no-op while tracing is disabled).
     DAG.with(|d| crate::analyze::begin_report(&d.borrow(), &summary));
 
-    // With the sparsity pass enabled, re-analyze the post-pipeline DAG
-    // (fused/folded descriptors included) once, before any wave runs:
-    // each surviving node's fact arms the checked interpretation on
-    // the thread that executes it and carries the node's static kernel
-    // choice. Slot indices stay stable across waves, so the map
-    // survives the loop.
-    let mut node_facts =
-        if crate::passes::enabled_passes().contains(&crate::passes::PassKind::Sparsity) {
-            DAG.with(|d| crate::sparsity::analyze(&d.borrow(), false).facts)
-        } else {
-            std::collections::HashMap::new()
-        };
+    // With the sparsity pass enabled, each surviving node's fact — as
+    // that pass computed it, still sound after the later rewrites —
+    // arms the checked interpretation on the thread that executes it
+    // and carries the node's static kernel choice. Slot indices stay
+    // stable across waves, so the map survives the loop.
+    let mut node_facts = summary.facts.unwrap_or_default();
 
     // Wave jobs count into the flushing thread's scope on whichever
     // pool thread runs them.
     let scope = pygb_obs::current_scope();
+    let mut ready = DAG.with(|d| ReadySet::new(&d.borrow()));
     let mut wave = 0usize;
     loop {
         let traced = pygb_obs::enabled();
@@ -327,7 +487,7 @@ fn flush_inner() -> Result<()> {
         // closure that may run on a worker thread.
         let batch: Vec<(usize, Option<String>, Node)> = DAG.with(|d| {
             let mut dag = d.borrow_mut();
-            let ready = ready_indices(&dag);
+            let slots = ready.take_wave();
             let Dag {
                 nodes,
                 ids,
@@ -335,7 +495,7 @@ fn flush_inner() -> Result<()> {
                 resolved_m,
                 ..
             } = &mut *dag;
-            ready
+            slots
                 .into_iter()
                 .map(|i| {
                     let mut node = nodes[i].take().expect("ready node present");
@@ -351,7 +511,7 @@ fn flush_inner() -> Result<()> {
         });
 
         if batch.is_empty() {
-            let remaining = DAG.with(|d| d.borrow().nodes.iter().filter(|n| n.is_some()).count());
+            let remaining = ready.remaining();
             if remaining > 0 {
                 return Err(PygbError::Unsupported {
                     context: format!(
@@ -409,13 +569,15 @@ fn flush_inner() -> Result<()> {
                         let p = vptr(&out);
                         dag.pending.remove(&p);
                         dag.resolved_v.insert(p, (out, Arc::new(store)));
-                        drain_aliases(&mut dag, p);
+                        ready.resolve(p);
+                        drain_aliases(&mut dag, p, &mut |q| ready.resolve(q));
                     }
                     Done::M(out, Ok(store)) => {
                         let p = mptr(&out);
                         dag.pending.remove(&p);
                         dag.resolved_m.insert(p, (out, Arc::new(store)));
-                        drain_aliases(&mut dag, p);
+                        ready.resolve(p);
+                        drain_aliases(&mut dag, p, &mut |q| ready.resolve(q));
                     }
                     Done::V(out, Err(e)) => {
                         dag.pending.remove(&vptr(&out));
@@ -444,7 +606,7 @@ fn run_node(node: Node, choice: KernelChoice) -> Done {
     match node {
         Node::Vec(desc) => {
             let out = Arc::clone(&desc.out);
-            Done::V(out, pygb::nb::run_vec_op(desc, choice))
+            Done::V(out, pygb::nb::run_vec_op(desc))
         }
         Node::Mat(desc) => {
             let out = Arc::clone(&desc.out);
@@ -558,78 +720,12 @@ pub(crate) fn has_other_consumers(dag: &Dag, idx: usize, p: usize) -> bool {
 /// expression operands).
 pub(crate) fn node_inputs(n: &Node) -> Vec<usize> {
     let mut out = Vec::with_capacity(4);
-    match n {
-        Node::Vec(d) => {
-            out.push(vptr(&d.target));
-            if let Some((m, _)) = &d.mask {
-                out.push(vptr(m));
-            }
-            if let VecRhs::Expr(e) = &d.rhs {
-                vec_expr_inputs(e, &mut out);
-            }
-        }
-        Node::Mat(d) => {
-            out.push(mptr(&d.target));
-            if let Some((m, _)) = &d.mask {
-                out.push(mptr(m));
-            }
-            if let MatRhs::Expr(e) = &d.rhs {
-                mat_expr_inputs(e, &mut out);
-            }
-        }
-    }
+    crate::dataflow::visit_inputs(n, &mut |p| out.push(p));
     out
 }
 
-fn vec_expr_inputs(e: &VectorExpr, out: &mut Vec<usize>) {
-    match &e.kind {
-        VectorExprKind::MxV { a, u, .. } => {
-            out.push(mptr(&a.store));
-            out.push(vptr(u));
-        }
-        VectorExprKind::VxM { u, a, .. } => {
-            out.push(vptr(u));
-            out.push(mptr(&a.store));
-        }
-        VectorExprKind::EWiseAdd { u, v, .. } | VectorExprKind::EWiseMult { u, v, .. } => {
-            out.push(vptr(u));
-            out.push(vptr(v));
-        }
-        VectorExprKind::Apply { u, .. }
-        | VectorExprKind::Extract { u, .. }
-        | VectorExprKind::Ref { u } => out.push(vptr(u)),
-        VectorExprKind::ReduceRows { a, .. } => out.push(mptr(&a.store)),
-        VectorExprKind::FusedMxvApply { a, u, .. } => {
-            out.push(mptr(&a.store));
-            out.push(vptr(u));
-        }
-        VectorExprKind::FusedEwiseChain { u, v, w, .. } => {
-            out.push(vptr(u));
-            out.push(vptr(v));
-            if let Some(w) = w {
-                out.push(vptr(w));
-            }
-        }
-    }
-}
-
-fn mat_expr_inputs(e: &MatrixExpr, out: &mut Vec<usize>) {
-    match &e.kind {
-        MatrixExprKind::MxM { a, b, .. }
-        | MatrixExprKind::EWiseAdd { a, b, .. }
-        | MatrixExprKind::EWiseMult { a, b, .. } => {
-            out.push(mptr(&a.store));
-            out.push(mptr(&b.store));
-        }
-        MatrixExprKind::Apply { a, .. } | MatrixExprKind::Extract { a, .. } => {
-            out.push(mptr(&a.store))
-        }
-        MatrixExprKind::Transpose { a } | MatrixExprKind::Ref { a } => out.push(mptr(a)),
-    }
-}
-
-pub(crate) type ResolvedV = HashMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>;
-pub(crate) type ResolvedM = HashMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>;
+pub(crate) type ResolvedV = AddrMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>;
+pub(crate) type ResolvedM = AddrMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>;
 
 pub(crate) fn sub_v(map: &ResolvedV, a: &Arc<VectorStore>) -> Arc<VectorStore> {
     map.get(&vptr(a))

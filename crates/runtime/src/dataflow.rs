@@ -25,13 +25,13 @@
 //! [`ExtRefs::freeze`] computes this once, at pipeline start. External
 //! counts cannot change mid-pipeline (the flushing thread owns the DAG
 //! and user code is not running), but *internal* counts change with
-//! every rewrite — so passes combine the frozen external counts with
-//! fresh structural scans ([`dag_ref_count`]) and never read
+//! every rewrite — so the fusion pass combines the frozen external
+//! counts with structural counts ([`RefCounts`]) taken once when it
+//! starts and updated by each of its rewrites, and never reads
 //! `Arc::strong_count` again. Reading it again would be unsound in the
 //! simulation: rewrites mutate the clone's descriptors, skewing the
 //! shared strong counts asymmetrically.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ use pygb::expr::{MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
 use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
 use pygb::store::VectorStore;
 
-use crate::dag::{mptr, vptr, Dag, Node};
+use crate::dag::{mptr, vptr, AddrMap, Dag, Node};
 
 /// The placeholder address a node writes.
 pub(crate) fn node_out_ptr(n: &Node) -> usize {
@@ -117,6 +117,12 @@ pub(crate) fn visit_mat_desc(d: &MatOpDesc, f: &mut dyn FnMut(usize)) {
     }
 }
 
+/// Visit every store address a node reads: merge-base target, mask,
+/// and expression operands.
+pub(crate) fn visit_inputs(n: &Node, f: &mut dyn FnMut(usize)) {
+    visit_node(n, false, f);
+}
+
 fn visit_node(n: &Node, include_out: bool, f: &mut dyn FnMut(usize)) {
     match n {
         Node::Vec(d) => {
@@ -157,7 +163,7 @@ fn visit_aliases(dag: &Dag, f: &mut dyn FnMut(usize)) {
 /// pipeline start — see the module docs for why they are computed once
 /// and why `mult` exists.
 pub(crate) struct ExtRefs {
-    map: HashMap<usize, usize>,
+    map: AddrMap<usize, usize>,
 }
 
 impl ExtRefs {
@@ -165,12 +171,7 @@ impl ExtRefs {
     /// placeholder. `mult` is 1 for a real flush, 2 when the pipeline
     /// runs on a `Dag::clone`.
     pub(crate) fn freeze(dag: &Dag, mult: usize) -> ExtRefs {
-        let mut internal: HashMap<usize, usize> = HashMap::new();
-        let mut bump = |p: usize| *internal.entry(p).or_insert(0) += 1;
-        for n in dag.nodes.iter().flatten() {
-            visit_node(n, true, &mut bump);
-        }
-        visit_aliases(dag, &mut bump);
+        let internal = RefCounts::count(dag);
         let map = dag
             .nodes
             .iter()
@@ -180,8 +181,7 @@ impl ExtRefs {
                     Node::Vec(d) => (vptr(&d.out), Arc::strong_count(&d.out)),
                     Node::Mat(d) => (mptr(&d.out), Arc::strong_count(&d.out)),
                 };
-                let inner = internal.get(&p).copied().unwrap_or(0);
-                (p, strong.saturating_sub(mult * inner))
+                (p, strong.saturating_sub(mult * internal.get(p)))
             })
             .collect();
         ExtRefs { map }
@@ -195,28 +195,58 @@ impl ExtRefs {
     }
 }
 
-/// Fresh structural count of placeholder `p` across the DAG: every
-/// occurrence in any live descriptor (including producers' own `out`
-/// fields) plus alias-set entries. The slot at `skip` is excluded —
-/// callers checking fusion pass the consumer's slot, whose references
-/// are accounted separately against the rule's expectation.
-pub(crate) fn dag_ref_count(dag: &Dag, p: usize, skip: Option<usize>) -> usize {
-    let mut count = 0usize;
-    let mut bump = |q: usize| {
-        if q == p {
-            count += 1;
-        }
-    };
-    for (i, n) in dag.nodes.iter().enumerate() {
-        if Some(i) == skip {
-            continue;
-        }
-        if let Some(n) = n {
+/// Structural reference counts per placeholder: every occurrence in
+/// any live descriptor (producers' own `out` fields included) plus
+/// alias-set entries. Taken in one walk; a rewrite keeps the counts
+/// exact by removing what it drops ([`RefCounts::remove_node`],
+/// [`RefCounts::remove_vec_rhs`]) and adding what it builds.
+pub(crate) struct RefCounts {
+    map: AddrMap<usize, usize>,
+}
+
+impl RefCounts {
+    /// Count every reference the DAG holds now.
+    pub(crate) fn count(dag: &Dag) -> RefCounts {
+        let mut map: AddrMap<usize, usize> = AddrMap::default();
+        let mut bump = |p: usize| *map.entry(p).or_insert(0) += 1;
+        for n in dag.nodes.iter().flatten() {
+            crate::dag::count_visits(1);
             visit_node(n, true, &mut bump);
         }
+        visit_aliases(dag, &mut bump);
+        RefCounts { map }
     }
-    visit_aliases(dag, &mut bump);
-    count
+
+    /// References to placeholder `p`.
+    pub(crate) fn get(&self, p: usize) -> usize {
+        crate::dag::count_visits(1);
+        self.map.get(&p).copied().unwrap_or(0)
+    }
+
+    fn sub(&mut self, p: usize) {
+        if let Some(c) = self.map.get_mut(&p) {
+            *c -= 1;
+        }
+    }
+
+    /// Drop the references of a node leaving the DAG.
+    pub(crate) fn remove_node(&mut self, n: &Node) {
+        visit_node(n, true, &mut |p| self.sub(p));
+    }
+
+    /// Drop the references of a right-hand side being replaced.
+    pub(crate) fn remove_vec_rhs(&mut self, rhs: &VecRhs) {
+        if let VecRhs::Expr(e) = rhs {
+            visit_vec_expr(e, &mut |p| self.sub(p));
+        }
+    }
+
+    /// Add the references of a right-hand side just built.
+    pub(crate) fn add_vec_rhs(&mut self, rhs: &VecRhs) {
+        if let VecRhs::Expr(e) = rhs {
+            visit_vec_expr(e, &mut |p| *self.map.entry(p).or_insert(0) += 1);
+        }
+    }
 }
 
 /// How many references to placeholder `p` one vector descriptor holds
@@ -235,51 +265,52 @@ pub(crate) fn vec_desc_ref_count(d: &VecOpDesc, p: usize) -> usize {
 // Liveness: which placeholders have at least one *reading* use.
 // ---------------------------------------------------------------------
 
-/// The set of placeholder addresses with at least one live (reading)
-/// use. A use is live when it is an expression operand, a mask, the
-/// merge-base target of a node that does NOT fully overwrite it, or an
-/// alias-set representative (merged duplicates resolve through it). A
-/// full-overwrite target is a *dead* use: the node never reads the
-/// prior contents, so the producer of those contents is prunable.
-pub(crate) fn live_use_ptrs(dag: &Dag) -> HashSet<usize> {
-    let mut live = HashSet::new();
-    for n in dag.nodes.iter().flatten() {
-        match n {
-            Node::Vec(d) => {
-                if !d.overwrites_fully() {
-                    live.insert(vptr(&d.target));
-                }
-                if let Some((m, _)) = &d.mask {
-                    live.insert(vptr(m));
-                }
-                if let VecRhs::Expr(e) = &d.rhs {
-                    visit_vec_expr(e, &mut |p| {
-                        live.insert(p);
-                    });
-                }
+/// Visit every *live* (reading) use a node makes: expression operands,
+/// the mask, and the merge-base target of a node that does NOT fully
+/// overwrite it. A full-overwrite target is a *dead* use: the node
+/// never reads the prior contents, so the producer of those contents
+/// is prunable.
+pub(crate) fn visit_live_uses(n: &Node, f: &mut dyn FnMut(usize)) {
+    match n {
+        Node::Vec(d) => {
+            if !d.overwrites_fully() {
+                f(vptr(&d.target));
             }
-            Node::Mat(d) => {
-                if !d.overwrites_fully() {
-                    live.insert(mptr(&d.target));
-                }
-                if let Some((m, _)) = &d.mask {
-                    live.insert(mptr(m));
-                }
-                if let MatRhs::Expr(e) = &d.rhs {
-                    visit_mat_expr(e, &mut |p| {
-                        live.insert(p);
-                    });
-                }
+            if let Some((m, _)) = &d.mask {
+                f(vptr(m));
+            }
+            if let VecRhs::Expr(e) = &d.rhs {
+                visit_vec_expr(e, f);
+            }
+        }
+        Node::Mat(d) => {
+            if !d.overwrites_fully() {
+                f(mptr(&d.target));
+            }
+            if let Some((m, _)) = &d.mask {
+                f(mptr(m));
+            }
+            if let MatRhs::Expr(e) = &d.rhs {
+                visit_mat_expr(e, f);
             }
         }
     }
-    for &k in dag.alias_v.keys() {
-        live.insert(k);
+}
+
+/// Live uses per placeholder address, counted with multiplicity over
+/// every live node ([`visit_live_uses`]). An alias-set representative
+/// counts one more use that never goes away: merged duplicates resolve
+/// through it.
+pub(crate) fn live_use_counts(dag: &Dag) -> AddrMap<usize, usize> {
+    let mut uses: AddrMap<usize, usize> = AddrMap::default();
+    let mut bump = |p: usize| *uses.entry(p).or_insert(0) += 1;
+    for n in dag.nodes.iter().flatten() {
+        visit_live_uses(n, &mut bump);
     }
-    for &k in dag.alias_m.keys() {
-        live.insert(k);
+    for &k in dag.alias_v.keys().chain(dag.alias_m.keys()) {
+        bump(k);
     }
-    live
+    uses
 }
 
 // ---------------------------------------------------------------------

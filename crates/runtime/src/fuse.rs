@@ -14,9 +14,11 @@
 //!   fully overwritten, so skipping the materialization loses nothing);
 //! * `P.out` has no owner besides `P`'s own descriptor and the consumer
 //!   expression slots being rewritten — checked against the frozen
-//!   external-reference counts plus a fresh structural scan (see
-//!   [`crate::dataflow`]): a user-held container handle, any other
-//!   node's operand, or an alias-set entry blocks fusion.
+//!   external-reference counts plus structural counts taken once per
+//!   pass and kept exact through its rewrites (see [`crate::dataflow`]):
+//!   a user-held container handle, any other node's operand, or an
+//!   alias-set entry blocks fusion. Each check reads two counts, so the
+//!   pass costs `O(nodes + edges)`.
 //!
 //! | rule | producer            | consumer                 | rewrite                  |
 //! |------|---------------------|--------------------------|--------------------------|
@@ -32,6 +34,7 @@ use pygb::nb::{VecOpDesc, VecRhs};
 
 use crate::analyze::{self, FuseCheck, NodeId};
 use crate::dag::{vptr, Dag, Node};
+use crate::dataflow::RefCounts;
 use crate::passes::PassCtx;
 
 /// One pass over consumers in enqueue order, attempting rules 1–3.
@@ -39,6 +42,7 @@ use crate::passes::PassCtx;
 /// `(producer, "fused into n<C> (rule …)")` provenance into `ctx`.
 pub(crate) fn fuse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
     let mut fused = 0;
+    let mut refs = RefCounts::count(dag);
     for ci in 0..dag.nodes.len() {
         let candidate = matches!(
             &dag.nodes[ci],
@@ -50,10 +54,10 @@ pub(crate) fn fuse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
         let Some(Node::Vec(mut c)) = dag.nodes[ci].take() else {
             unreachable!("checked above");
         };
-        if let Some((pid, rule)) = try_fuse_into(dag, ctx, &mut c) {
+        if let Some((pid, rule)) = try_fuse_into(dag, ctx, &mut refs, &mut c) {
             fused += 1;
-            ctx.provenance
-                .push((pid, format!("fused into {} ({rule})", dag.ids[ci])));
+            let consumer = dag.ids[ci];
+            ctx.note(pid, || format!("fused into {consumer} ({rule})"));
         }
         dag.nodes[ci] = Some(Node::Vec(c));
     }
@@ -66,6 +70,7 @@ pub(crate) fn fuse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
 fn try_fuse_into(
     dag: &mut Dag,
     ctx: &PassCtx,
+    refs: &mut RefCounts,
     c: &mut VecOpDesc,
 ) -> Option<(NodeId, &'static str)> {
     let VecRhs::Expr(ce) = &c.rhs else {
@@ -88,9 +93,9 @@ fn try_fuse_into(
             // Prefer the left slot's producer; fall back to the right.
             for (slot_u, inner_left) in [(true, true), (false, false)] {
                 let cand = if slot_u { u } else { v };
-                let refs = (vptr(u) == vptr(cand)) as usize + (vptr(v) == vptr(cand)) as usize;
+                let n = (vptr(u) == vptr(cand)) as usize + (vptr(v) == vptr(cand)) as usize;
                 let Some((pid, p)) =
-                    take_plain_producer(dag, ctx, c, cand, refs, &|kind: &VectorExprKind| {
+                    take_plain_producer(dag, ctx, refs, c, cand, n, &|kind: &VectorExprKind| {
                         matches!(
                             kind,
                             VectorExprKind::EWiseAdd { op: Some(_), .. }
@@ -105,7 +110,7 @@ fn try_fuse_into(
                     VectorExprKind::EWiseMult { u, v, op: Some(op) } => (u, v, op, false),
                     _ => unreachable!("filtered above"),
                 };
-                let w = if refs == 2 {
+                let w = if n == 2 {
                     // Square form: the inner result fed both slots.
                     None
                 } else if inner_left {
@@ -113,19 +118,17 @@ fn try_fuse_into(
                 } else {
                     Some(Arc::clone(u))
                 };
-                c.rhs = VecRhs::Expr(VectorExpr {
-                    kind: VectorExprKind::FusedEwiseChain {
-                        u: pu,
-                        v: pv,
-                        w,
-                        inner,
-                        outer,
-                        inner_add,
-                        outer_add,
-                        inner_left,
-                    },
-                    build_ns: 0,
-                });
+                let kind = VectorExprKind::FusedEwiseChain {
+                    u: pu,
+                    v: pv,
+                    w,
+                    inner,
+                    outer,
+                    inner_add,
+                    outer_add,
+                    inner_left,
+                };
+                rewrite_rhs(refs, c, kind);
                 return Some((pid, "rule 1: eWise chain"));
             }
             None
@@ -133,27 +136,26 @@ fn try_fuse_into(
         // Rule 2: `apply(mxv(...))` / `apply(vxm(...))`.
         VectorExprKind::Apply { u, op: Some(op) } => {
             let op = *op;
-            let (pid, p) = take_plain_producer(dag, ctx, c, u, 1, &|kind: &VectorExprKind| {
-                matches!(
-                    kind,
-                    VectorExprKind::MxV { .. } | VectorExprKind::VxM { .. }
-                )
-            })?;
+            let (pid, p) =
+                take_plain_producer(dag, ctx, refs, c, u, 1, &|kind: &VectorExprKind| {
+                    matches!(
+                        kind,
+                        VectorExprKind::MxV { .. } | VectorExprKind::VxM { .. }
+                    )
+                })?;
             let (a, pu, semiring, vxm) = match p {
                 VectorExprKind::MxV { a, u, semiring } => (a, u, semiring, false),
                 VectorExprKind::VxM { u, a, semiring } => (a, u, semiring, true),
                 _ => unreachable!("filtered above"),
             };
-            c.rhs = VecRhs::Expr(VectorExpr {
-                kind: VectorExprKind::FusedMxvApply {
-                    a,
-                    u: pu,
-                    semiring,
-                    unary: Some(op),
-                    vxm,
-                },
-                build_ns: 0,
-            });
+            let kind = VectorExprKind::FusedMxvApply {
+                a,
+                u: pu,
+                semiring,
+                unary: Some(op),
+                vxm,
+            };
+            rewrite_rhs(refs, c, kind);
             Some((pid, "rule 2: mxv/vxm + apply"))
         }
         // Rule 3: assigning a materialized product under the consumer's
@@ -163,20 +165,26 @@ fn try_fuse_into(
         // and picks a masked pull/push kernel — fusion upgrades the
         // unmasked product to a mask-confined one for free.
         VectorExprKind::Ref { u } => {
-            let (pid, p) = take_plain_producer(dag, ctx, c, u, 1, &|kind: &VectorExprKind| {
-                matches!(
-                    kind,
-                    VectorExprKind::MxV { .. } | VectorExprKind::VxM { .. }
-                )
-            })?;
-            c.rhs = VecRhs::Expr(VectorExpr {
-                kind: p,
-                build_ns: 0,
-            });
+            let (pid, p) =
+                take_plain_producer(dag, ctx, refs, c, u, 1, &|kind: &VectorExprKind| {
+                    matches!(
+                        kind,
+                        VectorExprKind::MxV { .. } | VectorExprKind::VxM { .. }
+                    )
+                })?;
+            rewrite_rhs(refs, c, p);
             Some((pid, "rule 3: ref collapse"))
         }
         _ => None,
     }
+}
+
+/// Replace the consumer's right-hand side with the fused `kind`,
+/// keeping the structural counts exact.
+fn rewrite_rhs(refs: &mut RefCounts, c: &mut VecOpDesc, kind: VectorExprKind) {
+    refs.remove_vec_rhs(&c.rhs);
+    c.rhs = VecRhs::Expr(VectorExpr { kind, build_ns: 0 });
+    refs.add_vec_rhs(&c.rhs);
 }
 
 /// Look up the pending producer of placeholder `out` and consult the
@@ -190,12 +198,13 @@ fn try_fuse_into(
 fn take_plain_producer(
     dag: &mut Dag,
     ctx: &PassCtx,
+    refs: &mut RefCounts,
     c: &VecOpDesc,
     out: &Arc<pygb::store::VectorStore>,
     consumer_refs: usize,
     want: &dyn Fn(&VectorExprKind) -> bool,
 ) -> Option<(NodeId, VectorExprKind)> {
-    let idx = match analyze::check_producer(dag, &ctx.ext, c, out, consumer_refs, None, want) {
+    let idx = match analyze::check_producer(dag, &ctx.ext, refs, c, out, consumer_refs, want) {
         FuseCheck::Fusible(idx) => idx,
         FuseCheck::Refused(idx, reason) => {
             if !ctx.simulate {
@@ -206,7 +215,11 @@ fn take_plain_producer(
         FuseCheck::No => return None,
     };
     dag.pending.remove(&vptr(out));
-    match dag.nodes[idx].take() {
+    let producer = dag.nodes[idx].take();
+    if let Some(n) = &producer {
+        refs.remove_node(n);
+    }
+    match producer {
         Some(Node::Vec(d)) => match d.rhs {
             VecRhs::Expr(e) => Some((dag.ids[idx], e.kind)),
             VecRhs::Scalar(_) => unreachable!("checked by the analysis"),

@@ -17,7 +17,6 @@
 //! measure launches saved.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use gbtl::ops::kind::{AppliedUnaryKind, UnaryOpKind};
@@ -26,11 +25,14 @@ use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 
 use crate::analyze::NodeId;
-use crate::dag::{drain_aliases, mptr, subst_mat_desc, subst_vec_desc, vptr, AliasSet, Dag, Node};
+use crate::dag::{
+    drain_aliases, mptr, subst_mat_desc, subst_vec_desc, vptr, AddrMap, AliasSet, Dag, Node,
+};
 use crate::dataflow::{
     self, mat_expr_known_empty, mat_known_empty, mat_rhs_ops_present, node_cse_eq, node_cse_hash,
     node_out_ptr, vec_expr_known_empty, vec_known_empty, vec_rhs_ops_present, ExtRefs,
 };
+use crate::sparsity::NodeFacts;
 
 // ---------------------------------------------------------------------
 // Pass selection.
@@ -132,11 +134,26 @@ pub(crate) fn enabled_passes() -> Vec<PassKind> {
 
 /// Shared pass state: frozen external-reference counts, the
 /// simulation flag (plan's what-if run must not move counters, spans,
-/// or the refusal log), and accumulated rewrite provenance.
+/// or the refusal log), accumulated rewrite provenance, and the
+/// sparsity pass's per-slot facts.
 pub(crate) struct PassCtx {
     pub(crate) ext: ExtRefs,
     pub(crate) simulate: bool,
-    pub(crate) provenance: Vec<(NodeId, String)>,
+    /// Whether anything will read the provenance: a plan simulation, or
+    /// a flush whose report is captured. Otherwise notes are not even
+    /// formatted.
+    notes: bool,
+    provenance: Vec<(NodeId, String)>,
+    facts: Option<AddrMap<usize, NodeFacts>>,
+}
+
+impl PassCtx {
+    /// Record that a pass rewrote node `id`; `note` says how.
+    pub(crate) fn note(&mut self, id: NodeId, note: impl FnOnce() -> String) {
+        if self.notes {
+            self.provenance.push((id, note()));
+        }
+    }
 }
 
 /// What one pipeline run did, for the statistics counters and the
@@ -153,8 +170,15 @@ pub(crate) struct PipelineSummary {
     pub(crate) sparsity: usize,
     /// Nodes folded away by the no-op pass.
     pub(crate) noop: usize,
-    /// Per-node rewrite attribution, in rewrite order.
+    /// Per-node rewrite attribution, in rewrite order (empty unless a
+    /// plan or a captured report reads it).
     pub(crate) provenance: Vec<(NodeId, String)>,
+    /// The sparsity pass's facts for every slot it analyzed (`None`
+    /// when the pass is off). Every later rewrite preserves the value a
+    /// surviving slot writes — folding and elision remove slots, CSE
+    /// and fusion change how a value is computed, never which — so each
+    /// fact stays sound for its slot through the rest of the pipeline.
+    pub(crate) facts: Option<AddrMap<usize, NodeFacts>>,
 }
 
 /// Run the enabled passes, then the fusion pass, then (when DCE is
@@ -167,7 +191,9 @@ pub(crate) fn run_pipeline(dag: &mut Dag, mult: usize, simulate: bool) -> Pipeli
     let mut ctx = PassCtx {
         ext: ExtRefs::freeze(dag, mult),
         simulate,
+        notes: simulate || crate::analyze::report_wanted(),
         provenance: Vec::new(),
+        facts: None,
     };
     if !simulate {
         crate::analyze::clear_refusals();
@@ -213,6 +239,7 @@ pub(crate) fn run_pipeline(dag: &mut Dag, mult: usize, simulate: bool) -> Pipeli
         drop(sp);
     }
     summary.provenance = ctx.provenance;
+    summary.facts = ctx.facts;
     summary
 }
 
@@ -224,29 +251,41 @@ pub(crate) fn run_pipeline(dag: &mut Dag, mult: usize, simulate: bool) -> Pipeli
 /// handle survives (frozen count) and no live use reads it — where a
 /// fully-overwriting consumer's `target` is a *dead* use (the prior
 /// contents are never read). Cascades to fixpoint: an elided node
-/// drops its operand uses, which may orphan upstream producers.
+/// drops its operand uses, which may orphan upstream producers. Live
+/// uses are counted once; an elision decrements its operands' counts
+/// and re-examines only the producers it orphaned, so the pass costs
+/// `O(nodes + edges)` however long the dead chain.
 fn dce_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
+    let mut uses = dataflow::live_use_counts(dag);
     let mut elided = 0;
-    loop {
-        let live = dataflow::live_use_ptrs(dag);
-        let mut any = false;
-        for i in 0..dag.nodes.len() {
+    let mut candidates: Vec<usize> = (0..dag.nodes.len()).collect();
+    while !candidates.is_empty() {
+        let mut orphaned = Vec::new();
+        for i in candidates {
             let Some(n) = &dag.nodes[i] else { continue };
             let p = node_out_ptr(n);
-            if ctx.ext.get(p) != 0 || live.contains(&p) {
+            if ctx.ext.get(p) != 0 || uses.get(&p).is_some_and(|&c| c > 0) {
                 continue;
             }
-            dag.nodes[i] = None;
+            let n = dag.nodes[i].take().expect("checked above");
             dag.pending.remove(&p);
-            ctx.provenance
-                .push((dag.ids[i], "elided by dce (output never read)".to_string()));
+            ctx.note(dag.ids[i], || {
+                "elided by dce (output never read)".to_string()
+            });
             elided += 1;
-            any = true;
+            dataflow::visit_live_uses(&n, &mut |q| {
+                let c = uses.get_mut(&q).expect("counted use");
+                *c -= 1;
+                if *c == 0 {
+                    orphaned.extend(dag.pending.get(&q).copied());
+                }
+            });
         }
-        if !any {
-            return elided;
-        }
+        orphaned.sort_unstable();
+        orphaned.dedup();
+        candidates = orphaned;
     }
+    elided
 }
 
 // ---------------------------------------------------------------------
@@ -258,10 +297,18 @@ fn dce_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
 /// and every surviving reference to its placeholder is rewritten to
 /// the representative's. Sound because stores are immutable `Arc`
 /// snapshots — pointer-identical operands can never diverge in value.
+///
+/// The rewrite is applied as the scan reaches each node, just before
+/// keying it: a node only reads placeholders minted before it, so every
+/// reader of a duplicate comes later in the scan, and one substitution
+/// per node does what rewriting the whole DAG per merge would.
 fn cse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
     let mut merged = 0;
-    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut buckets: AddrMap<u64, Vec<usize>> = AddrMap::default();
+    let mut redirect = Redirects::default();
     for i in 0..dag.nodes.len() {
+        let Some(n) = &mut dag.nodes[i] else { continue };
+        redirect.apply(n);
         let Some(n) = &dag.nodes[i] else { continue };
         let Some(h) = node_cse_hash(n) else { continue };
         let slots = buckets.entry(h).or_default();
@@ -271,7 +318,7 @@ fn cse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
             .find(|&j| dag.nodes[j].as_ref().is_some_and(|m| node_cse_eq(m, n)));
         match rep {
             Some(j) => {
-                merge_dup(dag, ctx, j, i);
+                merge_dup(dag, ctx, &mut redirect, j, i);
                 merged += 1;
             }
             None => slots.push(i),
@@ -280,16 +327,45 @@ fn cse_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
     merged
 }
 
+/// Placeholder redirections of merged duplicates, keyed by the
+/// duplicate's address: (duplicate, representative).
+#[derive(Default)]
+struct Redirects {
+    v: AddrMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>,
+    m: AddrMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>,
+}
+
+impl Redirects {
+    /// Rewrite `n` to read representatives instead of duplicates.
+    /// Vector nodes consult both maps (their expressions carry matrix
+    /// operands); matrix nodes only the matrix map.
+    fn apply(&self, n: &mut Node) {
+        if self.v.is_empty() && self.m.is_empty() {
+            return;
+        }
+        match n {
+            Node::Vec(d) => subst_vec_desc(&self.v, &self.m, d),
+            Node::Mat(d) => subst_mat_desc(&self.v, &self.m, d),
+        }
+    }
+}
+
 /// Elide duplicate node `dup_i`, redirecting its placeholder to
-/// representative `rep_i`'s: surviving descriptors are rewritten to
-/// read the representative's placeholder directly, while external
-/// handles of the duplicate resolve through an [`AliasSet`] when the
-/// representative's result lands. The duplicate's `pending` entry is
-/// kept (mapping to the now-empty slot) so flush-on-read still
-/// triggers for user handles.
-fn merge_dup(dag: &mut Dag, ctx: &mut PassCtx, rep_i: usize, dup_i: usize) {
-    let note = format!("elided by cse, dup of {}", dag.ids[rep_i]);
-    ctx.provenance.push((dag.ids[dup_i], note));
+/// representative `rep_i`'s: later descriptors are rewritten (through
+/// `redirect`) to read the representative's placeholder directly,
+/// while external handles of the duplicate resolve through an
+/// [`AliasSet`] when the representative's result lands. The
+/// duplicate's `pending` entry is kept (mapping to the now-empty slot)
+/// so flush-on-read still triggers for user handles.
+fn merge_dup(
+    dag: &mut Dag,
+    ctx: &mut PassCtx,
+    redirect: &mut Redirects,
+    rep_i: usize,
+    dup_i: usize,
+) {
+    let rep_id = dag.ids[rep_i];
+    ctx.note(dag.ids[dup_i], || format!("elided by cse, dup of {rep_id}"));
     let dup = dag.nodes[dup_i].take().expect("dup slot checked by caller");
     match (&dag.nodes[rep_i], dup) {
         (Some(Node::Vec(r)), Node::Vec(d)) => {
@@ -303,10 +379,7 @@ fn merge_dup(dag: &mut Dag, ctx: &mut PassCtx, rep_i: usize, dup_i: usize) {
                 })
                 .dups
                 .push(Arc::clone(&dup_out));
-            let mut rv = HashMap::new();
-            rv.insert(vptr(&dup_out), (dup_out, rep_out));
-            let rm = HashMap::new();
-            rewrite_all(dag, &rv, &rm);
+            redirect.v.insert(vptr(&dup_out), (dup_out, rep_out));
         }
         (Some(Node::Mat(r)), Node::Mat(d)) => {
             let dup_out = d.out;
@@ -319,28 +392,9 @@ fn merge_dup(dag: &mut Dag, ctx: &mut PassCtx, rep_i: usize, dup_i: usize) {
                 })
                 .dups
                 .push(Arc::clone(&dup_out));
-            let rv = HashMap::new();
-            let mut rm = HashMap::new();
-            rm.insert(mptr(&dup_out), (dup_out, rep_out));
-            rewrite_all(dag, &rv, &rm);
+            redirect.m.insert(mptr(&dup_out), (dup_out, rep_out));
         }
         _ => unreachable!("node_cse_eq never matches across vec/mat"),
-    }
-}
-
-/// Substitute placeholder redirections into every surviving node.
-/// Vector nodes consult both maps (their expressions carry matrix
-/// operands); matrix nodes only the matrix map.
-fn rewrite_all(
-    dag: &mut Dag,
-    rv: &HashMap<usize, (Arc<VectorStore>, Arc<VectorStore>)>,
-    rm: &HashMap<usize, (Arc<MatrixStore>, Arc<MatrixStore>)>,
-) {
-    for n in dag.nodes.iter_mut().flatten() {
-        match n {
-            Node::Vec(d) => subst_vec_desc(rv, rm, d),
-            Node::Mat(d) => subst_mat_desc(rv, rm, d),
-        }
     }
 }
 
@@ -359,13 +413,10 @@ fn rewrite_all(
 /// operator-presence gate keeps `MissingOperator` errors observable,
 /// and region assigns are never folded (their facts are ⊤ anyway).
 fn sparsity_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
-    let analysis = crate::sparsity::analyze(dag, !ctx.simulate);
+    let analysis = crate::sparsity::analyze(dag, !ctx.simulate).facts;
     let mut folded = 0;
     for i in 0..dag.nodes.len() {
-        let provably_empty = analysis
-            .facts
-            .get(&i)
-            .is_some_and(|nf| nf.fact.provably_empty());
+        let provably_empty = analysis.get(&i).is_some_and(|nf| nf.fact.provably_empty());
         if !provably_empty {
             continue;
         }
@@ -377,17 +428,16 @@ fn sparsity_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
         if !eligible {
             continue;
         }
-        ctx.provenance.push((
-            dag.ids[i],
-            "elided by sparsity (provably-empty result)".to_string(),
-        ));
+        ctx.note(dag.ids[i], || {
+            "elided by sparsity (provably-empty result)".to_string()
+        });
         match dag.nodes[i].take().expect("checked above") {
             Node::Vec(d) => {
                 let p = vptr(&d.out);
                 dag.pending.remove(&p);
                 let empty = Arc::new(VectorStore::new(d.out.size(), d.out.dtype()));
                 dag.resolved_v.insert(p, (d.out, empty));
-                drain_aliases(dag, p);
+                drain_aliases(dag, p, &mut |_| {});
             }
             Node::Mat(d) => {
                 let p = mptr(&d.out);
@@ -398,11 +448,12 @@ fn sparsity_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                     d.out.dtype(),
                 ));
                 dag.resolved_m.insert(p, (d.out, empty));
-                drain_aliases(dag, p);
+                drain_aliases(dag, p, &mut |_| {});
             }
         }
         folded += 1;
     }
+    ctx.facts = Some(analysis);
     folded
 }
 
@@ -442,8 +493,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
         let why = match &action {
             Action::V(_, w) | Action::M(_, w) => *w,
         };
-        ctx.provenance
-            .push((dag.ids[i], format!("elided by noop ({why})")));
+        ctx.note(dag.ids[i], || format!("elided by noop ({why})"));
         let node = dag.nodes[i].take().expect("checked above");
         match (action, node) {
             (Action::V(VecFold::Empty, _), Node::Vec(d)) => {
@@ -451,7 +501,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                 dag.pending.remove(&p);
                 let empty = Arc::new(VectorStore::new(d.out.size(), d.out.dtype()));
                 dag.resolved_v.insert(p, (d.out, empty));
-                drain_aliases(dag, p);
+                drain_aliases(dag, p, &mut |_| {});
             }
             (Action::V(VecFold::Alias(src), _), Node::Vec(d)) => {
                 let p = vptr(&d.out);
@@ -459,7 +509,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                 if let Some(store) = dag.resolved_v.get(&sp).map(|(_, s)| Arc::clone(s)) {
                     dag.pending.remove(&p);
                     dag.resolved_v.insert(p, (d.out, store));
-                    drain_aliases(dag, p);
+                    drain_aliases(dag, p, &mut |_| {});
                 } else if dag.pending.contains_key(&sp) {
                     // Keep this node's own pending entry: readers of its
                     // handle must still trigger the flush, and the alias
@@ -475,7 +525,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                 } else {
                     dag.pending.remove(&p);
                     dag.resolved_v.insert(p, (d.out, src));
-                    drain_aliases(dag, p);
+                    drain_aliases(dag, p, &mut |_| {});
                 }
             }
             (Action::M(MatFold::Empty, _), Node::Mat(d)) => {
@@ -487,7 +537,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                     d.out.dtype(),
                 ));
                 dag.resolved_m.insert(p, (d.out, empty));
-                drain_aliases(dag, p);
+                drain_aliases(dag, p, &mut |_| {});
             }
             (Action::M(MatFold::Alias(src), _), Node::Mat(d)) => {
                 let p = mptr(&d.out);
@@ -495,7 +545,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                 if let Some(store) = dag.resolved_m.get(&sp).map(|(_, s)| Arc::clone(s)) {
                     dag.pending.remove(&p);
                     dag.resolved_m.insert(p, (d.out, store));
-                    drain_aliases(dag, p);
+                    drain_aliases(dag, p, &mut |_| {});
                 } else if dag.pending.contains_key(&sp) {
                     dag.alias_m
                         .entry(sp)
@@ -508,7 +558,7 @@ fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
                 } else {
                     dag.pending.remove(&p);
                     dag.resolved_m.insert(p, (d.out, src));
-                    drain_aliases(dag, p);
+                    drain_aliases(dag, p, &mut |_| {});
                 }
             }
             _ => unreachable!("action built from the same node"),

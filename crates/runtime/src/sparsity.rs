@@ -10,11 +10,13 @@
 //!
 //! 1. the `sparsity` pipeline pass ([`crate::passes`]) folds nodes
 //!    whose write-back fact is provably empty;
-//! 2. kernel choice: when a fact is tight enough to decide push/pull
-//!    SpMV or the masked-SpGEMM family *statically*, the node's
-//!    [`KernelChoice`] says so and travels as an argument of
-//!    `pygb::nb::run_{vec,mat}_op` down to `pygb::kernels` — counted
-//!    under `opt/static_kernel_hints`;
+//! 2. kernel choice: when a mask's fact is tight enough to decide the
+//!    masked-SpGEMM family *statically*, the node's [`KernelChoice`]
+//!    says so and travels as an argument of `pygb::nb::run_mat_op` down
+//!    to `pygb::kernels` — counted under `opt/static_kernel_hints`.
+//!    SpMV direction is not decided here: the op-DAG runs the
+//!    orientation each operand carries, exactly as a blocking dispatch
+//!    does;
 //! 3. [`crate::plan`] renders each node's fact next to its kernel
 //!    verdict, and the analysis emits lints (provably-empty result
 //!    consumed downstream, mask provably disjoint) through
@@ -36,16 +38,14 @@
 //! (stored entries are value-mapped, never dropped), so facts survive
 //! them unchanged.
 
-use std::collections::HashMap;
-
 use pygb::expr::{MatOperand, MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
 use pygb::facts::{self, Fact, KernelChoice};
 use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use std::sync::Arc;
 
-use crate::dag::{mptr, node_inputs, vptr, Dag, Node};
-use crate::dataflow::{mat_rhs_ops_present, node_out_ptr, vec_rhs_ops_present};
+use crate::dag::{mptr, vptr, AddrMap, Dag, Node};
+use crate::dataflow::{mat_rhs_ops_present, node_out_ptr, vec_rhs_ops_present, visit_inputs};
 
 // ---------------------------------------------------------------------
 // Per-node analysis results.
@@ -58,10 +58,8 @@ pub(crate) struct NodeFacts {
     /// The abstract fact describing the node's output container after
     /// mask/accumulate/replace write-back.
     pub(crate) fact: Fact,
-    /// Statically decided kernel: the SpMV direction when the
-    /// multiplied vector's density interval falls entirely on one side
-    /// of the push/pull threshold, the masked-SpGEMM family when the
-    /// mask's density interval is decisive.
+    /// Statically decided kernel: the masked-SpGEMM family when a
+    /// matrix node's mask density interval is decisive.
     pub(crate) choice: KernelChoice,
 }
 
@@ -69,7 +67,7 @@ pub(crate) struct NodeFacts {
 /// node.
 pub(crate) struct Analysis {
     /// Facts keyed by DAG slot index (stable across scheduling waves).
-    pub(crate) facts: HashMap<usize, NodeFacts>,
+    pub(crate) facts: AddrMap<usize, NodeFacts>,
 }
 
 // ---------------------------------------------------------------------
@@ -78,8 +76,8 @@ pub(crate) struct Analysis {
 
 /// Facts for placeholder addresses computed earlier in this walk.
 struct Env {
-    vec: HashMap<usize, Fact>,
-    mat: HashMap<usize, Fact>,
+    vec: AddrMap<usize, Fact>,
+    mat: AddrMap<usize, Fact>,
 }
 
 fn vec_fact(dag: &Dag, env: &Env, v: &Arc<VectorStore>) -> Fact {
@@ -273,34 +271,6 @@ fn mat_node_fact(dag: &Dag, env: &Env, d: &MatOpDesc) -> Fact {
 // Kernel hints from tight facts.
 // ---------------------------------------------------------------------
 
-/// Statically decide the SpMV direction when the multiplied vector's
-/// density interval lies entirely on one side of the push/pull
-/// threshold — the same comparison the runtime probe would make, but
-/// proven for every concretization of the fact.
-fn spmv_hint_from(u: &Fact) -> Option<facts::SpmvDirection> {
-    let thr = gbtl::push_pull_density();
-    if u.density_lo() >= thr {
-        Some(facts::SpmvDirection::Pull)
-    } else if u.density_hi() < thr {
-        Some(facts::SpmvDirection::Push)
-    } else {
-        None
-    }
-}
-
-fn vec_node_spmv_hint(dag: &Dag, env: &Env, d: &VecOpDesc) -> Option<facts::SpmvDirection> {
-    if d.region.is_some() {
-        return None;
-    }
-    let VecRhs::Expr(e) = &d.rhs else { return None };
-    match &e.kind {
-        VectorExprKind::MxV { u, .. }
-        | VectorExprKind::VxM { u, .. }
-        | VectorExprKind::FusedMxvApply { u, .. } => spmv_hint_from(&vec_fact(dag, env, u)),
-        _ => None,
-    }
-}
-
 /// Statically decide the masked-SpGEMM family from the mask's density
 /// interval: a provably sparse mask favors the mask-driven dot kernel,
 /// a provably dense one the Gustavson row kernel. The push/pull
@@ -340,22 +310,21 @@ fn mat_node_mxm_hint(dag: &Dag, env: &Env, d: &MatOpDesc) -> Option<facts::MxmFa
 /// pushed through [`pygb::emit_lint`] for the analyzer wire protocol.
 pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
     let mut env = Env {
-        vec: HashMap::new(),
-        mat: HashMap::new(),
+        vec: AddrMap::default(),
+        mat: AddrMap::default(),
     };
     let mut out = Analysis {
-        facts: HashMap::new(),
+        facts: AddrMap::default(),
     };
     for (i, node) in dag.nodes.iter().enumerate() {
         let Some(node) = node else { continue };
         let nf = match node {
             Node::Vec(d) => {
                 let fact = vec_node_fact(dag, &env, d);
-                let spmv = vec_node_spmv_hint(dag, &env, d);
                 env.vec.insert(vptr(&d.out), fact);
                 NodeFacts {
                     fact,
-                    choice: KernelChoice { spmv, mxm: None },
+                    choice: KernelChoice::default(),
                 }
             }
             Node::Mat(d) => {
@@ -364,14 +333,14 @@ pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
                 env.mat.insert(mptr(&d.out), fact);
                 NodeFacts {
                     fact,
-                    choice: KernelChoice { spmv: None, mxm },
+                    choice: KernelChoice { mxm },
                 }
             }
         };
         out.facts.insert(i, nf);
     }
     if emit_lints {
-        emit_structure_lints(dag, &out);
+        emit_structure_lints(dag, &out, &env);
     }
     out
 }
@@ -380,12 +349,6 @@ pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
 /// any statically decided kernel hint.
 pub(crate) fn render_facts(nf: &NodeFacts) -> String {
     let mut s = nf.fact.to_string();
-    if let Some(dir) = nf.choice.spmv {
-        s.push_str(match dir {
-            facts::SpmvDirection::Pull => " hint=pull",
-            facts::SpmvDirection::Push => " hint=push",
-        });
-    }
     if let Some(fam) = nf.choice.mxm {
         s.push_str(match fam {
             facts::MxmFamily::MaskedDot => " hint=dot",
@@ -399,11 +362,10 @@ pub(crate) fn render_facts(nf: &NodeFacts) -> String {
 // Lints.
 // ---------------------------------------------------------------------
 
-fn emit_structure_lints(dag: &Dag, analysis: &Analysis) {
-    let env = Env {
-        vec: analysis_env_v(dag, analysis),
-        mat: analysis_env_m(dag, analysis),
-    };
+fn emit_structure_lints(dag: &Dag, analysis: &Analysis, env: &Env) {
+    // Placeholder → first node reading it, indexed once and only when
+    // some result is provably empty.
+    let mut first_reader: Option<AddrMap<usize, usize>> = None;
     for (i, node) in dag.nodes.iter().enumerate() {
         let Some(node) = node else { continue };
         let Some(nf) = analysis.facts.get(&i) else {
@@ -413,15 +375,19 @@ fn emit_structure_lints(dag: &Dag, analysis: &Analysis) {
         // consumer does real work against a container that can never
         // hold an entry.
         if nf.fact.provably_empty() {
-            let out = node_out_ptr(node);
-            let consumer = dag
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .filter_map(|(j, n)| n.as_ref().map(|n| (j, n)))
-                .find(|(_, n)| node_inputs(n).contains(&out));
-            if let Some((j, _)) = consumer {
+            let readers = first_reader.get_or_insert_with(|| {
+                let mut readers = AddrMap::default();
+                for (j, n) in dag.nodes.iter().enumerate() {
+                    if let Some(n) = n {
+                        visit_inputs(n, &mut |p| {
+                            readers.entry(p).or_insert(j);
+                        });
+                    }
+                }
+                readers
+            });
+            let consumer = readers.get(&node_out_ptr(node)).filter(|&&j| j != i);
+            if let Some(&j) = consumer {
                 pygb::emit_lint(format!(
                     "sparsity: {} result is provably empty but {} consumes it",
                     dag.ids[i], dag.ids[j]
@@ -432,8 +398,8 @@ fn emit_structure_lints(dag: &Dag, analysis: &Analysis) {
         // provably-empty structural mask, or a provably-full
         // complemented one (its complement admits nothing).
         let mask = match node {
-            Node::Vec(d) => d.mask.as_ref().map(|(m, c)| (vec_fact(dag, &env, m), *c)),
-            Node::Mat(d) => d.mask.as_ref().map(|(m, c)| (mat_fact(dag, &env, m), *c)),
+            Node::Vec(d) => d.mask.as_ref().map(|(m, c)| (vec_fact(dag, env, m), *c)),
+            Node::Mat(d) => d.mask.as_ref().map(|(m, c)| (mat_fact(dag, env, m), *c)),
         };
         if let Some((mf, complemented)) = mask {
             let disjoint = if complemented {
@@ -450,31 +416,6 @@ fn emit_structure_lints(dag: &Dag, analysis: &Analysis) {
             }
         }
     }
-}
-
-/// Rebuild the vector placeholder→fact environment from a finished
-/// analysis, for lint-time operand lookups.
-fn analysis_env_v(dag: &Dag, analysis: &Analysis) -> HashMap<usize, Fact> {
-    analysis
-        .facts
-        .iter()
-        .filter_map(|(&i, nf)| match &dag.nodes[i] {
-            Some(Node::Vec(d)) => Some((vptr(&d.out), nf.fact)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Matrix analog of [`analysis_env_v`].
-fn analysis_env_m(dag: &Dag, analysis: &Analysis) -> HashMap<usize, Fact> {
-    analysis
-        .facts
-        .iter()
-        .filter_map(|(&i, nf)| match &dag.nodes[i] {
-            Some(Node::Mat(d)) => Some((mptr(&d.out), nf.fact)),
-            _ => None,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -586,12 +527,11 @@ mod tests {
         let nf = NodeFacts {
             fact: Fact::exact(0, 5),
             choice: KernelChoice {
-                spmv: Some(facts::SpmvDirection::Push),
-                mxm: None,
+                mxm: Some(facts::MxmFamily::MaskedDot),
             },
         };
         let s = render_facts(&nf);
         assert!(s.contains("nnz=[0,0]"), "got: {s}");
-        assert!(s.ends_with("hint=push"), "got: {s}");
+        assert!(s.ends_with("hint=dot"), "got: {s}");
     }
 }

@@ -127,8 +127,15 @@ impl Drop for WorkerPool {
             q.shutdown = true;
         }
         self.shared.available.notify_all();
+        // The pool's last owner can be a job's closure, dropped on one
+        // of these workers. That worker cannot join itself; it leaves
+        // its loop on its own once the job returns, because the queue
+        // is shut down.
+        let me = thread::current().id();
         for h in self.workers.drain(..) {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 }

@@ -10,6 +10,7 @@ use pygb::{
 use pygb_integration::{
     assert_matrices_identical, assert_vectors_identical, fig1_graph, measure_dispatches,
 };
+use pygb_jit::StatsSnapshot;
 
 fn dense(vals: &[f64]) -> Vector {
     let mut v = Vector::new(vals.len(), DType::Fp64);
@@ -48,26 +49,91 @@ fn ref_collapse_fuses_masked_spmv() {
     assert_eq!(d.deferred_ops, 2);
     // The collapsed node carries the consumer's complemented mask, so
     // the substrate must have picked a *masked* kernel for the single
-    // fused dispatch. The frontier's density (1/7) sits above the
-    // push/pull threshold, so the sparsity analysis statically hints
-    // pull and the runtime honors it by flipping to the cached
-    // transpose — the transposed operand no longer forces push.
-    assert_eq!(
-        d.sel_masked_pull, 1,
-        "fused SpMV must select masked pull from the static density hint"
-    );
-    assert_eq!(d.sel_pull + d.sel_masked_push + d.sel_push, 0);
+    // fused dispatch — in the direction the blocking spelling takes:
+    // the transposed operand pushes in both modes.
+    assert_eq!(d.sel_masked_push, 1, "fused SpMV must select masked push");
+    assert_eq!(d.sel_pull + d.sel_masked_pull + d.sel_push, 0);
 
-    // Same result as the direct blocking spelling.
+    // The direct blocking spelling: same kernel, same result.
     let mut blocking = Vector::new(7, DType::Bool);
     blocking.set(3, true).unwrap();
-    {
+    let ((), b) = measure_dispatches(|| {
         let _sr = LogicalSemiring.enter();
         let _rp = Replace.enter();
         let expr = g.t().mxv(&blocking.clone());
         blocking.masked_complement(&levels).assign(expr).unwrap();
-    }
+    });
+    assert_eq!(spmv_calls(&b), spmv_calls(&d), "rule 3 kernels");
     assert_vectors_identical(&blocking, &frontier2, "rule 3");
+}
+
+/// `(push, pull)` SpMV kernel selections, masked or not.
+fn spmv_calls(s: &StatsSnapshot) -> (u64, u64) {
+    (
+        s.sel_push + s.sel_masked_push,
+        s.sel_pull + s.sel_masked_pull,
+    )
+}
+
+/// A program runs the same SpMV kernels in both execution modes: the
+/// op-DAG decides no push/pull direction of its own, so every product
+/// takes the orientation its operand carries, exactly as a blocking
+/// dispatch does. Counted per direction on BFS, SSSP and PageRank over
+/// a graph whose frontiers cross the substrate's density cutover, with
+/// bit-identical results.
+#[test]
+fn nonblocking_runs_the_blocking_spmv_kernels() {
+    let n = 64;
+    let g = pygb_io::generators::erdos_renyi_power(n, 5).to_pygb(DType::Fp64);
+    let pr_opts = pygb_algorithms::PageRankOptions {
+        max_iters: 8,
+        ..Default::default()
+    };
+
+    // Warm every module so the measured runs only count selections.
+    let bfs = |nb: bool| {
+        if nb {
+            pygb_algorithms::bfs_nonblocking(&g, 0).unwrap()
+        } else {
+            pygb_algorithms::bfs_dsl_loops(&g, 0).unwrap()
+        }
+    };
+    let sssp = |nb: bool| {
+        let mut path = Vector::new(n, DType::Fp64);
+        path.set(0, 0.0f64).unwrap();
+        if nb {
+            pygb_algorithms::sssp_nonblocking(&g, &mut path).unwrap();
+        } else {
+            pygb_algorithms::sssp_dsl_loops(&g, &mut path).unwrap();
+        }
+        path
+    };
+    let pagerank = |nb: bool| {
+        if nb {
+            pygb_algorithms::pagerank_nonblocking(&g, pr_opts)
+                .unwrap()
+                .0
+        } else {
+            pygb_algorithms::pagerank_dsl_chained(&g, pr_opts)
+                .unwrap()
+                .0
+        }
+    };
+    let programs: [(&str, &dyn Fn(bool) -> Vector); 3] =
+        [("bfs", &bfs), ("sssp", &sssp), ("pagerank", &pagerank)];
+    for (name, run) in programs {
+        run(false);
+        run(true);
+        let (blocking, b) = measure_dispatches(|| run(false));
+        let (deferred, d) = measure_dispatches(|| run(true));
+        assert!(d.deferred_ops > 0, "{name}: nothing was deferred");
+        assert_eq!(
+            spmv_calls(&d),
+            spmv_calls(&b),
+            "{name}: (push, pull) SpMV selections differ between modes"
+        );
+        assert_vectors_identical(&blocking, &deferred, name);
+    }
 }
 
 /// Rule 2 end to end: `apply(mxv(...))` through a temporary becomes a

@@ -441,12 +441,12 @@ fn empty_mask_replace_folds_with_disjoint_lint() {
     );
 }
 
-/// The static-hint claim of the tentpole: a BFS-style frontier mxv
-/// whose vector density is statically known takes its push/pull
-/// decision from the analysis (counter moves), with results identical
-/// to the blocking oracle.
+/// A BFS-style frontier mxv whose vector density is statically known
+/// still runs the kernel the blocking dispatch runs: the analysis
+/// decides no push/pull direction (no static hint is taken), and the
+/// results match the blocking oracle.
 #[test]
-fn bfs_frontier_mxv_selects_direction_from_static_hint() {
+fn bfs_frontier_mxv_runs_the_blocking_kernel() {
     let g = pygb_integration::fig1_graph().cast(DType::Fp64);
     let run = |nonblocking: bool| -> Vec<(usize, DynScalar)> {
         let _scope = nonblocking.then(|| PassScope::new(&full_pipeline()));
@@ -461,8 +461,32 @@ fn bfs_frontier_mxv_selects_direction_from_static_hint() {
         next.settle().unwrap();
         next.extract_pairs()
     };
-    let oracle = run(false);
-    let (got, hints) = counted(Census::StaticKernelHints, || run(true));
-    assert_eq!(got, oracle, "hinted SpMV must match blocking results");
-    assert!(hints > 0, "frontier mxv must take a static push/pull hint");
+    let spmv = |nonblocking: bool| {
+        let scope = Scope::new();
+        let got = {
+            let _in = scope.enter();
+            run(nonblocking)
+        };
+        let calls: Vec<u64> = [
+            Census::SelPush,
+            Census::SelMaskedPush,
+            Census::SelPull,
+            Census::SelMaskedPull,
+            Census::StaticKernelHints,
+        ]
+        .into_iter()
+        .map(|c| scope.get(c))
+        .collect();
+        (got, calls)
+    };
+    run(false);
+    run(true);
+    let (oracle, blocking) = spmv(false);
+    let (got, deferred) = spmv(true);
+    assert_eq!(got, oracle, "deferred SpMV must match blocking results");
+    assert_eq!(
+        deferred, blocking,
+        "[push, masked push, pull, masked pull, hints] differ between modes"
+    );
+    assert_eq!(deferred[4], 0, "no static kernel hint may be taken");
 }

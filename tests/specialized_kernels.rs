@@ -7,9 +7,9 @@
 //!     builds for a named semiring and the interpreter instantiated on
 //!     the same key write the same bits and select the same `gbtl`
 //!     kernel — every named semiring × every dtype × every family
-//!     member, over random masks, accumulators, replace flags, operand
-//!     orientations and plan-time push/pull choices, with NaN, ±∞ and
-//!     wrapping integers among the values;
+//!     member, over random masks, accumulators, replace flags and
+//!     operand orientations, with NaN, ±∞ and wrapping integers among
+//!     the values;
 //! (b) an unlisted triple and a user-registered ⊕/⊗ fall back to the
 //!     interpreter and still agree with the dense oracle;
 //! (c) a hand-assembled `Plus`/`Zero`/`Times` semiring and
@@ -37,7 +37,6 @@ use gbtl::ops::kind::{
     KindSemiring, UnaryOpKind,
 };
 use pygb::dispatch::semiring_key;
-use pygb::facts::{KernelChoice, SpmvDirection};
 use pygb::kernels::{interpreted_spmv, register_all, VecArgs};
 use pygb::prelude::*;
 use pygb::store::VectorStore;
@@ -102,12 +101,9 @@ struct Case {
     /// Index into [`ACCUMS`].
     accum: usize,
     replace: bool,
-    /// Operand orientation: with no plan-time choice, a plain operand
-    /// pulls under `mxv` and pushes under `vxm`, a transposed one the
-    /// reverse.
+    /// Operand orientation: a plain operand pulls under `mxv` and
+    /// pushes under `vxm`, a transposed one the reverse.
     at: bool,
-    /// Plan-time direction: 0 = undecided, 1 = push, 2 = pull.
-    choice: usize,
     /// The fused forms' unary operator: index into [`UNARIES`].
     unary: usize,
     /// Value codes (see [`value`]) of `A` row-major, then `u`, the
@@ -135,20 +131,17 @@ fn case_strategy() -> impl Strategy<Value = Case> {
             any::<bool>(),
             any::<bool>(),
         ),
-        (0usize..3, 0usize..UNARIES.len()),
+        0usize..UNARIES.len(),
         proptest::collection::vec(0u8..24, N * N + 3 * N),
     )
-        .prop_map(
-            |((mask_mode, accum, replace, at), (choice, unary), cells)| Case {
-                mask_mode,
-                accum,
-                replace,
-                at,
-                choice,
-                unary,
-                cells,
-            },
-        )
+        .prop_map(|((mask_mode, accum, replace, at), unary, cells)| Case {
+            mask_mode,
+            accum,
+            replace,
+            at,
+            unary,
+            cells,
+        })
 }
 
 /// A cell's value: a third absent, most small integers (negative ones
@@ -196,10 +189,6 @@ fn bundle<T: Element>(case: &Case, sr: KindSemiring) -> VecArgs {
         ))));
         args.complemented = case.mask_mode == 2;
     }
-    args.choice = KernelChoice {
-        spmv: [None, Some(SpmvDirection::Push), Some(SpmvDirection::Pull)][case.choice],
-        mxm: None,
-    };
     args
 }
 
