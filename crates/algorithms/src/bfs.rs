@@ -45,7 +45,7 @@ pub fn bfs_dsl_loops(graph: &Matrix, source: usize) -> pygb::Result<Vector> {
 /// BFS as a single fused-kernel dispatch.
 pub fn bfs_dsl_fused(graph: &Matrix, source: usize) -> pygb::Result<Vector> {
     let mut args = BfsArgs {
-        graph: graph.clone(),
+        graph: fused::settled(graph)?,
         source,
         levels: None,
     };

@@ -37,7 +37,7 @@ pub fn cc_dsl_loops(graph: &Matrix) -> pygb::Result<(Vector, usize)> {
 /// Connected components as one fused-kernel dispatch.
 pub fn cc_dsl_fused(graph: &Matrix) -> pygb::Result<(Vector, usize)> {
     let mut args = CcArgs {
-        graph: graph.clone(),
+        graph: fused::settled(graph)?,
         labels: None,
         rounds: 0,
     };

@@ -60,6 +60,16 @@ fn op_err(e: impl std::fmt::Display) -> JitError {
     JitError::op(e)
 }
 
+/// A handle on `m` with any deferred producer resolved. The kernels
+/// borrow the typed store through [`Matrix::store`], which does not
+/// read through the nonblocking resolution map: a pending operand
+/// would be its placeholder, an empty store of the right shape.
+pub(crate) fn settled(m: &Matrix) -> pygb::Result<Matrix> {
+    let mut m = m.clone();
+    m.settle()?;
+    Ok(m)
+}
+
 fn graph_ref<'a, T: Element>(m: &'a Matrix, what: &str) -> Result<&'a gbtl::Matrix<T>, JitError> {
     T::unwrap_matrix(m.store()).ok_or_else(|| {
         JitError::bad_key(format!(

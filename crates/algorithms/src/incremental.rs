@@ -32,8 +32,8 @@ use pygb::{
     apply, BinaryOp, DType, DynScalar, EdgeUpdate, Matrix, Monoid, Semiring, UnaryOp, Vector,
 };
 
-use crate::nonblocking::bfs_nonblocking;
-use crate::pagerank::PageRankOptions;
+use crate::nonblocking::{bfs_nonblocking, deferred};
+use crate::pagerank::{pagerank_chained_from, PageRankOptions};
 
 /// Incremental BFS: given `prev_levels = bfs(old graph, source)` and
 /// the edge batch that turned the old graph into `graph`, produce
@@ -165,7 +165,7 @@ pub fn pagerank_incremental(
         seed.no_mask().assign(&snapshot + &prev)?;
     }
 
-    let (ranks, iters) = crate::nonblocking::pagerank_nonblocking_from(graph, &seed, opts)?;
+    let (ranks, iters) = deferred(|| pagerank_chained_from(graph, seed, opts))?;
     let reg = pygb_obs::registry();
     reg.counter("stream/pagerank_inc_runs").inc();
     reg.counter("stream/pagerank_inc_iters").add(iters as u64);

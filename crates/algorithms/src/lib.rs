@@ -17,6 +17,12 @@
 //! All three variants of an algorithm produce identical results (see
 //! the crate tests and `tests/algorithms_equiv.rs`); Fig. 10 measures
 //! the abstraction penalty between them.
+//!
+//! **`*_nonblocking`** is not a fourth copy of any algorithm: it is the
+//! same source as the DSL form, deferred. GraphBLAS makes blocking
+//! versus nonblocking a property of the context, so each one is its
+//! blocking transcription run inside [`deferred`], which enters the
+//! `pygb-runtime` op-DAG scope and flushes before returning.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,11 +41,11 @@ pub use bfs::{bfs_dsl_fused, bfs_dsl_loops, bfs_native};
 pub use cc::{cc_dsl_fused, cc_dsl_loops, cc_native, count_components};
 pub use incremental::{bfs_incremental, pagerank_incremental};
 pub use nonblocking::{
-    bfs_nonblocking, pagerank_nonblocking, pagerank_nonblocking_from, sssp_nonblocking,
-    tricount_nonblocking,
+    bfs_nonblocking, deferred, pagerank_nonblocking, sssp_nonblocking, tricount_nonblocking,
 };
 pub use pagerank::{
-    pagerank_dsl_chained, pagerank_dsl_fused, pagerank_dsl_loops, pagerank_native, PageRankOptions,
+    pagerank_chained_from, pagerank_dsl_chained, pagerank_dsl_fused, pagerank_dsl_loops,
+    pagerank_native, PageRankOptions,
 };
 pub use sssp::{sssp_dsl_fused, sssp_dsl_loops, sssp_native};
 pub use triangle::{tricount_dsl_fused, tricount_dsl_loops, tricount_native, tril};
@@ -50,8 +56,9 @@ pub use triangle::{tricount_dsl_fused, tricount_dsl_loops, tricount_native, tril
 pub enum Variant {
     /// Outer loop in the host language, one dynamic dispatch per op.
     DslLoops,
-    /// Per-op dispatch deferred into the nonblocking op-DAG with
-    /// automatic fusion (`pygb-runtime`).
+    /// The same source as [`Variant::DslLoops`], deferred: per-op
+    /// dispatch queued into the nonblocking op-DAG with automatic
+    /// fusion (`pygb-runtime`), see [`deferred`].
     Nonblocking,
     /// One dynamic dispatch to a whole-algorithm kernel.
     DslFused,

@@ -105,6 +105,23 @@ pub fn pagerank_dsl_chained(
     graph: &Matrix,
     opts: PageRankOptions,
 ) -> pygb::Result<(Vector, usize)> {
+    let rows = graph.nrows();
+    let mut start = Vector::new(rows, DType::Fp64);
+    start.no_mask().slice(..).assign_scalar(1.0 / rows as f64)?;
+    pagerank_chained_from(graph, start, opts)
+}
+
+/// The power iteration of [`pagerank_dsl_chained`], started from an
+/// arbitrary `fp64` rank vector instead of the uniform one — the
+/// warm-start entry point of [`crate::incremental::pagerank_incremental`].
+/// The damped iteration is a contraction, so any start converges to the
+/// same fixed point; the start only decides how many iterations that
+/// takes. `start` becomes the iterate itself, so it costs no copy.
+pub fn pagerank_chained_from(
+    graph: &Matrix,
+    start: Vector,
+    opts: PageRankOptions,
+) -> pygb::Result<(Vector, usize)> {
     let (rows, _cols) = graph.shape();
     let rows_f = rows as f64;
     let mut m = Matrix::new(rows, rows, DType::Fp64);
@@ -116,8 +133,7 @@ pub fn pagerank_dsl_chained(
         m.no_mask().assign(pygb::apply(&snapshot))?;
     }
 
-    let mut page_rank = Vector::new(rows, DType::Fp64);
-    page_rank.no_mask().slice(..).assign_scalar(1.0 / rows_f)?;
+    let mut page_rank = start;
     let mut new_rank = Vector::new(rows, DType::Fp64);
     let mut delta = Vector::new(rows, DType::Fp64);
     let teleport = (1.0 - opts.damping_factor) / rows_f;
@@ -163,7 +179,7 @@ pub fn pagerank_dsl_chained(
 /// iteration count.
 pub fn pagerank_dsl_fused(graph: &Matrix, opts: PageRankOptions) -> pygb::Result<(Vector, usize)> {
     let mut args = PageRankArgs {
-        graph: graph.clone(),
+        graph: fused::settled(graph)?,
         opts,
         rank: None,
         iters: 0,

@@ -41,7 +41,7 @@ pub fn sssp_dsl_fused(graph: &Matrix, path: &mut Vector) -> pygb::Result<()> {
         path.cast(graph.dtype())
     };
     let mut args = SsspArgs {
-        graph: graph.clone(),
+        graph: fused::settled(graph)?,
         path: Some(typed_path),
     };
     fused::dispatch("algo_sssp", graph.dtype(), &mut args)?;

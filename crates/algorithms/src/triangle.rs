@@ -39,7 +39,7 @@ pub fn tricount_dsl_loops(l: &Matrix) -> pygb::Result<DynScalar> {
 /// Triangle counting as a single fused-kernel dispatch.
 pub fn tricount_dsl_fused(l: &Matrix) -> pygb::Result<DynScalar> {
     let mut args = TriArgs {
-        l: l.clone(),
+        l: fused::settled(l)?,
         count: None,
     };
     fused::dispatch("algo_tricount", l.dtype(), &mut args)?;

@@ -55,6 +55,12 @@ thread_local! {
 }
 
 fn push_lint(msg: String) {
+    // The flush replays each deferred node through the blocking path,
+    // which analyzes it again to keep its error checks; its lints were
+    // recorded once already, when it was enqueued.
+    if crate::nb::suspended() {
+        return;
+    }
     LINTS.with(|l| {
         let mut l = l.borrow_mut();
         if l.len() < LINT_CAP {

@@ -204,7 +204,9 @@ fn engine() -> Option<&'static EngineOps> {
     ENGINE.get()
 }
 
-fn suspended() -> bool {
+/// Whether the current thread is executing a deferred node (see
+/// [`run_vec_op`]) rather than running user code.
+pub(crate) fn suspended() -> bool {
     SUSPENDED.with(|s| s.get())
 }
 

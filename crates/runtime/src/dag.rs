@@ -401,7 +401,14 @@ pub(crate) fn visits() -> u64 {
 /// Execute every node in the calling thread's DAG. No-op when empty or
 /// already flushing (re-entrancy from node execution).
 pub(crate) fn flush() -> Result<()> {
-    let proceed = DAG.with(|d| begin_flush(&mut d.borrow_mut()));
+    let proceed = DAG.with(|d| {
+        let mut dag = d.borrow_mut();
+        let proceed = begin_flush(&mut dag);
+        if proceed {
+            prune_resolved(&mut dag);
+        }
+        proceed
+    });
     if !proceed {
         return Ok(());
     }
@@ -429,14 +436,22 @@ pub(crate) fn flush() -> Result<()> {
         // nodes the error path abandoned.
         dag.alias_v.clear();
         dag.alias_m.clear();
-        // Entries whose placeholder only the map itself still holds can
-        // never be asked for again — their address has no other owner.
-        dag.resolved_v
-            .retain(|_, (keep, _)| Arc::strong_count(keep) > 1);
-        dag.resolved_m
-            .retain(|_, (keep, _)| Arc::strong_count(keep) > 1);
+        prune_resolved(&mut dag);
     });
     result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Drop the resolutions whose placeholder only the map itself still
+/// holds: that address has no other owner, so it can never be asked
+/// for again, and the real store the entry pinned is freed. Runs when a
+/// flush starts as well as when it ends, so a store whose last holder
+/// let go between flushes (a container reassigned after a read) is
+/// freed before the flush allocates its results.
+fn prune_resolved(dag: &mut Dag) {
+    dag.resolved_v
+        .retain(|_, (keep, _)| Arc::strong_count(keep) > 1);
+    dag.resolved_m
+        .retain(|_, (keep, _)| Arc::strong_count(keep) > 1);
 }
 
 fn flush_inner() -> Result<()> {

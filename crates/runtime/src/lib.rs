@@ -105,6 +105,45 @@ mod tests {
         v
     }
 
+    /// A flush first drops the resolutions no container can ask for
+    /// any more, so the store such a resolution pinned is freed before
+    /// the flush's nodes allocate their results, not after.
+    #[test]
+    fn a_flush_frees_unreachable_resolved_stores_before_running() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{Arc, Mutex, Weak};
+
+        static PINNED: Mutex<Option<Weak<pygb::store::VectorStore>>> = Mutex::new(None);
+        static FREED_BEFORE_RUN: AtomicBool = AtomicBool::new(false);
+        fn probe(x: f64) -> f64 {
+            let pinned = PINNED.lock().expect("probe lock");
+            let freed = pinned.as_ref().is_some_and(|w| w.upgrade().is_none());
+            FREED_BEFORE_RUN.store(freed, Ordering::SeqCst);
+            x
+        }
+
+        let u = dense(&[1.0, 2.0, 3.0]);
+        let _nb = nonblocking().unwrap();
+        let mut w = Vector::new(3, DType::Fp64);
+        w.no_mask().assign(&u + &u).unwrap();
+        assert_eq!(w.nvals(), 3); // flushes: `w`'s placeholder resolves
+        let real: Vec<_> = dag::with_dag(|d| {
+            d.resolved_v
+                .values()
+                .map(|(_, s)| Arc::downgrade(s))
+                .collect()
+        });
+        assert_eq!(real.len(), 1);
+        *PINNED.lock().unwrap() = real.into_iter().next();
+        drop(w); // the placeholder's last holder outside the map
+
+        let mut x = Vector::new(3, DType::Fp64);
+        let _op = pygb::UnaryOp::define("probe_resolved_store_freed", probe).enter();
+        x.no_mask().assign(pygb::apply(&u)).unwrap();
+        assert_eq!(x.nvals(), 3); // flushes: the probe runs inside
+        assert!(FREED_BEFORE_RUN.load(Ordering::SeqCst));
+    }
+
     #[test]
     fn deferred_chain_flushes_on_scope_exit() {
         let u = dense(&[1.0, 2.0, 3.0]);

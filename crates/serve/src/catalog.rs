@@ -17,7 +17,7 @@
 //!
 //! Because a snapshot never changes, an answer computed on it stays
 //! true for as long as it lives: each snapshot carries the slot the
-//! server files its served answers in (see [`crate::answers`]), and
+//! server files its served answers in (see `answers.rs`), and
 //! the answers go when the snapshot does.
 
 use parking_lot::RwLock;

@@ -8,7 +8,7 @@
 //!
 //! A `QUERY`, or an `EXPR` without `INTO`, is first resolved to its
 //! operand snapshots on the connection thread and looked up in the
-//! answers its snapshot already holds (see [`crate::answers`]). A hit
+//! answers its snapshot already holds (see `answers.rs`). A hit
 //! is written inline — no admission ticket, no pool hop, no algorithm —
 //! and recorded with outcome `cached`. A miss is dispatched like any
 //! heavy request, carrying the resolved snapshots, and the worker files

@@ -40,9 +40,12 @@ fn nonblocking_uses_fewer_dispatches_than_blocking() {
         nonblocking < blocking,
         "nonblocking must invoke fewer kernels: {nonblocking} vs {blocking}"
     );
-    // Two fusions per iteration: vxm+apply (rule 2) and
-    // ewise+reduce (rule 4).
-    assert_eq!(nb.fused_ops, 40);
+    // One fusion per iteration: ewise+reduce (rule 4). The nonblocking
+    // run is `pagerank_dsl_chained` deferred, whose source already
+    // writes vxm+apply as one `then_apply` expression, so rule 2 has
+    // nothing left to fuse (it stays proven by `apply_after_mxv_fuses`
+    // in tests/nonblocking.rs).
+    assert_eq!(nb.fused_ops, 20);
     // Everything in the iteration body deferred before running.
     assert!(nb.deferred_ops > 0);
 }

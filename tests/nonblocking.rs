@@ -4,11 +4,12 @@
 //! `gbtl` — the full stack driven end to end.
 
 use pygb::{
-    apply, reduce, ArithmeticSemiring, BinaryOp, DType, LogicalSemiring, Matrix, Replace, UnaryOp,
-    Vector,
+    apply, reduce, ArithmeticSemiring, BinaryOp, DType, DynScalar, LogicalSemiring, Matrix,
+    Replace, UnaryOp, Vector,
 };
 use pygb_integration::{
     assert_matrices_identical, assert_vectors_identical, fig1_graph, measure_dispatches,
+    vector_pairs,
 };
 use pygb_jit::StatsSnapshot;
 
@@ -75,65 +76,236 @@ fn spmv_calls(s: &StatsSnapshot) -> (u64, u64) {
     )
 }
 
-/// A program runs the same SpMV kernels in both execution modes: the
-/// op-DAG decides no push/pull direction of its own, so every product
-/// takes the orientation its operand carries, exactly as a blocking
-/// dispatch does. Counted per direction on BFS, SSSP and PageRank over
-/// a graph whose frontiers cross the substrate's density cutover, with
-/// bit-identical results.
+/// `(push, pull)` SpMV and `(dot, Gustavson)` SpGEMM kernel selections.
+fn kernel_calls(s: &StatsSnapshot) -> [u64; 4] {
+    let (push, pull) = spmv_calls(s);
+    [
+        push,
+        pull,
+        s.sel_dot_spgemm,
+        s.sel_spgemm + s.sel_masked_spgemm,
+    ]
+}
+
+/// A program runs the same kernels in both execution modes: the op-DAG
+/// decides no push/pull direction of its own, so every product takes
+/// the kernel its blocking dispatch takes. Counted per kind on BFS,
+/// SSSP, PageRank, triangle counting and connected components — the
+/// last run through `pygb_algorithms::deferred`, the helper every
+/// `*_nonblocking` is — over graphs of four dtypes whose frontiers
+/// cross the substrate's density cutover, with bit-identical results.
+///
+/// The one kernel decision the op-DAG still makes itself is the
+/// masked-SpGEMM family, from the mask's density interval (DESIGN.md
+/// §4j): triangle counting's mask `L` is dense here (density ≈ 0.12,
+/// above the 0.05 cutover), so the deferred run takes Gustavson where
+/// the blocking one takes dot. That difference is pinned exactly — one
+/// honored static hint, same number of products — so it cannot widen
+/// unnoticed, and this test says so when the hint goes.
 #[test]
 fn nonblocking_runs_the_blocking_spmv_kernels() {
+    use pygb_algorithms as algos;
+    type Pairs = Vec<(usize, DynScalar)>;
     let n = 64;
-    let g = pygb_io::generators::erdos_renyi_power(n, 5).to_pygb(DType::Fp64);
-    let pr_opts = pygb_algorithms::PageRankOptions {
+    let weighted = pygb_io::generators::erdos_renyi_power(n, 5);
+    let pr_opts = algos::PageRankOptions {
         max_iters: 8,
         ..Default::default()
     };
 
-    // Warm every module so the measured runs only count selections.
+    for dtype in [DType::Fp64, DType::Int32, DType::UInt64, DType::Bool] {
+        // Weights in (0, 1] would cast to stored zeros.
+        let edges = match dtype {
+            DType::Fp64 => weighted.clone(),
+            _ => weighted.clone().unweighted(),
+        };
+        let lower = edges.clone().symmetrize().lower_triangular();
+        let g = edges.to_pygb(dtype);
+        let l = lower.to_pygb(dtype);
+        let bfs = |nb: bool| {
+            let levels = if nb {
+                algos::bfs_nonblocking(&g, 0)
+            } else {
+                algos::bfs_dsl_loops(&g, 0)
+            };
+            vector_pairs(&levels.unwrap())
+        };
+        let sssp = |nb: bool| {
+            let mut path = Vector::new(n, DType::Fp64);
+            path.set(0, 0.0f64).unwrap();
+            if nb {
+                algos::sssp_nonblocking(&g, &mut path).unwrap();
+            } else {
+                algos::sssp_dsl_loops(&g, &mut path).unwrap();
+            }
+            vector_pairs(&path)
+        };
+        let pagerank = |nb: bool| {
+            let (rank, _) = if nb {
+                algos::pagerank_nonblocking(&g, pr_opts)
+            } else {
+                algos::pagerank_dsl_chained(&g, pr_opts)
+            }
+            .unwrap();
+            vector_pairs(&rank)
+        };
+        let tricount = |nb: bool| {
+            let count = if nb {
+                algos::tricount_nonblocking(&l)
+            } else {
+                algos::tricount_dsl_loops(&l)
+            };
+            vec![(0, count.unwrap())]
+        };
+        let cc = |nb: bool| {
+            let (labels, _) = if nb {
+                algos::deferred(|| algos::cc_dsl_loops(&g))
+            } else {
+                algos::cc_dsl_loops(&g)
+            }
+            .unwrap();
+            vector_pairs(&labels)
+        };
+        let programs: [(&str, &dyn Fn(bool) -> Pairs); 5] = [
+            ("bfs", &bfs),
+            ("sssp", &sssp),
+            ("pagerank", &pagerank),
+            ("tricount", &tricount),
+            ("cc", &cc),
+        ];
+        for (name, run) in programs {
+            let case = format!("{name} on a {dtype} graph");
+            run(false);
+            run(true);
+            let (blocking, b) = measure_dispatches(|| run(false));
+            let scope = pygb_obs::Scope::new();
+            let deferred = {
+                let _in = scope.enter();
+                run(true)
+            };
+            let d = StatsSnapshot::of(&scope);
+            let hints = scope.get(pygb_obs::Census::StaticKernelHints);
+            assert!(d.deferred_ops > 0, "{case}: nothing was deferred");
+            assert!(
+                kernel_calls(&b).iter().any(|&k| k > 0),
+                "{case}: no product ran"
+            );
+            let mut expected = kernel_calls(&b);
+            if name == "tricount" {
+                assert_eq!(hints, 1, "{case}: the SpGEMM family hint");
+                assert_eq!(expected[2..], [1, 0], "{case}: blocking takes dot");
+                expected[2..].copy_from_slice(&[0, 1]);
+            } else {
+                assert_eq!(hints, 0, "{case}: a static kernel hint was taken");
+            }
+            assert_eq!(
+                kernel_calls(&d),
+                expected,
+                "{case}: (push, pull, dot, Gustavson) selections differ between modes"
+            );
+            assert_eq!(blocking, deferred, "{case}: results differ between modes");
+        }
+    }
+}
+
+/// A nonblocking run records the analyzer's lints once per operation,
+/// at enqueue — exactly the blocking run's list — although the flush
+/// analyzes each node again to keep its error checks.
+#[test]
+fn nonblocking_lints_each_operation_once() {
+    use pygb_algorithms as algos;
+    let g = fig1_graph();
+    let l = pygb_io::generators::complete_graph(5)
+        .lower_triangular()
+        .to_pygb(DType::Fp64);
+    let opts = algos::PageRankOptions::default();
+    let lints = |run: &dyn Fn(bool), nb: bool| {
+        pygb::take_lints();
+        run(nb);
+        pygb::take_lints()
+    };
     let bfs = |nb: bool| {
         if nb {
-            pygb_algorithms::bfs_nonblocking(&g, 0).unwrap()
+            algos::bfs_nonblocking(&g, 3).unwrap();
         } else {
-            pygb_algorithms::bfs_dsl_loops(&g, 0).unwrap()
+            algos::bfs_dsl_loops(&g, 3).unwrap();
         }
     };
     let sssp = |nb: bool| {
-        let mut path = Vector::new(n, DType::Fp64);
-        path.set(0, 0.0f64).unwrap();
+        let mut path = Vector::new(7, DType::Fp64);
+        path.set(3, 0.0f64).unwrap();
         if nb {
-            pygb_algorithms::sssp_nonblocking(&g, &mut path).unwrap();
+            algos::sssp_nonblocking(&g, &mut path).unwrap();
         } else {
-            pygb_algorithms::sssp_dsl_loops(&g, &mut path).unwrap();
+            algos::sssp_dsl_loops(&g, &mut path).unwrap();
         }
-        path
     };
     let pagerank = |nb: bool| {
         if nb {
-            pygb_algorithms::pagerank_nonblocking(&g, pr_opts)
-                .unwrap()
-                .0
+            algos::pagerank_nonblocking(&g, opts).unwrap();
         } else {
-            pygb_algorithms::pagerank_dsl_chained(&g, pr_opts)
-                .unwrap()
-                .0
+            algos::pagerank_dsl_chained(&g, opts).unwrap();
         }
     };
-    let programs: [(&str, &dyn Fn(bool) -> Vector); 3] =
-        [("bfs", &bfs), ("sssp", &sssp), ("pagerank", &pagerank)];
+    let tricount = |nb: bool| {
+        if nb {
+            algos::tricount_nonblocking(&l).unwrap();
+        } else {
+            algos::tricount_dsl_loops(&l).unwrap();
+        }
+    };
+    let programs: [(&str, &dyn Fn(bool)); 4] = [
+        ("bfs", &bfs),
+        ("sssp", &sssp),
+        ("pagerank", &pagerank),
+        ("tricount", &tricount),
+    ];
     for (name, run) in programs {
-        run(false);
-        run(true);
-        let (blocking, b) = measure_dispatches(|| run(false));
-        let (deferred, d) = measure_dispatches(|| run(true));
-        assert!(d.deferred_ops > 0, "{name}: nothing was deferred");
-        assert_eq!(
-            spmv_calls(&d),
-            spmv_calls(&b),
-            "{name}: (push, pull) SpMV selections differ between modes"
-        );
-        assert_vectors_identical(&blocking, &deferred, name);
+        assert_eq!(lints(run, true), lints(run, false), "{name}");
     }
+    // BFS on an fp64 graph lints its own bool/uint64 casts, so the
+    // comparison above is not between two empty lists.
+    assert!(!lints(&bfs, false).is_empty());
+}
+
+/// The whole-algorithm kernels read their graph resolved: a graph still
+/// pending in the op-DAG is computed first, not read as its
+/// placeholder (an empty store of the same shape and dtype).
+#[test]
+fn fused_kernels_read_a_pending_graph_resolved() {
+    use pygb_algorithms as algos;
+    let g = fig1_graph();
+    let opts = algos::PageRankOptions::default();
+    let source = |path: &mut Vector| path.set(0, 0.0f64).unwrap();
+    let bfs = algos::bfs_dsl_fused(&g, 0).unwrap();
+    let mut sssp = Vector::new(7, DType::Fp64);
+    source(&mut sssp);
+    algos::sssp_dsl_fused(&g, &mut sssp).unwrap();
+    let (rank, iters) = algos::pagerank_dsl_fused(&g, opts).unwrap();
+    let triangles = algos::tricount_dsl_fused(&g).unwrap();
+    let (labels, rounds) = algos::cc_dsl_fused(&g).unwrap();
+    assert_eq!(bfs.nvals(), 7);
+    assert_eq!(triangles.as_f64(), 2.0);
+
+    let _nb = pygb_runtime::nonblocking().unwrap();
+    let pending = || {
+        let mut h = Matrix::new(7, 7, DType::Fp64);
+        h.no_mask().assign(&g).unwrap();
+        h
+    };
+    let h = pending();
+    assert_vectors_identical(&bfs, &algos::bfs_dsl_fused(&h, 0).unwrap(), "bfs");
+    let mut path = Vector::new(7, DType::Fp64);
+    source(&mut path);
+    algos::sssp_dsl_fused(&pending(), &mut path).unwrap();
+    assert_vectors_identical(&sssp, &path, "sssp");
+    let (r, i) = algos::pagerank_dsl_fused(&pending(), opts).unwrap();
+    assert_vectors_identical(&rank, &r, "pagerank");
+    assert_eq!(iters, i);
+    assert_eq!(triangles, algos::tricount_dsl_fused(&pending()).unwrap());
+    let (c, k) = algos::cc_dsl_fused(&pending()).unwrap();
+    assert_vectors_identical(&labels, &c, "cc");
+    assert_eq!(rounds, k);
 }
 
 /// Rule 2 end to end: `apply(mxv(...))` through a temporary becomes a
