@@ -11,6 +11,10 @@
 //!         with gb.LogicalSemiring, gb.Replace:
 //!             frontier[~levels] = graph.T @ frontier
 //! ```
+//!
+//! A stored zero-valued edge is no edge, in every variant: the logical
+//! semiring gives it a stored `false` product, which levels no vertex,
+//! and native BFS drops it from its pattern.
 
 use pygb::{DType, LogicalSemiring, Matrix, Replace, Vector};
 
@@ -28,7 +32,18 @@ pub fn bfs_dsl_loops(graph: &Matrix, source: usize) -> pygb::Result<Vector> {
     frontier.set(source, true)?;
     let mut levels = Vector::new(n, DType::UInt64);
     let mut depth = 0u64;
+    let mut leveled = 0;
     while frontier.nvals() > 0 {
+        // Reading the frontier settled `levels` too, so this costs no
+        // dispatch. A ply that levels nothing held only the `false`
+        // products of zero-valued edges, and so does every later one.
+        if depth > 0 {
+            let now = levels.nvals();
+            if now == leveled {
+                break;
+            }
+            leveled = now;
+        }
         depth += 1;
         // levels[front][:] = depth
         levels.masked(&frontier).assign_scalar(depth)?;

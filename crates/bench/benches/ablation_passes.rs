@@ -135,7 +135,6 @@ struct CounterDelta {
     cse_deduped: u64,
     noop_folded: u64,
     empty_folded: u64,
-    static_kernel_hints: u64,
     fact_misses: u64,
     invocations: u64,
     spmv_push: u64,
@@ -158,7 +157,6 @@ fn measure_counters<R>(f: impl FnOnce() -> R) -> (R, CounterDelta) {
             cse_deduped: d("opt/cse_deduped"),
             noop_folded: d("opt/noop_folded"),
             empty_folded: d("opt/empty_folded"),
-            static_kernel_hints: d("opt/static_kernel_hints"),
             fact_misses: d("opt/fact_misses"),
             invocations: inv_after - inv_before,
             spmv_push: d("jit/sel_push") + d("jit/sel_masked_push"),
@@ -169,13 +167,12 @@ fn measure_counters<R>(f: impl FnOnce() -> R) -> (R, CounterDelta) {
 
 fn counters_json(name: &str, c: &CounterDelta) -> String {
     format!(
-        "\"{name}\":{{\"launches_saved\":{},\"dce_elided\":{},\"cse_deduped\":{},\"noop_folded\":{},\"empty_folded\":{},\"static_kernel_hints\":{},\"fact_misses\":{},\"invocations\":{},\"spmv_push\":{},\"spmv_pull\":{}}}",
+        "\"{name}\":{{\"launches_saved\":{},\"dce_elided\":{},\"cse_deduped\":{},\"noop_folded\":{},\"empty_folded\":{},\"fact_misses\":{},\"invocations\":{},\"spmv_push\":{},\"spmv_pull\":{}}}",
         c.launches_saved,
         c.dce_elided,
         c.cse_deduped,
         c.noop_folded,
         c.empty_folded,
-        c.static_kernel_hints,
         c.fact_misses,
         c.invocations,
         c.spmv_push,
@@ -389,11 +386,6 @@ fn main() {
             "the passes added SpMV launches: {} vs {}",
             on.spmv_push,
             off.spmv_push
-        );
-        assert_eq!(
-            on.static_kernel_hints + off.static_kernel_hints,
-            0,
-            "a vector-only BFS takes no static kernel hint"
         );
         assert_eq!(
             on.fact_misses + off.fact_misses,

@@ -32,6 +32,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 
+use gbtl::ops::kind::{AppliedUnaryKind, BinaryOpKind, KindSemiring, UnaryOpKind};
 use gbtl::Indices;
 
 use crate::context;
@@ -230,6 +231,63 @@ fn check_result_cast(
         push_lint(format!("`{op}`: {reason}; in {rendered}"));
     }
     Ok(())
+}
+
+/// Whether `op` only ever returns 0 or 1: the logical and comparison
+/// operators.
+fn truth_valued(op: BinaryOpKind) -> bool {
+    use BinaryOpKind as B;
+    matches!(
+        op,
+        B::LogicalOr
+            | B::LogicalAnd
+            | B::LogicalXor
+            | B::Equal
+            | B::NotEqual
+            | B::GreaterThan
+            | B::LessThan
+            | B::GreaterEqual
+            | B::LessEqual
+    )
+}
+
+/// A product's entries are ⊗ results folded by ⊕, so both must be
+/// truth-valued (a one-term row stores its ⊗ result unfolded).
+fn semiring_truth_valued(s: &Option<KindSemiring>) -> bool {
+    s.is_some_and(|s| truth_valued(s.add.op) && truth_valued(s.mult))
+}
+
+fn unary_truth_valued(op: &Option<AppliedUnaryKind>) -> bool {
+    match op {
+        Some(AppliedUnaryKind::Pure(k)) => *k == UnaryOpKind::LogicalNot,
+        Some(AppliedUnaryKind::Bind1st(k, _) | AppliedUnaryKind::Bind2nd(k, _)) => truth_valued(*k),
+        None => false,
+    }
+}
+
+/// Whether every value the expression computes is 0 or 1, so its result
+/// casts into any output dtype, `bool` included, without loss. An
+/// `eWiseAdd` never qualifies: union entries present in one operand
+/// pass through unchanged.
+fn vec_truth_valued(e: &VectorExpr) -> bool {
+    match &e.kind {
+        VectorExprKind::MxV { semiring, .. } | VectorExprKind::VxM { semiring, .. } => {
+            semiring_truth_valued(semiring)
+        }
+        VectorExprKind::EWiseMult { op, .. } => op.is_some_and(truth_valued),
+        VectorExprKind::Apply { op, .. } => unary_truth_valued(op),
+        _ => false,
+    }
+}
+
+/// Matrix analog of [`vec_truth_valued`].
+fn mat_truth_valued(e: &MatrixExpr) -> bool {
+    match &e.kind {
+        MatrixExprKind::MxM { semiring, .. } => semiring_truth_valued(semiring),
+        MatrixExprKind::EWiseMult { op, .. } => op.is_some_and(truth_valued),
+        MatrixExprKind::Apply { op, .. } => unary_truth_valued(op),
+        _ => false,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -612,6 +670,9 @@ pub(crate) fn check_vector(
     }
     vec_mask_checks(op, ts, mask, replace, rendered)?;
     vec_expr_dtypes(expr, rendered)?;
+    if vec_truth_valued(expr) {
+        return Ok(());
+    }
     check_result_cast(op, expr.result_dtype(), target.dtype(), rendered)
 }
 
@@ -663,6 +724,9 @@ pub(crate) fn check_matrix(
     }
     mat_mask_checks(op, (tr, tc), mask, replace, rendered)?;
     mat_expr_dtypes(expr, rendered)?;
+    if mat_truth_valued(expr) {
+        return Ok(());
+    }
     check_result_cast(op, expr.result_dtype(), target.dtype(), rendered)
 }
 

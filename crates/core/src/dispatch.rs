@@ -47,7 +47,6 @@ use crate::error::{PygbError, Result};
 use crate::expr::{
     identity_unary, MatOperand, MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind,
 };
-use crate::facts::KernelChoice;
 use crate::kernels::{self, Func, MatArgs, ScalarArgs, VecArgs};
 use crate::matrix::Matrix;
 use crate::nb::{MatRhs, VecRhs};
@@ -450,7 +449,6 @@ fn lower_matrix(
     replace: bool,
     region: Option<(Indices, Indices)>,
     rhs: &MatRhs,
-    choice: KernelChoice,
 ) -> Result<(ModuleKey, MatArgs)> {
     use MatrixExprKind as M;
     let mut l = Lowering::new(
@@ -463,7 +461,6 @@ fn lower_matrix(
     let mut args = MatArgs::new(MatrixStore::placeholder());
     (args.mask, args.complemented) = l.mat_mask(mask)?;
     (args.accum, args.replace) = l.accum_replace(accum, replace);
-    args.choice = choice;
     (args.rows, args.cols) = region.unzip();
     let e = match rhs {
         MatRhs::Scalar(value) => {
@@ -613,7 +610,6 @@ pub(crate) fn eval_matrix(
     replace: bool,
     region: Option<(Indices, Indices)>,
     rhs: MatRhs,
-    choice: KernelChoice,
 ) -> Result<()> {
     {
         let _sp = pygb_obs::span(pygb_obs::Cat::Analyze, "analyze/matrix");
@@ -642,23 +638,14 @@ pub(crate) fn eval_matrix(
         if !matches!(e.kind, MatrixExprKind::Ref { .. }) {
             let (r, c) = e.result_shape();
             let mut temp = Matrix::new(r, c, target.dtype());
-            eval_matrix(&mut temp, None, None, false, None, rhs, choice)?;
+            eval_matrix(&mut temp, None, None, false, None, rhs)?;
             let rhs = MatRhs::Expr(MatrixExpr::from(&temp));
-            return eval_matrix(
-                target,
-                mask,
-                accum,
-                replace,
-                region,
-                rhs,
-                KernelChoice::default(),
-            );
+            return eval_matrix(target, mask, accum, replace, region, rhs);
         }
     }
 
     let infer_start = Instant::now();
-    let (key, mut args) =
-        lower_matrix(target.dtype(), &mask, accum, replace, region, &rhs, choice)?;
+    let (key, mut args) = lower_matrix(target.dtype(), &mask, accum, replace, region, &rhs)?;
     let infer_ns = elapsed_ns(infer_start);
     args.c = target.take_store();
     let outcome = run(&key, &mut args, build_ns, infer_ns);

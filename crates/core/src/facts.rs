@@ -26,14 +26,8 @@
 //! in this substrate: eWiseAdd keeps stored zeros and semiring products
 //! are always stored, so the intervals below are sound for any operand
 //! values, not just "interesting" ones.
-//!
-//! This module also carries the [`KernelChoice`] the runtime's
-//! sparsity pass derives from tight facts — a value handed down the
-//! dispatch call as an argument.
 
 use std::fmt;
-
-pub use gbtl::MxmFamily;
 
 use crate::dtype::DType;
 use crate::store::{MatrixStore, VectorStore};
@@ -106,15 +100,6 @@ impl Fact {
             1.0
         } else {
             self.hi as f64 / self.dim as f64
-        }
-    }
-
-    /// Lower bound on density `nvals / dim`.
-    pub fn density_lo(&self) -> f64 {
-        if self.dim == 0 {
-            1.0
-        } else {
-            self.lo as f64 / self.dim as f64
         }
     }
 
@@ -428,20 +413,6 @@ pub fn full_iso(dim: usize) -> Fact {
         diagonal: false,
         structural_only: false,
     }
-}
-
-// ---------------------------------------------------------------------
-// Plan-time kernel choice (an argument of the dispatch call).
-// ---------------------------------------------------------------------
-
-/// What plan-time analysis decided about one node's kernel. The
-/// default leaves the decision to the run-time probes, as every
-/// blocking dispatch does. SpMV direction is never decided here: both
-/// execution modes run the orientation the operand carries.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct KernelChoice {
-    /// Masked-SpGEMM family for `mxm`.
-    pub mxm: Option<MxmFamily>,
 }
 
 #[cfg(test)]

@@ -46,7 +46,6 @@ use pygb_jit::{FactoryRegistry, JitError, Kernel, ModuleKey};
 use pygb_obs::Census;
 
 use crate::dtype::DType;
-use crate::facts::KernelChoice;
 use crate::store::{Element, MatrixStore, VectorStore};
 use crate::value::DynScalar;
 
@@ -82,8 +81,6 @@ pub(crate) struct MatArgs {
     pub cols: Option<Indices>,
     /// Constant value (assign-constant).
     pub value: Option<DynScalar>,
-    /// Plan-time kernel choice (default: the probes decide).
-    pub choice: KernelChoice,
 }
 
 impl MatArgs {
@@ -104,7 +101,6 @@ impl MatArgs {
             rows: None,
             cols: None,
             value: None,
-            choice: KernelChoice::default(),
         }
     }
 }
@@ -405,9 +401,7 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
     let mut c = take_c_m::<T>(args)?;
     let a = typed_m::<T>(&args.a, "a")?;
     let b = typed_m::<T>(&args.b, "b")?;
-    let family = args.choice.mxm;
-    let r = gbtl::operations::mxm_with(
-        family,
+    let r = gbtl::operations::mxm(
         &mut c,
         &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
@@ -417,19 +411,7 @@ fn k_mxm<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
         gbtl::Replace(args.replace),
     );
     args.c = T::wrap_matrix(c);
-    let kernel = r.map_err(JitError::op)?;
-    let honored = matches!(
-        (family, kernel),
-        (Some(gbtl::MxmFamily::MaskedDot), gbtl::MxmKernel::MaskedDot)
-            | (
-                Some(gbtl::MxmFamily::MaskedGustavson),
-                gbtl::MxmKernel::MaskedGustavson
-            )
-    );
-    if honored {
-        Census::StaticKernelHints.inc();
-    }
-    record_mxm_select(kernel);
+    record_mxm_select(r.map_err(JitError::op)?);
     Ok(())
 }
 
@@ -1220,10 +1202,10 @@ pub fn register_all(registry: &FactoryRegistry) {
     gbtl::hooks::install_kernel_observer(pygb_obs::observe_kernel);
     // Mirror the substrate's push/pull density threshold into the
     // metrics (parts-per-million, since counters are integral) so
-    // long-lived services report the value actually in effect.
+    // service snapshots report it.
     pygb_obs::registry()
         .counter("tunables/push_pull_density_ppm")
-        .set((gbtl::push_pull_density() * 1e6).round() as u64);
+        .set((gbtl::PUSH_PULL_DENSITY * 1e6).round() as u64);
     for &func in Func::ALL {
         registry.register(func.name(), func.factory());
     }

@@ -156,7 +156,6 @@ impl Matrix {
             false,
             None,
             crate::nb::MatRhs::Expr(expr),
-            crate::facts::KernelChoice::default(),
         )?;
         Ok(out)
     }

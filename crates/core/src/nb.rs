@@ -40,7 +40,6 @@ use gbtl::Indices;
 
 use crate::error::{PygbError, Result};
 use crate::expr::{MatrixExpr, VectorExpr};
-use crate::facts::KernelChoice;
 use crate::matrix::Matrix;
 use crate::store::{MatrixStore, VectorStore};
 use crate::value::DynScalar;
@@ -461,9 +460,8 @@ pub fn run_vec_op(desc: VecOpDesc) -> Result<VectorStore> {
     })
 }
 
-/// Matrix analog of [`run_vec_op`]. `choice` is the engine's plan-time
-/// kernel decision for this node (default: none made).
-pub fn run_mat_op(desc: MatOpDesc, choice: KernelChoice) -> Result<MatrixStore> {
+/// Matrix analog of [`run_vec_op`].
+pub fn run_mat_op(desc: MatOpDesc) -> Result<MatrixStore> {
     suspend(|| {
         let mut target = Matrix { store: desc.target };
         crate::dispatch::eval_matrix(
@@ -473,7 +471,6 @@ pub fn run_mat_op(desc: MatOpDesc, choice: KernelChoice) -> Result<MatrixStore> 
             desc.replace,
             desc.region,
             desc.rhs,
-            choice,
         )?;
         Ok(target.take_store())
     })

@@ -20,7 +20,6 @@ use crate::context;
 use crate::dispatch;
 use crate::error::{PygbError, Result};
 use crate::expr::{MatrixExpr, VectorExpr};
-use crate::facts::KernelChoice;
 use crate::matrix::Matrix;
 use crate::nb::{MatRhs, VecRhs};
 use crate::store::{MatrixStore, VectorStore};
@@ -74,15 +73,7 @@ impl<'a> MatrixAssign<'a> {
 
     fn eval(self, accum: Option<BinaryOpKind>, rhs: MatRhs) -> Result<()> {
         let replace = self.replace_flag();
-        dispatch::eval_matrix(
-            self.target,
-            self.mask,
-            accum,
-            replace,
-            self.region,
-            rhs,
-            KernelChoice::default(),
-        )
+        dispatch::eval_matrix(self.target, self.mask, accum, replace, self.region, rhs)
     }
 
     /// `C[...] = expr` — evaluate with no accumulator.

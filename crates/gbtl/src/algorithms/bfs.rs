@@ -27,14 +27,14 @@ use crate::views::{complement, dual, Replace};
 ///
 /// The graph is interpreted as a directed adjacency matrix with edges
 /// `(start, end)`; traversal follows `graphᵀ ⊕.⊗ frontier` exactly as in
-/// the paper. Edge values only matter through truthiness.
+/// the paper. Edge values only matter through truthiness: a stored zero
+/// is no edge.
 pub fn bfs_level<T: Scalar>(graph: &Matrix<T>, source: IndexType) -> Result<Vector<u64>> {
     let n = graph.nrows();
     // The logical semiring only consults truthiness; one upfront
-    // pattern cast (through bool, so fractional weights stay truthy)
-    // puts graph, frontier, and levels in a common domain (the DSL does
-    // the same upcast implicitly).
-    let g: Matrix<u64> = graph.cast::<bool>().cast();
+    // pattern cast puts graph, frontier, and levels in a common domain
+    // (the DSL does the same upcast implicitly).
+    let g = truthy_pattern(graph)?;
     // Pay the transpose once; the dual operand lets every ply pick the
     // push (sparse frontier) or pull (dense frontier) kernel.
     let gt = g.transpose_owned();
@@ -66,6 +66,23 @@ pub fn bfs_level<T: Scalar>(graph: &Matrix<T>, source: IndexType) -> Result<Vect
         )?;
     }
     Ok(levels)
+}
+
+/// `graph`'s truthy entries as 1s. The cast goes through bool, so
+/// fractional weights stay edges; a stored zero would multiply into a
+/// stored `false` frontier entry that is never leveled, so it is
+/// dropped (a rebuild only when the graph holds one).
+fn truthy_pattern<T: Scalar>(graph: &Matrix<T>) -> Result<Matrix<u64>> {
+    let pattern = graph.cast::<bool>();
+    if pattern.iter().all(|(_, _, t)| t) {
+        return Ok(pattern.cast());
+    }
+    let edges = pattern.iter().filter(|&(_, _, t)| t);
+    Matrix::from_triples(
+        graph.nrows(),
+        graph.ncols(),
+        edges.map(|(i, j, _)| (i, j, 1)),
+    )
 }
 
 /// BFS parent tree from `source`: `parents[v]` = 1-based parent id on a
@@ -165,6 +182,13 @@ mod tests {
         let g = Matrix::from_triples(3, 3, [(0usize, 1usize, 0.5f64), (1, 2, 9.0)]).unwrap();
         let levels = bfs_level(&g, 0).unwrap();
         assert_eq!(levels.get(2), Some(3));
+    }
+
+    #[test]
+    fn stored_zero_edges_are_not_edges() {
+        let g = Matrix::from_triples(4, 4, [(0usize, 1usize, 0i32), (0, 2, 3), (2, 3, 0)]).unwrap();
+        let levels = bfs_level(&g, 0).unwrap();
+        assert_eq!(levels.iter().collect::<Vec<_>>(), vec![(0, 1), (2, 2)]);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use error::{GblasError, Result};
 pub use index::{IndexType, Indices};
 pub use mask::{MaskProbe, MatrixMask, NoMask, VectorMask};
 pub use matrix::Matrix;
-pub use operations::{push_pull_density, MxmFamily, MxmKernel, SpmvKernel, PUSH_PULL_DENSITY};
+pub use operations::{MxmFamily, MxmKernel, SpmvKernel, PUSH_PULL_DENSITY};
 pub use ops::accum::{Accum, NoAccumulate};
 pub use ops::{BinaryOp, Monoid, Semiring, UnaryOp};
 pub use scalar::Scalar;

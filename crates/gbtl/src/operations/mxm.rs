@@ -20,10 +20,10 @@
 //!   accumulator never holds entries the write step would discard.
 //!
 //! This `match` on the mask probe is the only place the kernel is
-//! selected. Where both masked families are legal (plain structural
-//! mask, `Bᵀ` rows available) a caller that already knows the mask's
-//! density passes its decision as the `family` argument of
-//! [`mxm_with`]; [`mxm`] passes `None`.
+//! selected, for blocking and deferred dispatch alike: [`mxm`] passes
+//! no family, so where both masked families are legal (plain
+//! structural mask, `Bᵀ` rows available) the dot kernel runs.
+//! [`mxm_with`] forces a family so the oracle suites can prove both.
 //!
 //! Confining the computed product `T` to the mask is always legal: the
 //! write step (`C⟨M, z⟩ = C ⊙ T`) never reads `T` outside the mask, and
@@ -94,12 +94,11 @@ where
     mxm_with(None, c, mask, accum, semiring, a, b, replace)
 }
 
-/// [`mxm`] with the masked family optionally pre-decided by a caller
-/// that knows the mask's density before the operands exist (the
-/// `pygb-runtime` sparsity pass). `family` only has effect when both
-/// masked families are legal — a plain structural mask with `Bᵀ` rows
-/// available; otherwise the probes decide, and the kernel actually run
-/// is the one reported.
+/// [`mxm`] with the masked family optionally forced (the oracle suites
+/// run both families on every input). `family` only has effect when
+/// both masked families are legal — a plain structural mask with `Bᵀ`
+/// rows available; otherwise the probes decide, and the kernel actually
+/// run is the one reported.
 #[allow(clippy::too_many_arguments)]
 pub fn mxm_with<'a, 'b, T, Mk, A, S>(
     family: Option<MxmFamily>,

@@ -3,9 +3,8 @@
 //!
 //! Two kernel directions, chosen in one place ([`mxv`]) by operand
 //! orientation — or, for a [`crate::views::dual`] operand, by the
-//! frontier's density against [`push_pull_density`] (default
-//! [`PUSH_PULL_DENSITY`], the GraphBLAST direction-optimization
-//! heuristic). A caller that wants a particular direction passes the
+//! frontier's density against [`PUSH_PULL_DENSITY`] (the GraphBLAST
+//! direction-optimization heuristic). A caller that wants a particular direction passes the
 //! operand in that orientation:
 //!
 //! * **pull** (gather, `A·u`): `u` is scattered into a dense buffer
@@ -26,8 +25,6 @@
 // below is exempt).
 #![warn(clippy::disallowed_methods)]
 
-use std::sync::OnceLock;
-
 use crate::error::{GblasError, Result};
 use crate::index::IndexType;
 use crate::mask::{check_vector_mask, MaskProbe, VectorMask};
@@ -41,29 +38,12 @@ use crate::views::{MatrixArg, Replace};
 use crate::workspace::{DenseGather, Spa, Stamp};
 use crate::write::write_vector;
 
-/// Default frontier density (`nvals / size`) at or above which a
+/// Frontier density (`nvals / size`) at or above which a
 /// [`crate::views::dual`] operand uses the pull (gather) direction;
 /// below it the push (scatter) direction wins because its cost tracks
 /// the frontier. 5% follows the direction-optimizing SpMV literature
 /// (GraphBLAST's default switch point is in the same regime).
-///
-/// This is the *default* of a process tunable: override it with the
-/// `PYGB_PUSH_PULL_DENSITY` environment variable (read once, on first
-/// use). [`push_pull_density`] reports the value in effect.
 pub const PUSH_PULL_DENSITY: f64 = 0.05;
-
-/// The push/pull switch threshold in effect: `PYGB_PUSH_PULL_DENSITY`
-/// from the environment (parsed once), else [`PUSH_PULL_DENSITY`].
-pub fn push_pull_density() -> f64 {
-    static ENV: OnceLock<f64> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PYGB_PUSH_PULL_DENSITY")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|d| d.is_finite() && *d >= 0.0)
-            .unwrap_or(PUSH_PULL_DENSITY)
-    })
-}
 
 /// Which SpMV kernel [`mxv`]/[`vxm`] selected, reported back to the
 /// caller so dispatch layers can count selections.
@@ -131,7 +111,7 @@ where
             } else {
                 u.nvals() as f64 / u.size() as f64
             };
-            (density >= push_pull_density()).then_some(rows)
+            (density >= PUSH_PULL_DENSITY).then_some(rows)
         }
     };
 

@@ -44,9 +44,9 @@ pub struct StatsSnapshot {
     /// common-subexpression-elimination pass; the `opt/cse_deduped`
     /// series.
     pub cse_deduped: u64,
-    /// DAG nodes folded away by the no-op elimination pass (empty
-    /// masks with replace, identity applies, known-empty operands); the
-    /// `opt/noop_folded` series.
+    /// DAG nodes folded into an alias of another container's value by
+    /// the no-op pass (identity applies, empty union operands, empty
+    /// masks without replace); the `opt/noop_folded` series.
     pub noop_folded: u64,
     /// Producer/consumer pairs that matched a fusion rule but were
     /// refused by the aliasing analysis (the consumer's output aliases

@@ -94,8 +94,6 @@ census! {
     NoopFolded = "opt/noop_folded",
     /// Kernel launches the optimization passes saved.
     LaunchesSaved = "opt/launches_saved",
-    /// Static kernel choices a kernel honored.
-    StaticKernelHints = "opt/static_kernel_hints",
     /// Writes whose concrete `nvals` fell outside the predicted fact.
     FactMisses = "opt/fact_misses",
     /// Operand dtype views built.

@@ -241,8 +241,8 @@ pub struct PlanNode {
     /// The kernel family the dispatch layer will select.
     pub kernel: String,
     /// The node's inferred sparsity/structure fact (see
-    /// `pygb::facts`): nnz interval, density bound, structure flags,
-    /// and any statically decided kernel hint.
+    /// `pygb::facts`): nnz interval, density bound and structure
+    /// flags.
     pub facts: Option<String>,
     /// Whether a mask governs the write.
     pub masked: bool,
@@ -430,7 +430,7 @@ fn plan_node(
 ) -> PlanNode {
     let deps = node_dep_ids(dag, index, n);
     let (op, kernel) = node_summary(n);
-    let facts = nf.map(crate::sparsity::render_facts);
+    let facts = nf.map(|nf| nf.fact.to_string());
     match n {
         Node::Vec(d) => PlanNode {
             id: dag.ids[index],

@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use gbtl::ops::kind::KindMonoid;
 use pygb::expr::{MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
-use pygb::facts::KernelChoice;
 use pygb::nb::{MatOpDesc, MatRhs, Resolution, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use pygb::{DynScalar, PygbError, Result};
@@ -479,9 +478,9 @@ fn flush_inner() -> Result<()> {
 
     // With the sparsity pass enabled, each surviving node's fact — as
     // that pass computed it, still sound after the later rewrites —
-    // arms the checked interpretation on the thread that executes it
-    // and carries the node's static kernel choice. Slot indices stay
-    // stable across waves, so the map survives the loop.
+    // arms the checked interpretation on the thread that executes it.
+    // Slot indices stay stable across waves, so the map survives the
+    // loop.
     let mut node_facts = summary.facts.unwrap_or_default();
 
     // Wave jobs count into the flushing thread's scope on whichever
@@ -546,7 +545,7 @@ fn flush_inner() -> Result<()> {
         let jobs: Vec<_> = batch
             .into_iter()
             .map(|(i, label, node)| {
-                let nf = node_facts.remove(&i);
+                let fact = node_facts.remove(&i).map(|nf| nf.fact);
                 let scope = scope.clone();
                 move || {
                     let _scope = pygb_obs::install_scope(scope);
@@ -557,14 +556,13 @@ fn flush_inner() -> Result<()> {
                     // pool thread carries no recorded write into its
                     // next job.
                     crate::sparsity::arm_prediction();
-                    let choice = nf.as_ref().map(|nf| nf.choice).unwrap_or_default();
-                    let done = run_node(node, choice);
+                    let done = run_node(node);
                     drop(sp);
                     let ok = match &done {
                         Done::V(_, r) => r.is_ok(),
                         Done::M(_, r) => r.is_ok(),
                     };
-                    crate::sparsity::check_prediction(nf.as_ref(), ok);
+                    crate::sparsity::check_prediction(fact.as_ref(), ok);
                     let ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
                     (i, ns, done)
                 }
@@ -617,7 +615,7 @@ enum Done {
     M(Arc<MatrixStore>, Result<MatrixStore>),
 }
 
-fn run_node(node: Node, choice: KernelChoice) -> Done {
+fn run_node(node: Node) -> Done {
     match node {
         Node::Vec(desc) => {
             let out = Arc::clone(&desc.out);
@@ -625,7 +623,7 @@ fn run_node(node: Node, choice: KernelChoice) -> Done {
         }
         Node::Mat(desc) => {
             let out = Arc::clone(&desc.out);
-            Done::M(out, pygb::nb::run_mat_op(desc, choice))
+            Done::M(out, pygb::nb::run_mat_op(desc))
         }
     }
 }

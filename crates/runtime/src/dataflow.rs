@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use pygb::expr::{MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
 use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
-use pygb::store::VectorStore;
 
 use crate::dag::{mptr, vptr, AddrMap, Dag, Node};
 
@@ -314,84 +313,8 @@ pub(crate) fn live_use_counts(dag: &Dag) -> AddrMap<usize, usize> {
 }
 
 // ---------------------------------------------------------------------
-// Structural facts: known-empty operands, present operators.
+// Operator presence.
 // ---------------------------------------------------------------------
-
-/// Whether a vector store handle is *known* empty right now: a pending
-/// placeholder is unknown (false); a resolved placeholder consults the
-/// computed store; a clean handle consults the store itself.
-pub(crate) fn vec_known_empty(dag: &Dag, a: &Arc<VectorStore>) -> bool {
-    let p = vptr(a);
-    if let Some((_, s)) = dag.resolved_v.get(&p) {
-        return s.nvals() == 0;
-    }
-    if dag.pending.contains_key(&p) {
-        return false;
-    }
-    a.nvals() == 0
-}
-
-/// Matrix analog of [`vec_known_empty`].
-pub(crate) fn mat_known_empty(dag: &Dag, a: &Arc<pygb::store::MatrixStore>) -> bool {
-    let p = mptr(a);
-    if let Some((_, s)) = dag.resolved_m.get(&p) {
-        return s.nvals() == 0;
-    }
-    if dag.pending.contains_key(&p) {
-        return false;
-    }
-    a.nvals() == 0
-}
-
-/// Whether a vector expression's result is provably empty from operand
-/// emptiness alone. Requires the relevant operator to be present:
-/// folding an expression whose missing operator would error at eval
-/// must not hide that error.
-pub(crate) fn vec_expr_known_empty(dag: &Dag, e: &VectorExpr) -> bool {
-    match &e.kind {
-        VectorExprKind::MxV {
-            a,
-            u,
-            semiring: Some(_),
-        } => mat_known_empty(dag, &a.store) || vec_known_empty(dag, u),
-        VectorExprKind::VxM {
-            u,
-            a,
-            semiring: Some(_),
-        } => vec_known_empty(dag, u) || mat_known_empty(dag, &a.store),
-        VectorExprKind::EWiseAdd { u, v, op: Some(_) } => {
-            vec_known_empty(dag, u) && vec_known_empty(dag, v)
-        }
-        VectorExprKind::EWiseMult { u, v, op: Some(_) } => {
-            vec_known_empty(dag, u) || vec_known_empty(dag, v)
-        }
-        VectorExprKind::Apply { u, op: Some(_) } => vec_known_empty(dag, u),
-        VectorExprKind::Extract { u, .. } | VectorExprKind::Ref { u } => vec_known_empty(dag, u),
-        VectorExprKind::ReduceRows { a, monoid: Some(_) } => mat_known_empty(dag, &a.store),
-        _ => false,
-    }
-}
-
-/// Matrix analog of [`vec_expr_known_empty`].
-pub(crate) fn mat_expr_known_empty(dag: &Dag, e: &MatrixExpr) -> bool {
-    match &e.kind {
-        MatrixExprKind::MxM {
-            a,
-            b,
-            semiring: Some(_),
-        } => mat_known_empty(dag, &a.store) || mat_known_empty(dag, &b.store),
-        MatrixExprKind::EWiseAdd { a, b, op: Some(_) } => {
-            mat_known_empty(dag, &a.store) && mat_known_empty(dag, &b.store)
-        }
-        MatrixExprKind::EWiseMult { a, b, op: Some(_) } => {
-            mat_known_empty(dag, &a.store) || mat_known_empty(dag, &b.store)
-        }
-        MatrixExprKind::Apply { a, op: Some(_) } => mat_known_empty(dag, &a.store),
-        MatrixExprKind::Extract { a, .. } => mat_known_empty(dag, &a.store),
-        MatrixExprKind::Transpose { a } | MatrixExprKind::Ref { a } => mat_known_empty(dag, a),
-        _ => false,
-    }
-}
 
 /// Whether every operator the right-hand side needs at eval time was
 /// captured. A `None` operator must surface as `MissingOperator` when

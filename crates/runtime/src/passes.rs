@@ -1,15 +1,16 @@
 //! The dataflow optimization pipeline: liveness-based dead-op
-//! elimination, common-subexpression elimination by hash-consing, and
-//! structural no-op folding — run over the deferred op-DAG between
-//! enqueue and wave scheduling, before the fusion pass.
+//! elimination, common-subexpression elimination by hash-consing,
+//! sparsity folding and no-op aliasing — run over the deferred op-DAG
+//! between enqueue and wave scheduling, before the fusion pass.
 //!
 //! Passes are individually toggleable: the `PYGB_PASSES` environment
-//! variable selects the pipeline (`dce,cse,noop` is the default; empty
-//! or `none` disables all three), and [`set_passes`] overrides it per
-//! thread for tests and ablation benches. Fusion is not a member of the
-//! pipeline — it is the scheduler's kernel-selection step and always
-//! runs — but it consumes the same frozen external-reference facts
-//! ([`crate::dataflow::ExtRefs`]) the passes do.
+//! variable selects the pipeline (`dce,cse,sparsity,noop` is the
+//! default; empty or `none` disables all four), and [`set_passes`]
+//! overrides it per thread for tests and ablation benches. Fusion is
+//! not a member of the pipeline — it is the scheduler's
+//! kernel-selection step and always runs — but it consumes the same
+//! frozen external-reference facts ([`crate::dataflow::ExtRefs`]) the
+//! passes do.
 //!
 //! Every rewrite is recorded as `(node, note)` provenance so `plan()`
 //! can show the raw-vs-optimized DAG with per-node attribution, and as
@@ -29,10 +30,10 @@ use crate::dag::{
     drain_aliases, mptr, subst_mat_desc, subst_vec_desc, vptr, AddrMap, AliasSet, Dag, Node,
 };
 use crate::dataflow::{
-    self, mat_expr_known_empty, mat_known_empty, mat_rhs_ops_present, node_cse_eq, node_cse_hash,
-    node_out_ptr, vec_expr_known_empty, vec_known_empty, vec_rhs_ops_present, ExtRefs,
+    self, mat_rhs_ops_present, node_cse_eq, node_cse_hash, node_out_ptr, vec_rhs_ops_present,
+    ExtRefs,
 };
-use crate::sparsity::NodeFacts;
+use crate::sparsity::{Analysis, NodeFacts};
 
 // ---------------------------------------------------------------------
 // Pass selection.
@@ -49,8 +50,9 @@ pub enum PassKind {
     /// fact is provably empty resolve without dispatching (see
     /// `crate::sparsity`).
     Sparsity,
-    /// Structural no-op folding (empty masks, identity applies,
-    /// known-empty operands).
+    /// No-op folding: nodes whose result provably equals another
+    /// container's value (identity applies, empty operands of a union,
+    /// empty masks without replace) alias it instead of dispatching.
     Noop,
 }
 
@@ -135,7 +137,7 @@ pub(crate) fn enabled_passes() -> Vec<PassKind> {
 /// Shared pass state: frozen external-reference counts, the
 /// simulation flag (plan's what-if run must not move counters, spans,
 /// or the refusal log), accumulated rewrite provenance, and the
-/// sparsity pass's per-slot facts.
+/// sparsity pass's analysis.
 pub(crate) struct PassCtx {
     pub(crate) ext: ExtRefs,
     pub(crate) simulate: bool,
@@ -144,7 +146,7 @@ pub(crate) struct PassCtx {
     /// formatted.
     notes: bool,
     provenance: Vec<(NodeId, String)>,
-    facts: Option<AddrMap<usize, NodeFacts>>,
+    analysis: Option<Analysis>,
 }
 
 impl PassCtx {
@@ -193,7 +195,7 @@ pub(crate) fn run_pipeline(dag: &mut Dag, mult: usize, simulate: bool) -> Pipeli
         simulate,
         notes: simulate || crate::analyze::report_wanted(),
         provenance: Vec::new(),
-        facts: None,
+        analysis: None,
     };
     if !simulate {
         crate::analyze::clear_refusals();
@@ -239,7 +241,7 @@ pub(crate) fn run_pipeline(dag: &mut Dag, mult: usize, simulate: bool) -> Pipeli
         drop(sp);
     }
     summary.provenance = ctx.provenance;
-    summary.facts = ctx.facts;
+    summary.facts = ctx.analysis.map(|a| a.facts);
     summary
 }
 
@@ -399,24 +401,27 @@ fn merge_dup(
 }
 
 // ---------------------------------------------------------------------
-// Pass 3: no-op elimination / structural-fact folding.
+// Pass 3: sparsity folding and no-op aliasing.
 // ---------------------------------------------------------------------
 
 /// Fold every node whose abstract write-back fact is provably empty
 /// (see `crate::sparsity`): the node's result container provably holds
 /// zero entries, so its placeholder resolves to a fresh empty store
-/// without dispatching. Strictly stronger than the no-op pass's
-/// syntactic emptiness checks — facts propagate *through* pending
-/// placeholders (an empty mask five nodes upstream still proves this
-/// node empty), and masked/accumulated/complemented nodes fold
-/// whenever the interval arithmetic pins the result at zero. The
-/// operator-presence gate keeps `MissingOperator` errors observable,
-/// and region assigns are never folded (their facts are ⊤ anyway).
+/// without dispatching. Facts propagate *through* pending placeholders
+/// (an empty mask five nodes upstream still proves this node empty),
+/// and masked/accumulated/complemented nodes fold whenever the
+/// interval arithmetic pins the result at zero. This is the only pass
+/// that folds a node to an empty container. The operator-presence gate
+/// keeps `MissingOperator` errors observable, and region assigns are
+/// never folded (their facts are ⊤ anyway).
 fn sparsity_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
-    let analysis = crate::sparsity::analyze(dag, !ctx.simulate).facts;
+    let analysis = crate::sparsity::analyze(dag, !ctx.simulate);
     let mut folded = 0;
     for i in 0..dag.nodes.len() {
-        let provably_empty = analysis.get(&i).is_some_and(|nf| nf.fact.provably_empty());
+        let provably_empty = analysis
+            .facts
+            .get(&i)
+            .is_some_and(|nf| nf.fact.provably_empty());
         if !provably_empty {
             continue;
         }
@@ -433,191 +438,165 @@ fn sparsity_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
         });
         match dag.nodes[i].take().expect("checked above") {
             Node::Vec(d) => {
-                let p = vptr(&d.out);
-                dag.pending.remove(&p);
                 let empty = Arc::new(VectorStore::new(d.out.size(), d.out.dtype()));
-                dag.resolved_v.insert(p, (d.out, empty));
-                drain_aliases(dag, p, &mut |_| {});
+                fold_vec(dag, d.out, empty);
             }
             Node::Mat(d) => {
-                let p = mptr(&d.out);
-                dag.pending.remove(&p);
-                let empty = Arc::new(MatrixStore::new(
-                    d.out.nrows(),
-                    d.out.ncols(),
-                    d.out.dtype(),
-                ));
-                dag.resolved_m.insert(p, (d.out, empty));
-                drain_aliases(dag, p, &mut |_| {});
+                let empty = MatrixStore::new(d.out.nrows(), d.out.ncols(), d.out.dtype());
+                fold_mat(dag, d.out, Arc::new(empty));
             }
         }
         folded += 1;
     }
-    ctx.facts = Some(analysis);
+    ctx.analysis = Some(analysis);
     folded
 }
 
-enum VecFold {
-    /// The node provably writes an empty container.
-    Empty,
-    /// The node provably writes exactly this store's (eventual) value.
-    Alias(Arc<VectorStore>),
+/// The container a no-op node's result provably equals.
+enum Alias {
+    V(Arc<VectorStore>),
+    M(Arc<MatrixStore>),
 }
 
-enum MatFold {
-    Empty,
-    Alias(Arc<MatrixStore>),
-}
-
-/// Fold nodes whose result is structurally forced: an empty
-/// non-complemented mask, an accumulation of a known-empty right-hand
-/// side, a known-empty result, an identity apply, or an `eWiseAdd`
-/// with one empty operand. Folded nodes skip dispatch entirely —
-/// their placeholder resolves to an empty store or aliases another
-/// container's value. Emptiness is only trusted for non-pending
-/// stores, and every gate requires the needed operators to be present
-/// so `MissingOperator` errors still surface at eval.
+/// Fold nodes whose result provably equals another container's value:
+/// an identity apply, an `eWiseAdd` with one provably-empty operand, a
+/// provably-empty non-complemented mask without replace, or an
+/// accumulation of a provably-empty right-hand side. A folded node's
+/// placeholder aliases that container instead of dispatching.
+/// Emptiness comes from the sparsity analysis — the sparsity pass's,
+/// when it ran earlier in the pipeline, else one computed here — so
+/// it reaches through pending placeholders. Every gate requires the
+/// needed operators to be present so `MissingOperator` errors still
+/// surface at eval.
 fn noop_pass(dag: &mut Dag, ctx: &mut PassCtx) -> usize {
-    let mut folded = 0;
-    for i in 0..dag.nodes.len() {
-        enum Action {
-            V(VecFold, &'static str),
-            M(MatFold, &'static str),
+    let own;
+    let analysis = match &ctx.analysis {
+        Some(a) => a,
+        None => {
+            own = crate::sparsity::analyze(dag, false);
+            &own
         }
-        let action = match &dag.nodes[i] {
-            Some(Node::Vec(d)) => vec_noop_action(dag, d).map(|(f, why)| Action::V(f, why)),
-            Some(Node::Mat(d)) => mat_noop_action(dag, d).map(|(f, why)| Action::M(f, why)),
-            None => None,
-        };
-        let Some(action) = action else { continue };
-        let why = match &action {
-            Action::V(_, w) | Action::M(_, w) => *w,
-        };
+    };
+    let folds: Vec<(usize, Alias, &'static str)> = dag
+        .nodes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, n)| {
+            let nf = analysis.facts.get(&i)?;
+            match n.as_ref()? {
+                Node::Vec(d) => {
+                    vec_alias(analysis, dag, nf, d).map(|(s, why)| (i, Alias::V(s), why))
+                }
+                Node::Mat(d) => {
+                    mat_alias(analysis, dag, nf, d).map(|(s, why)| (i, Alias::M(s), why))
+                }
+            }
+        })
+        .collect();
+    let folded = folds.len();
+    for (i, src, why) in folds {
         ctx.note(dag.ids[i], || format!("elided by noop ({why})"));
-        let node = dag.nodes[i].take().expect("checked above");
-        match (action, node) {
-            (Action::V(VecFold::Empty, _), Node::Vec(d)) => {
-                let p = vptr(&d.out);
-                dag.pending.remove(&p);
-                let empty = Arc::new(VectorStore::new(d.out.size(), d.out.dtype()));
-                dag.resolved_v.insert(p, (d.out, empty));
-                drain_aliases(dag, p, &mut |_| {});
-            }
-            (Action::V(VecFold::Alias(src), _), Node::Vec(d)) => {
-                let p = vptr(&d.out);
-                let sp = vptr(&src);
-                if let Some(store) = dag.resolved_v.get(&sp).map(|(_, s)| Arc::clone(s)) {
-                    dag.pending.remove(&p);
-                    dag.resolved_v.insert(p, (d.out, store));
-                    drain_aliases(dag, p, &mut |_| {});
-                } else if dag.pending.contains_key(&sp) {
-                    // Keep this node's own pending entry: readers of its
-                    // handle must still trigger the flush, and the alias
-                    // drains when the source placeholder resolves.
-                    dag.alias_v
-                        .entry(sp)
-                        .or_insert_with(|| AliasSet {
-                            rep: Arc::clone(&src),
-                            dups: Vec::new(),
-                        })
-                        .dups
-                        .push(d.out);
-                } else {
-                    dag.pending.remove(&p);
-                    dag.resolved_v.insert(p, (d.out, src));
-                    drain_aliases(dag, p, &mut |_| {});
-                }
-            }
-            (Action::M(MatFold::Empty, _), Node::Mat(d)) => {
-                let p = mptr(&d.out);
-                dag.pending.remove(&p);
-                let empty = Arc::new(MatrixStore::new(
-                    d.out.nrows(),
-                    d.out.ncols(),
-                    d.out.dtype(),
-                ));
-                dag.resolved_m.insert(p, (d.out, empty));
-                drain_aliases(dag, p, &mut |_| {});
-            }
-            (Action::M(MatFold::Alias(src), _), Node::Mat(d)) => {
-                let p = mptr(&d.out);
-                let sp = mptr(&src);
-                if let Some(store) = dag.resolved_m.get(&sp).map(|(_, s)| Arc::clone(s)) {
-                    dag.pending.remove(&p);
-                    dag.resolved_m.insert(p, (d.out, store));
-                    drain_aliases(dag, p, &mut |_| {});
-                } else if dag.pending.contains_key(&sp) {
-                    dag.alias_m
-                        .entry(sp)
-                        .or_insert_with(|| AliasSet {
-                            rep: Arc::clone(&src),
-                            dups: Vec::new(),
-                        })
-                        .dups
-                        .push(d.out);
-                } else {
-                    dag.pending.remove(&p);
-                    dag.resolved_m.insert(p, (d.out, src));
-                    drain_aliases(dag, p, &mut |_| {});
-                }
-            }
-            _ => unreachable!("action built from the same node"),
+        match (dag.nodes[i].take().expect("checked above"), src) {
+            (Node::Vec(d), Alias::V(src)) => fold_vec(dag, d.out, src),
+            (Node::Mat(d), Alias::M(src)) => fold_mat(dag, d.out, src),
+            _ => unreachable!("alias built from the same node"),
         }
-        folded += 1;
     }
     folded
 }
 
-fn vec_noop_action(dag: &Dag, d: &VecOpDesc) -> Option<(VecFold, &'static str)> {
+/// Resolve a folded node's placeholder `out` to `src`'s value: at once
+/// when `src` is resolved or a clean store, else through an alias set
+/// that drains when `src`'s producer runs. Meanwhile `out` keeps its
+/// pending entry, so readers of its handle still trigger the flush.
+fn fold_vec(dag: &mut Dag, out: Arc<VectorStore>, src: Arc<VectorStore>) {
+    let sp = vptr(&src);
+    let store = match dag.resolved_v.get(&sp) {
+        Some((_, s)) => Arc::clone(s),
+        None if dag.pending.contains_key(&sp) => {
+            dag.alias_v
+                .entry(sp)
+                .or_insert_with(|| AliasSet {
+                    rep: src,
+                    dups: Vec::new(),
+                })
+                .dups
+                .push(out);
+            return;
+        }
+        None => src,
+    };
+    let p = vptr(&out);
+    dag.pending.remove(&p);
+    dag.resolved_v.insert(p, (out, store));
+    drain_aliases(dag, p, &mut |_| {});
+}
+
+/// Matrix analog of [`fold_vec`].
+fn fold_mat(dag: &mut Dag, out: Arc<MatrixStore>, src: Arc<MatrixStore>) {
+    let sp = mptr(&src);
+    let store = match dag.resolved_m.get(&sp) {
+        Some((_, s)) => Arc::clone(s),
+        None if dag.pending.contains_key(&sp) => {
+            dag.alias_m
+                .entry(sp)
+                .or_insert_with(|| AliasSet {
+                    rep: src,
+                    dups: Vec::new(),
+                })
+                .dups
+                .push(out);
+            return;
+        }
+        None => src,
+    };
+    let p = mptr(&out);
+    dag.pending.remove(&p);
+    dag.resolved_m.insert(p, (out, store));
+    drain_aliases(dag, p, &mut |_| {});
+}
+
+fn vec_alias(
+    a: &Analysis,
+    dag: &Dag,
+    nf: &NodeFacts,
+    d: &VecOpDesc,
+) -> Option<(Arc<VectorStore>, &'static str)> {
     if d.region.is_some() || !vec_rhs_ops_present(&d.rhs) {
         return None;
     }
-    // An empty non-complemented mask admits no writes: with replace the
-    // result is empty, without it the target is untouched (under any
-    // accumulator — accumulation is also a write).
+    // An empty non-complemented mask admits no writes: without replace
+    // the target is untouched (under any accumulator — accumulation is
+    // also a write).
     if let Some((m, false)) = &d.mask {
-        if vec_known_empty(dag, m) {
-            return Some(if d.replace {
-                (VecFold::Empty, "empty mask with replace")
-            } else {
-                (
-                    VecFold::Alias(Arc::clone(&d.target)),
-                    "empty mask, replace off",
-                )
-            });
+        if !d.replace && a.vec(dag, m).provably_empty() {
+            return Some((Arc::clone(&d.target), "empty mask, replace off"));
         }
     }
     let VecRhs::Expr(e) = &d.rhs else { return None };
-    let empty_rhs = vec_expr_known_empty(dag, e);
     // Accumulating an empty right-hand side merges nothing: the target
     // passes through (outside-mask positions are untouched too while
     // replace is off).
-    if d.accum.is_some() && !d.replace && empty_rhs {
-        return Some((
-            VecFold::Alias(Arc::clone(&d.target)),
-            "identity accum of empty rhs",
-        ));
+    if d.accum.is_some() && !d.replace && nf.rhs.provably_empty() {
+        return Some((Arc::clone(&d.target), "identity accum of empty rhs"));
     }
     if !d.is_plain() {
         return None;
-    }
-    if empty_rhs {
-        return Some((VecFold::Empty, "known-empty result"));
     }
     match &e.kind {
         VectorExprKind::Apply {
             u,
             op: Some(AppliedUnaryKind::Pure(UnaryOpKind::Identity)),
-        } if u.dtype() == d.out.dtype() => Some((VecFold::Alias(Arc::clone(u)), "identity apply")),
+        } if u.dtype() == d.out.dtype() => Some((Arc::clone(u), "identity apply")),
         VectorExprKind::EWiseAdd { u, v, op: Some(_) }
             if u.dtype() == v.dtype() && u.dtype() == d.out.dtype() =>
         {
             // Union semantics: the operator only combines intersecting
             // entries; with one side empty the other passes through.
-            if vec_known_empty(dag, u) {
-                Some((VecFold::Alias(Arc::clone(v)), "eWiseAdd with empty operand"))
-            } else if vec_known_empty(dag, v) {
-                Some((VecFold::Alias(Arc::clone(u)), "eWiseAdd with empty operand"))
+            if a.vec(dag, u).provably_empty() {
+                Some((Arc::clone(v), "eWiseAdd with empty operand"))
+            } else if a.vec(dag, v).provably_empty() {
+                Some((Arc::clone(u), "eWiseAdd with empty operand"))
             } else {
                 None
             }
@@ -626,59 +605,47 @@ fn vec_noop_action(dag: &Dag, d: &VecOpDesc) -> Option<(VecFold, &'static str)> 
     }
 }
 
-fn mat_noop_action(dag: &Dag, d: &MatOpDesc) -> Option<(MatFold, &'static str)> {
+fn mat_alias(
+    a: &Analysis,
+    dag: &Dag,
+    nf: &NodeFacts,
+    d: &MatOpDesc,
+) -> Option<(Arc<MatrixStore>, &'static str)> {
     if d.region.is_some() || !mat_rhs_ops_present(&d.rhs) {
         return None;
     }
     if let Some((m, false)) = &d.mask {
-        if mat_known_empty(dag, m) {
-            return Some(if d.replace {
-                (MatFold::Empty, "empty mask with replace")
-            } else {
-                (
-                    MatFold::Alias(Arc::clone(&d.target)),
-                    "empty mask, replace off",
-                )
-            });
+        if !d.replace && a.mat(dag, m).provably_empty() {
+            return Some((Arc::clone(&d.target), "empty mask, replace off"));
         }
     }
     let MatRhs::Expr(e) = &d.rhs else { return None };
-    let empty_rhs = mat_expr_known_empty(dag, e);
-    if d.accum.is_some() && !d.replace && empty_rhs {
-        return Some((
-            MatFold::Alias(Arc::clone(&d.target)),
-            "identity accum of empty rhs",
-        ));
+    if d.accum.is_some() && !d.replace && nf.rhs.provably_empty() {
+        return Some((Arc::clone(&d.target), "identity accum of empty rhs"));
     }
     if !d.is_plain() {
         return None;
     }
-    if empty_rhs {
-        return Some((MatFold::Empty, "known-empty result"));
-    }
     match &e.kind {
         MatrixExprKind::Apply {
-            a,
+            a: x,
             op: Some(AppliedUnaryKind::Pure(UnaryOpKind::Identity)),
-        } if !a.transposed && a.store.dtype() == d.out.dtype() => {
-            Some((MatFold::Alias(Arc::clone(&a.store)), "identity apply"))
+        } if !x.transposed && x.store.dtype() == d.out.dtype() => {
+            Some((Arc::clone(&x.store), "identity apply"))
         }
-        MatrixExprKind::EWiseAdd { a, b, op: Some(_) }
-            if !a.transposed
-                && !b.transposed
-                && a.store.dtype() == b.store.dtype()
-                && a.store.dtype() == d.out.dtype() =>
+        MatrixExprKind::EWiseAdd {
+            a: x,
+            b: y,
+            op: Some(_),
+        } if !x.transposed
+            && !y.transposed
+            && x.store.dtype() == y.store.dtype()
+            && x.store.dtype() == d.out.dtype() =>
         {
-            if mat_known_empty(dag, &a.store) {
-                Some((
-                    MatFold::Alias(Arc::clone(&b.store)),
-                    "eWiseAdd with empty operand",
-                ))
-            } else if mat_known_empty(dag, &b.store) {
-                Some((
-                    MatFold::Alias(Arc::clone(&a.store)),
-                    "eWiseAdd with empty operand",
-                ))
+            if a.mat(dag, &x.store).provably_empty() {
+                Some((Arc::clone(&y.store), "eWiseAdd with empty operand"))
+            } else if a.mat(dag, &y.store).provably_empty() {
+                Some((Arc::clone(&x.store), "eWiseAdd with empty operand"))
             } else {
                 None
             }

@@ -5,18 +5,14 @@
 //! interval `nnz ∈ [lo, hi]` plus structure flags — by interpreting
 //! the DAG in enqueue order (which is topological: an operand
 //! placeholder is always minted before any consumer snapshots it)
-//! with the sound transfer functions of [`pygb::facts`]. The facts
-//! feed four consumers:
+//! with the sound transfer functions of [`pygb::facts`]. It is the
+//! only plan-time analysis; its facts feed four consumers:
 //!
 //! 1. the `sparsity` pipeline pass ([`crate::passes`]) folds nodes
 //!    whose write-back fact is provably empty;
-//! 2. kernel choice: when a mask's fact is tight enough to decide the
-//!    masked-SpGEMM family *statically*, the node's [`KernelChoice`]
-//!    says so and travels as an argument of `pygb::nb::run_mat_op` down
-//!    to `pygb::kernels` — counted under `opt/static_kernel_hints`.
-//!    SpMV direction is not decided here: the op-DAG runs the
-//!    orientation each operand carries, exactly as a blocking dispatch
-//!    does;
+//! 2. the `noop` pipeline pass reads operand, mask and right-hand-side
+//!    emptiness from the same [`Analysis`] to fold nodes into aliases
+//!    of another container's value;
 //! 3. [`crate::plan`] renders each node's fact next to its kernel
 //!    verdict, and the analysis emits lints (provably-empty result
 //!    consumed downstream, mask provably disjoint) through
@@ -24,6 +20,9 @@
 //! 4. the checked interpretation: every executed node's concrete
 //!    `nvals` is compared against its predicted interval via the
 //!    `gbtl` fact-checker hook (`opt/fact_misses`, debug-asserted).
+//!
+//! No kernel is chosen here: a deferred node runs the kernel `gbtl`
+//! picks for its operands, exactly as a blocking dispatch does.
 //!
 //! ## Soundness argument
 //!
@@ -39,7 +38,7 @@
 //! them unchanged.
 
 use pygb::expr::{MatOperand, MatrixExpr, MatrixExprKind, VectorExpr, VectorExprKind};
-use pygb::facts::{self, Fact, KernelChoice};
+use pygb::facts::{self, Fact};
 use pygb::nb::{MatOpDesc, MatRhs, VecOpDesc, VecRhs};
 use pygb::store::{MatrixStore, VectorStore};
 use std::sync::Arc;
@@ -51,23 +50,37 @@ use crate::dataflow::{mat_rhs_ops_present, node_out_ptr, vec_rhs_ops_present, vi
 // Per-node analysis results.
 // ---------------------------------------------------------------------
 
-/// The analysis verdict for one DAG node: its write-back fact plus any
-/// kernel choice the fact was tight enough to justify.
-#[derive(Debug, Clone)]
+/// The analysis verdict for one DAG node.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeFacts {
     /// The abstract fact describing the node's output container after
     /// mask/accumulate/replace write-back.
     pub(crate) fact: Fact,
-    /// Statically decided kernel: the masked-SpGEMM family when a
-    /// matrix node's mask density interval is decisive.
-    pub(crate) choice: KernelChoice,
+    /// The fact of the value the node computes before write-back (⊤
+    /// for region assigns and for nodes missing an operator).
+    pub(crate) rhs: Fact,
 }
 
 /// The whole-DAG analysis: slot index → [`NodeFacts`] for every live
-/// node.
+/// node, plus the fact of every placeholder those nodes write, so a
+/// pass can ask for the fact of any store handle a node reads.
 pub(crate) struct Analysis {
     /// Facts keyed by DAG slot index (stable across scheduling waves).
     pub(crate) facts: AddrMap<usize, NodeFacts>,
+    env: Env,
+}
+
+impl Analysis {
+    /// The fact of a vector handle as a node reads it (see
+    /// [`vec_fact`]).
+    pub(crate) fn vec(&self, dag: &Dag, v: &Arc<VectorStore>) -> Fact {
+        vec_fact(dag, &self.env, v)
+    }
+
+    /// Matrix analog of [`Analysis::vec`].
+    pub(crate) fn mat(&self, dag: &Dag, m: &Arc<MatrixStore>) -> Fact {
+        mat_fact(dag, &self.env, m)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -80,6 +93,9 @@ struct Env {
     mat: AddrMap<usize, Fact>,
 }
 
+/// A placeholder this walk computed takes its producer's fact; a
+/// resolved one or a clean handle is inspected exactly; any other
+/// pending placeholder is ⊤.
 fn vec_fact(dag: &Dag, env: &Env, v: &Arc<VectorStore>) -> Fact {
     let p = vptr(v);
     if let Some(f) = env.vec.get(&p) {
@@ -224,79 +240,57 @@ fn mat_expr_fact(dag: &Dag, env: &Env, e: &MatrixExpr) -> Fact {
 // Node facts: expression transfer + write-back.
 // ---------------------------------------------------------------------
 
-fn vec_node_fact(dag: &Dag, env: &Env, d: &VecOpDesc) -> Fact {
+fn vec_node_fact(dag: &Dag, env: &Env, d: &VecOpDesc) -> NodeFacts {
     let dim = d.out.size();
     if d.region.is_some() {
         // Region-indexed assigns scatter into a sub-selection; model ⊤.
-        return Fact::top(dim);
+        return NodeFacts::top(dim);
     }
-    let t = match &d.rhs {
+    let rhs = match &d.rhs {
         VecRhs::Scalar(_) => facts::full_iso(dim),
         VecRhs::Expr(e) if vec_rhs_ops_present(&d.rhs) => vec_expr_fact(dag, env, e),
         VecRhs::Expr(_) => Fact::top(dim),
     };
     let target = vec_fact(dag, env, &d.target);
     let mask = d.mask.as_ref().map(|(m, c)| (vec_fact(dag, env, m), *c));
-    facts::write_back(
-        &t,
+    let fact = facts::write_back(
+        &rhs,
         &target,
         mask.as_ref().map(|(f, c)| (f, *c)),
         d.accum.is_some(),
         d.replace,
-    )
+    );
+    NodeFacts { fact, rhs }
 }
 
-fn mat_node_fact(dag: &Dag, env: &Env, d: &MatOpDesc) -> Fact {
+fn mat_node_fact(dag: &Dag, env: &Env, d: &MatOpDesc) -> NodeFacts {
     let dim = d.out.nrows().saturating_mul(d.out.ncols());
     if d.region.is_some() {
-        return Fact::top(dim);
+        return NodeFacts::top(dim);
     }
-    let t = match &d.rhs {
+    let rhs = match &d.rhs {
         MatRhs::Scalar(_) => facts::full_iso(dim),
         MatRhs::Expr(e) if mat_rhs_ops_present(&d.rhs) => mat_expr_fact(dag, env, e),
         MatRhs::Expr(_) => Fact::top(dim),
     };
     let target = mat_fact(dag, env, &d.target);
     let mask = d.mask.as_ref().map(|(m, c)| (mat_fact(dag, env, m), *c));
-    facts::write_back(
-        &t,
+    let fact = facts::write_back(
+        &rhs,
         &target,
         mask.as_ref().map(|(f, c)| (f, *c)),
         d.accum.is_some(),
         d.replace,
-    )
+    );
+    NodeFacts { fact, rhs }
 }
 
-// ---------------------------------------------------------------------
-// Kernel hints from tight facts.
-// ---------------------------------------------------------------------
-
-/// Statically decide the masked-SpGEMM family from the mask's density
-/// interval: a provably sparse mask favors the mask-driven dot kernel,
-/// a provably dense one the Gustavson row kernel. The push/pull
-/// threshold doubles as the density cutover here.
-fn mat_node_mxm_hint(dag: &Dag, env: &Env, d: &MatOpDesc) -> Option<facts::MxmFamily> {
-    if d.region.is_some() || d.mask.is_none() {
-        return None;
-    }
-    let MatRhs::Expr(e) = &d.rhs else { return None };
-    if !matches!(&e.kind, MatrixExprKind::MxM { .. }) {
-        return None;
-    }
-    let (m, complemented) = d.mask.as_ref().expect("checked above");
-    if *complemented {
-        // The dot kernel iterates the mask pattern directly; a
-        // complemented mask has no usable pattern to drive it.
-        return None;
-    }
-    let mf = mat_fact(dag, env, m);
-    let thr = gbtl::push_pull_density();
-    if mf.density_hi() < thr {
-        Some(facts::MxmFamily::MaskedDot)
-    } else if mf.density_lo() >= thr {
-        Some(facts::MxmFamily::MaskedGustavson)
-    } else {
-        None
+impl NodeFacts {
+    fn top(dim: usize) -> NodeFacts {
+        NodeFacts {
+            fact: Fact::top(dim),
+            rhs: Fact::top(dim),
+        }
     }
 }
 
@@ -309,60 +303,40 @@ fn mat_node_mxm_hint(dag: &Dag, env: &Env, d: &MatOpDesc) -> Option<facts::MxmFa
 /// assessment must not double-report), structure diagnostics are
 /// pushed through [`pygb::emit_lint`] for the analyzer wire protocol.
 pub(crate) fn analyze(dag: &Dag, emit_lints: bool) -> Analysis {
-    let mut env = Env {
-        vec: AddrMap::default(),
-        mat: AddrMap::default(),
-    };
     let mut out = Analysis {
         facts: AddrMap::default(),
+        env: Env {
+            vec: AddrMap::default(),
+            mat: AddrMap::default(),
+        },
     };
     for (i, node) in dag.nodes.iter().enumerate() {
         let Some(node) = node else { continue };
         let nf = match node {
             Node::Vec(d) => {
-                let fact = vec_node_fact(dag, &env, d);
-                env.vec.insert(vptr(&d.out), fact);
-                NodeFacts {
-                    fact,
-                    choice: KernelChoice::default(),
-                }
+                let nf = vec_node_fact(dag, &out.env, d);
+                out.env.vec.insert(vptr(&d.out), nf.fact);
+                nf
             }
             Node::Mat(d) => {
-                let fact = mat_node_fact(dag, &env, d);
-                let mxm = mat_node_mxm_hint(dag, &env, d);
-                env.mat.insert(mptr(&d.out), fact);
-                NodeFacts {
-                    fact,
-                    choice: KernelChoice { mxm },
-                }
+                let nf = mat_node_fact(dag, &out.env, d);
+                out.env.mat.insert(mptr(&d.out), nf.fact);
+                nf
             }
         };
         out.facts.insert(i, nf);
     }
     if emit_lints {
-        emit_structure_lints(dag, &out, &env);
+        emit_structure_lints(dag, &out);
     }
     out
-}
-
-/// Render a node's facts for the `plan()` view: the fact interval plus
-/// any statically decided kernel hint.
-pub(crate) fn render_facts(nf: &NodeFacts) -> String {
-    let mut s = nf.fact.to_string();
-    if let Some(fam) = nf.choice.mxm {
-        s.push_str(match fam {
-            facts::MxmFamily::MaskedDot => " hint=dot",
-            facts::MxmFamily::MaskedGustavson => " hint=gustavson",
-        });
-    }
-    s
 }
 
 // ---------------------------------------------------------------------
 // Lints.
 // ---------------------------------------------------------------------
 
-fn emit_structure_lints(dag: &Dag, analysis: &Analysis, env: &Env) {
+fn emit_structure_lints(dag: &Dag, analysis: &Analysis) {
     // Placeholder → first node reading it, indexed once and only when
     // some result is provably empty.
     let mut first_reader: Option<AddrMap<usize, usize>> = None;
@@ -398,8 +372,8 @@ fn emit_structure_lints(dag: &Dag, analysis: &Analysis, env: &Env) {
         // provably-empty structural mask, or a provably-full
         // complemented one (its complement admits nothing).
         let mask = match node {
-            Node::Vec(d) => d.mask.as_ref().map(|(m, c)| (vec_fact(dag, env, m), *c)),
-            Node::Mat(d) => d.mask.as_ref().map(|(m, c)| (mat_fact(dag, env, m), *c)),
+            Node::Vec(d) => d.mask.as_ref().map(|(m, c)| (analysis.vec(dag, m), *c)),
+            Node::Mat(d) => d.mask.as_ref().map(|(m, c)| (analysis.mat(dag, m), *c)),
         };
         if let Some((mf, complemented)) = mask {
             let disjoint = if complemented {
@@ -447,26 +421,25 @@ pub(crate) fn arm_prediction() {
 /// concrete `nvals` must lie inside the fact's interval (`γ`
 /// membership). A miss bumps `opt/fact_misses` and debug-asserts —
 /// release builds keep running with the sound-but-wrong counter
-/// visible. A node without facts (`nf` is `None`) only disarms.
-pub(crate) fn check_prediction(nf: Option<&NodeFacts>, kernel_ok: bool) {
+/// visible. A node without a fact (`fact` is `None`) only disarms.
+pub(crate) fn check_prediction(fact: Option<&Fact>, kernel_ok: bool) {
     let Some((nvals, dim)) = LAST_WRITE.with(|c| c.take()) else {
         return;
     };
-    let Some(nf) = nf else {
+    let Some(fact) = fact else {
         return;
     };
     // A fused kernel's last write can be an intermediate of a different
     // shape when the final write errored; only compare same-extent
     // writes of successful nodes.
-    if !kernel_ok || dim != nf.fact.dim {
+    if !kernel_ok || dim != fact.dim {
         return;
     }
-    if !nf.fact.admits(nvals) {
+    if !fact.admits(nvals) {
         pygb_obs::Census::FactMisses.inc();
         debug_assert!(
             false,
-            "sparsity fact miss: concrete nvals {nvals} outside predicted {} (dim {dim})",
-            nf.fact
+            "sparsity fact miss: concrete nvals {nvals} outside predicted {fact} (dim {dim})"
         );
     }
 }
@@ -483,10 +456,7 @@ mod tests {
 
     #[test]
     fn prediction_checker_flags_interval_violations() {
-        let nf = NodeFacts {
-            fact: Fact::exact(3, 10),
-            choice: KernelChoice::default(),
-        };
+        let nf = Fact::exact(3, 10);
         arm_prediction();
         // No write recorded: silently passes.
         check_prediction(Some(&nf), true);
@@ -513,25 +483,9 @@ mod tests {
     #[should_panic(expected = "sparsity fact miss")]
     #[cfg(debug_assertions)]
     fn prediction_checker_asserts_on_miss() {
-        let nf = NodeFacts {
-            fact: Fact::exact(3, 10),
-            choice: KernelChoice::default(),
-        };
+        let nf = Fact::exact(3, 10);
         arm_prediction();
         record_write(9, 10);
         check_prediction(Some(&nf), true);
-    }
-
-    #[test]
-    fn render_facts_includes_hints() {
-        let nf = NodeFacts {
-            fact: Fact::exact(0, 5),
-            choice: KernelChoice {
-                mxm: Some(facts::MxmFamily::MaskedDot),
-            },
-        };
-        let s = render_facts(&nf);
-        assert!(s.contains("nnz=[0,0]"), "got: {s}");
-        assert!(s.ends_with("hint=dot"), "got: {s}");
     }
 }

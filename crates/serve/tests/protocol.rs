@@ -246,6 +246,29 @@ fn replace_without_mask_surfaces_an_analyzer_warning() {
     assert!(clean.is_empty(), "unexpected warnings: {clean:?}");
 }
 
+/// `QUERY … BFS` answers without `WARN` lines on fp64, int32 and uint64
+/// graphs — the frontier product is logical, so its bool cast loses
+/// nothing — and a stored zero-valued edge (1 → 2 here) is no edge.
+#[test]
+fn bfs_replies_carry_no_warnings_and_skip_zero_edges() {
+    let srv = server();
+    let mut c = Client::connect(srv.local_addr()).unwrap();
+    for dtype in ["fp64", "int32", "uint64"] {
+        c.request_ok(&format!(
+            "REGISTER g_{dtype} TRIPLES 4 4 {dtype} 0:1:1,1:2:0,1:3:2,3:2:1"
+        ))
+        .unwrap();
+        let (payload, warnings) = c
+            .request_with_warnings(&format!("QUERY g_{dtype} BFS 0"))
+            .unwrap();
+        assert!(warnings.is_empty(), "{dtype}: {warnings:?}");
+        assert!(
+            payload.contains("\"levels\":[[0,1],[1,2],[2,4],[3,3]]"),
+            "{dtype}: {payload}"
+        );
+    }
+}
+
 #[test]
 fn complemented_empty_mask_surfaces_an_analyzer_warning() {
     let srv = server();

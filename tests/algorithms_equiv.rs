@@ -37,6 +37,49 @@ fn bfs_three_variants_agree_across_graphs() {
     }
 }
 
+/// A stored zero-valued edge is no edge, and every BFS variant
+/// terminates on a graph that holds some: the int32 cast of (0, 1]
+/// weights stores zeros, and doubled weights store a mix of zeros and
+/// edges. The variants run off the test thread, which gives each one
+/// 60 s, so one that spins fails the test instead of hanging it; all
+/// must equal BFS over the graph's nonzero edges alone.
+#[test]
+fn bfs_variants_terminate_and_agree_on_stored_zero_edges() {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+    let base = generators::erdos_renyi_power(64, 5).symmetrize();
+    let mut doubled = base.clone();
+    for e in &mut doubled.edges {
+        e.2 *= 2.0;
+    }
+    for (case, edges) in [("(0, 1] weights", base), ("(0, 2] weights", doubled)] {
+        let mut nonzero = edges.clone();
+        nonzero.edges.retain(|&(_, _, w)| w as i32 != 0);
+        let oracle = pairs_i64(&algos::bfs_dsl_loops(&nonzero.to_pygb(DType::Fp64), 0).unwrap());
+        let g = edges.to_pygb(DType::Int32);
+        let (tx, rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let run = |name: &'static str, levels: Vector| tx.send((name, pairs_i64(&levels)));
+            run("loops", algos::bfs_dsl_loops(&g, 0).unwrap()).unwrap();
+            run("fused", algos::bfs_dsl_fused(&g, 0).unwrap()).unwrap();
+            run("nonblocking", algos::bfs_nonblocking(&g, 0).unwrap()).unwrap();
+            let ng: gbtl::Matrix<i32> = g.to_typed().unwrap();
+            let native = algos::bfs_native(&ng, 0).unwrap();
+            let native = native.iter().map(|(i, v)| (i, v as i64)).collect();
+            tx.send(("native", native)).unwrap();
+        });
+        for next in ["loops", "fused", "nonblocking", "native"] {
+            match rx.recv_timeout(Duration::from_secs(60)) {
+                Ok((name, got)) => assert_eq!(got, oracle, "{case}: BFS {name}"),
+                Err(RecvTimeoutError::Timeout) => panic!("{case}: BFS {next} did not terminate"),
+                // The worker panicked; the join below reports why.
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        worker.join().expect("BFS worker panicked");
+    }
+}
+
 #[test]
 fn bfs_on_tree_reaches_every_level() {
     let tree = generators::balanced_tree(3, 4); // 121 vertices

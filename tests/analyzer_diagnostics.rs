@@ -6,7 +6,8 @@
 //! first at flush.
 
 use pygb::{
-    take_lints, ArithmeticSemiring, DType, Matrix, PygbError, Replace, StrictTypes, Vector,
+    take_lints, ArithmeticSemiring, BinaryOp, DType, LogicalSemiring, Matrix, PygbError, Replace,
+    StrictTypes, Vector,
 };
 
 fn vf64(vals: &[f64]) -> Vector {
@@ -343,6 +344,33 @@ fn result_cast_into_narrower_target_lints_then_errors_in_strict_mode() {
         "invalid `eWiseAdd`: result dtype fp64 does not fit output dtype int32 \
          (float values are truncated to integer); \
          in eWiseAdd([2 fp64], [2 fp64])",
+    );
+}
+
+/// A product whose operators are logical stores only 0 or 1, so casting
+/// it into a `bool` target — BFS's frontier update — loses nothing: no
+/// lint, and no error under `StrictTypes`. A logical `eWiseAdd` still
+/// lints, because union entries pass through unchanged.
+#[test]
+fn logical_product_casts_into_bool_silently() {
+    let _ = take_lints();
+    let g = Matrix::from_triples(2, 2, [(0usize, 1usize, 2.5f64), (1, 0, 0.5)]).unwrap();
+    let u = vf64(&[1.5, 2.5]);
+    let mut w = Vector::new(2, DType::Bool);
+    let product = |w: &mut Vector| {
+        let _sr = LogicalSemiring.enter();
+        w.no_mask().assign(g.t().mxv(&u))
+    };
+    product(&mut w).unwrap();
+    assert!(take_lints().is_empty());
+    let _st = StrictTypes.enter();
+    product(&mut w).unwrap();
+    assert_eq!(w.nvals(), 2);
+    let _or = BinaryOp::new("LogicalOr").unwrap().enter();
+    let err = w.no_mask().assign(&u + &u).unwrap_err();
+    assert!(
+        matches!(err, PygbError::Invalid { op: "eWiseAdd", .. }),
+        "{err}"
     );
 }
 

@@ -88,20 +88,14 @@ fn kernel_calls(s: &StatsSnapshot) -> [u64; 4] {
 }
 
 /// A program runs the same kernels in both execution modes: the op-DAG
-/// decides no push/pull direction of its own, so every product takes
-/// the kernel its blocking dispatch takes. Counted per kind on BFS,
-/// SSSP, PageRank, triangle counting and connected components — the
-/// last run through `pygb_algorithms::deferred`, the helper every
-/// `*_nonblocking` is — over graphs of four dtypes whose frontiers
-/// cross the substrate's density cutover, with bit-identical results.
-///
-/// The one kernel decision the op-DAG still makes itself is the
-/// masked-SpGEMM family, from the mask's density interval (DESIGN.md
-/// §4j): triangle counting's mask `L` is dense here (density ≈ 0.12,
-/// above the 0.05 cutover), so the deferred run takes Gustavson where
-/// the blocking one takes dot. That difference is pinned exactly — one
-/// honored static hint, same number of products — so it cannot widen
-/// unnoticed, and this test says so when the hint goes.
+/// decides no kernel of its own — no push/pull direction, no
+/// masked-SpGEMM family — so every product takes the kernel its
+/// blocking dispatch takes. Counted per kind on BFS, SSSP, PageRank,
+/// triangle counting (whose mask `L` is dense here, density ≈ 0.12)
+/// and connected components — the last run through
+/// `pygb_algorithms::deferred`, the helper every `*_nonblocking` is —
+/// over graphs of four dtypes whose frontiers cross the substrate's
+/// density cutover, with bit-identical results.
 #[test]
 fn nonblocking_runs_the_blocking_spmv_kernels() {
     use pygb_algorithms as algos;
@@ -184,23 +178,14 @@ fn nonblocking_runs_the_blocking_spmv_kernels() {
                 run(true)
             };
             let d = StatsSnapshot::of(&scope);
-            let hints = scope.get(pygb_obs::Census::StaticKernelHints);
             assert!(d.deferred_ops > 0, "{case}: nothing was deferred");
             assert!(
                 kernel_calls(&b).iter().any(|&k| k > 0),
                 "{case}: no product ran"
             );
-            let mut expected = kernel_calls(&b);
-            if name == "tricount" {
-                assert_eq!(hints, 1, "{case}: the SpGEMM family hint");
-                assert_eq!(expected[2..], [1, 0], "{case}: blocking takes dot");
-                expected[2..].copy_from_slice(&[0, 1]);
-            } else {
-                assert_eq!(hints, 0, "{case}: a static kernel hint was taken");
-            }
             assert_eq!(
                 kernel_calls(&d),
-                expected,
+                kernel_calls(&b),
                 "{case}: (push, pull, dot, Gustavson) selections differ between modes"
             );
             assert_eq!(blocking, deferred, "{case}: results differ between modes");
@@ -254,18 +239,34 @@ fn nonblocking_lints_each_operation_once() {
             algos::tricount_dsl_loops(&l).unwrap();
         }
     };
-    let programs: [(&str, &dyn Fn(bool)); 4] = [
+    // A genuinely lossy cast: fp64 sums into an int32 target.
+    let lossy = |nb: bool| {
+        let run = || {
+            let u = Vector::from_dense(&[0.5f64, 2.5]);
+            let mut w = Vector::new(2, DType::Int32);
+            let _op = pygb::BinaryOp::new("Plus").unwrap().enter();
+            w.no_mask().assign(&u + &u)
+        };
+        if nb {
+            algos::deferred(run).unwrap();
+        } else {
+            run().unwrap();
+        }
+    };
+    let programs: [(&str, &dyn Fn(bool)); 5] = [
         ("bfs", &bfs),
         ("sssp", &sssp),
         ("pagerank", &pagerank),
         ("tricount", &tricount),
+        ("lossy cast", &lossy),
     ];
     for (name, run) in programs {
         assert_eq!(lints(run, true), lints(run, false), "{name}");
     }
-    // BFS on an fp64 graph lints its own bool/uint64 casts, so the
-    // comparison above is not between two empty lists.
-    assert!(!lints(&bfs, false).is_empty());
+    // The lossy cast lints, so the comparison above is not only between
+    // empty lists; BFS's bool frontier holds only logical products.
+    assert!(!lints(&lossy, false).is_empty());
+    assert!(lints(&bfs, false).is_empty());
 }
 
 /// The whole-algorithm kernels read their graph resolved: a graph still

@@ -12,11 +12,12 @@
 //! REPLACE, mixed dtypes, region assigns, streamed snapshots — and
 //! then assert the miss counter never moved.
 //!
-//! On top of γ-membership, the deterministic tests pin the pass's
+//! On top of γ-membership, the deterministic tests pin the analysis's
 //! *strength*: provably-empty results reached only through pending
-//! placeholders (invisible to the syntactic no-op pass) must fold, the
-//! structure lints must fire, and a statically decided SpMV direction
-//! must be taken — with results identical to blocking execution.
+//! placeholders must fold under the sparsity pass and alias under the
+//! no-op pass, which reads the same facts; the structure lints must
+//! fire; and SpMV must run the kernel blocking execution runs — with
+//! results identical to blocking execution.
 
 use proptest::prelude::*;
 
@@ -71,7 +72,7 @@ fn full_pipeline() -> Vec<PassKind> {
 
 /// One random program step. Compared to the equivalence suite, the
 /// generator adds SpMV steps (`mxv`/`vxm` exercise the matrix transfer
-/// functions and the static direction hints), scalar broadcasts (the
+/// functions), scalar broadcasts (the
 /// `full_iso` transfer), and region assigns (the ⊤ degradation path).
 #[derive(Clone, Debug)]
 struct Step {
@@ -368,10 +369,9 @@ proptest! {
 }
 
 /// The strength claim: a provably-empty result reached only *through a
-/// pending placeholder* is invisible to the syntactic no-op pass
-/// (pending operands are never "known empty") but folds under the
-/// sparsity pass — and the downstream-consumption lint fires on the
-/// real flush.
+/// pending placeholder* folds under the sparsity pass — facts propagate
+/// through placeholders — and the downstream-consumption lint fires on
+/// the real flush.
 #[test]
 fn empty_chain_through_pending_placeholders_folds_and_lints() {
     let _scope = PassScope::new(&[PassKind::Sparsity]);
@@ -387,9 +387,8 @@ fn empty_chain_through_pending_placeholders_folds_and_lints() {
         let _op = BinaryOp::new("Times").unwrap().enter();
         // t1 = empty ⊗ dense: provably empty (and syntactically so).
         let t1 = Vector::from_expr(&empty * &dense).unwrap();
-        // t2 = t1 ⊗ dense: t1 is a *pending placeholder* here, so the
-        // no-op pass cannot see its emptiness — only the abstract
-        // interpretation can.
+        // t2 = t1 ⊗ dense: t1 is a *pending placeholder* here; only the
+        // abstract interpretation sees its emptiness.
         let t2 = Vector::from_expr(&t1 * &dense).unwrap();
         // out = t2 ⊗ dense: consumed downstream → lint.
         out.no_mask().assign(&t2 * &dense).unwrap();
@@ -398,14 +397,49 @@ fn empty_chain_through_pending_placeholders_folds_and_lints() {
     assert_eq!(out.nvals(), 0, "folded chain must still produce emptiness");
     assert!(
         folded >= 2,
-        "sparsity pass must fold the provably-empty chain (pending-placeholder \
-         emptiness is invisible to noop): folded delta {folded}"
+        "sparsity pass must fold the provably-empty chain through pending \
+         placeholders: folded delta {folded}"
     );
     let lints = pygb::take_lints();
     assert!(
         lints.iter().any(|l| l.contains("provably empty")),
         "expected a provably-empty-consumed lint, got: {lints:?}"
     );
+}
+
+/// The no-op pass reads emptiness from the same analysis: an `eWiseAdd`
+/// whose operand is a pending placeholder that is provably empty — a
+/// masked write of an empty product, which no check of the operand's
+/// own store can see — folds into an alias of the other operand, with
+/// the result of running every pass off.
+#[test]
+fn noop_aliases_past_a_provably_empty_pending_operand() {
+    let empty = Vector::new(N, DType::Fp64);
+    let mut full = Vector::new(N, DType::Bool);
+    let mut dense = Vector::new(N, DType::Fp64);
+    for i in 0..N {
+        full.set(i, true).unwrap();
+        dense.set(i, i as f64 + 0.5).unwrap();
+    }
+    let run = |passes: &[PassKind]| {
+        let _scope = PassScope::new(passes);
+        let mut t = Vector::new(N, DType::Fp64);
+        let (out, folded) = counted(Census::NoopFolded, || {
+            let _nb = pygb_runtime::nonblocking().unwrap();
+            let _op = BinaryOp::new("Plus").unwrap().enter();
+            t.masked(&full).replace().assign(&empty * &dense).unwrap();
+            Vector::from_expr(&t + &dense).unwrap()
+        });
+        (out.extract_pairs(), folded)
+    };
+    let (oracle, none) = run(&[]);
+    assert_eq!(none, 0);
+    assert_eq!(oracle, dense.extract_pairs());
+    for passes in [vec![PassKind::Noop], full_pipeline()] {
+        let (got, folded) = run(&passes);
+        assert_eq!(got, oracle, "{passes:?}: result differs from passes off");
+        assert_eq!(folded, 1, "{passes:?}: the eWiseAdd must alias `dense`");
+    }
 }
 
 /// Masked write-back strength: an empty complemented mask admits every
@@ -443,8 +477,8 @@ fn empty_mask_replace_folds_with_disjoint_lint() {
 
 /// A BFS-style frontier mxv whose vector density is statically known
 /// still runs the kernel the blocking dispatch runs: the analysis
-/// decides no push/pull direction (no static hint is taken), and the
-/// results match the blocking oracle.
+/// decides no push/pull direction, and the results match the blocking
+/// oracle.
 #[test]
 fn bfs_frontier_mxv_runs_the_blocking_kernel() {
     let g = pygb_integration::fig1_graph().cast(DType::Fp64);
@@ -472,7 +506,6 @@ fn bfs_frontier_mxv_runs_the_blocking_kernel() {
             Census::SelMaskedPush,
             Census::SelPull,
             Census::SelMaskedPull,
-            Census::StaticKernelHints,
         ]
         .into_iter()
         .map(|c| scope.get(c))
@@ -486,7 +519,6 @@ fn bfs_frontier_mxv_runs_the_blocking_kernel() {
     assert_eq!(got, oracle, "deferred SpMV must match blocking results");
     assert_eq!(
         deferred, blocking,
-        "[push, masked push, pull, masked pull, hints] differ between modes"
+        "[push, masked push, pull, masked pull] differ between modes"
     );
-    assert_eq!(deferred[4], 0, "no static kernel hint may be taken");
 }
