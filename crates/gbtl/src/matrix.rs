@@ -8,10 +8,17 @@
 //! `O(nnz + n)`), mirroring GBTL's handling of `TransposeView`.
 //!
 //! The index arrays (`row_ptr`, `col_idx`) sit behind one `Arc`, apart
-//! from the values: [`Matrix::cast`] and `clone` share them and copy
-//! only `nnz` values, and a structural write (`set`, `remove`, `clear`)
+//! from the values. Every op that keeps its source's pattern shares
+//! them and computes only `nnz` new values: `clone`, [`Matrix::cast`],
+//! `apply` (and so the identity apply `C[None] = A` lowers to) and
+//! `normalize_rows`. A structural write (`set`, `remove`, `clear`)
 //! unshares them first (`Arc::make_mut`), so sharing is never
 //! observable.
+//!
+//! Every other kernel result is assembled by one builder,
+//! [`Matrix::from_row_fn`]: rows are computed independently, each chunk
+//! of rows fills its own [`CsrBuilder`], and the chunks are
+//! concatenated.
 
 use std::sync::Arc;
 
@@ -172,28 +179,40 @@ impl<T: Scalar> Matrix<T> {
         Ok(Self::from_parts(nrows, ncols, row_ptr, col_idx, values))
     }
 
-    /// Internal: assemble from per-row sorted `(col, value)` lists.
-    pub(crate) fn from_rows(
-        nrows: IndexType,
-        ncols: IndexType,
-        rows: Vec<Vec<(IndexType, T)>>,
-    ) -> Self {
-        debug_assert_eq!(rows.len(), nrows);
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for row in rows {
-            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
-            for (c, v) in row {
-                debug_assert!(c < ncols);
-                col_idx.push(c);
-                values.push(v);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Self::from_parts(nrows, ncols, row_ptr, col_idx, values)
+    /// Internal: assemble a kernel result whose rows are computed
+    /// independently. `row(w, i, out)` appends row `i`'s entries to `out`
+    /// in ascending column order, with `w` a per-worker scratch built by
+    /// `init`. The rows are split into contiguous chunks by
+    /// [`crate::parallel::chunk_map`]; each chunk fills its own builder,
+    /// and the chunks are concatenated in row order.
+    pub(crate) fn from_row_fn<W, I, F>(nrows: IndexType, ncols: IndexType, init: I, row: F) -> Self
+    where
+        I: Fn() -> W + Send + Sync,
+        F: Fn(&mut W, IndexType, &mut CsrBuilder<T>) + Send + Sync,
+    {
+        let out = crate::parallel::chunk_map(
+            nrows,
+            |rows| {
+                let mut w = init();
+                let mut out = CsrBuilder::with_rows(rows.len());
+                for i in rows {
+                    row(&mut w, i, &mut out);
+                    out.row_ptr.push(out.col_idx.len());
+                }
+                out
+            },
+            CsrBuilder::append,
+        );
+        let CsrBuilder {
+            row_ptr,
+            mut col_idx,
+            mut values,
+        } = out;
+        // The entry arrays grew by doubling; a result can live long (a
+        // kept answer, a graph), so it keeps no slack.
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        Self::from_csr_parts(nrows, ncols, row_ptr, col_idx, values)
     }
 
     /// Internal: assemble directly from validated CSR arrays. The
@@ -375,11 +394,26 @@ impl<T: Scalar> Matrix<T> {
     /// Element-wise cast into another scalar domain. The result shares
     /// this matrix's index arrays: only `nvals` values are allocated.
     pub fn cast<U: Scalar>(&self) -> Matrix<U> {
+        self.map_values(U::cast_from)
+    }
+
+    /// This matrix's pattern holding `f` of each stored value. The
+    /// result shares the index arrays: only `nvals` values are
+    /// allocated.
+    pub(crate) fn map_values<U: Scalar>(&self, f: impl FnMut(T) -> U) -> Matrix<U> {
         Matrix {
             nrows: self.nrows,
             ncols: self.ncols,
             csr: Arc::clone(&self.csr),
-            values: self.values.iter().map(|&v| U::cast_from(v)).collect(),
+            values: self.values.iter().copied().map(f).collect(),
+        }
+    }
+
+    /// Rewrite the stored values in place, `f` seeing one row's values
+    /// at a time. The pattern, and whoever shares it, is untouched.
+    pub(crate) fn update_row_values(&mut self, mut f: impl FnMut(&mut [T])) {
+        for w in self.csr.row_ptr.windows(2) {
+            f(&mut self.values[w[0]..w[1]]);
         }
     }
 
@@ -428,9 +462,58 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+/// A chunk of kernel result rows being assembled — see
+/// [`Matrix::from_row_fn`], which opens and closes the rows.
+pub(crate) struct CsrBuilder<T> {
+    /// Where each closed row ends in `col_idx`, after a leading 0.
+    row_ptr: Vec<IndexType>,
+    col_idx: Vec<IndexType>,
+    values: Vec<T>,
+}
+
+impl<T: Scalar> CsrBuilder<T> {
+    fn with_rows(rows: usize) -> Self {
+        let mut row_ptr = Vec::with_capacity(rows + 1);
+        row_ptr.push(0);
+        CsrBuilder {
+            row_ptr,
+            col_idx: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    /// Append `(j, v)` to the open row; `j` must exceed every column
+    /// already in it.
+    #[inline]
+    pub(crate) fn push(&mut self, j: IndexType, v: T) {
+        self.col_idx.push(j);
+        self.values.push(v);
+    }
+
+    /// Append a sorted run whose columns all exceed the open row's.
+    pub(crate) fn extend(&mut self, cols: &[IndexType], vals: &[T]) {
+        self.col_idx.extend_from_slice(cols);
+        self.values.extend_from_slice(vals);
+    }
+
+    /// The rows of `self` followed by the rows of `next`.
+    fn append(mut self, next: Self) -> Self {
+        let base = self.col_idx.len();
+        self.row_ptr
+            .extend(next.row_ptr[1..].iter().map(|&p| base + p));
+        self.extend(&next.col_idx, &next.values);
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mask::NoMask;
+    use crate::operations::apply_matrix;
+    use crate::ops::accum::NoAccumulate;
+    use crate::ops::unary::{AdditiveInverse, Identity};
+    use crate::views::MERGE;
 
     fn fixture() -> Matrix<i32> {
         Matrix::from_triples(
@@ -606,6 +689,36 @@ mod tests {
         e.assign_from(&m).unwrap();
         assert!(Arc::ptr_eq(&m.csr, &e.csr));
         assert_eq!(e, m);
+
+        // The other pattern-preserving ops share too: `apply`, the
+        // identity apply `C[None] = A` lowers to, and `normalize_rows`.
+        fn apply(m: &Matrix<i32>, op: impl crate::ops::UnaryOp<i32>) -> Matrix<i32> {
+            let mut out = Matrix::new(3, 4);
+            apply_matrix(&mut out, &NoMask, NoAccumulate, op, m, MERGE).unwrap();
+            out
+        }
+        let mut negated = apply(&m, AdditiveInverse::new());
+        let mut copied = apply(&m, Identity::new());
+        let mut normalized: Matrix<f64> = m.cast();
+        crate::algorithms::normalize_rows(&mut normalized);
+        for sharer in [&negated.csr, &copied.csr, &normalized.csr] {
+            assert!(Arc::ptr_eq(&m.csr, sharer));
+        }
+        assert_eq!(copied, m);
+        assert_eq!(negated.get(1, 2), Some(2));
+        assert_eq!(normalized.get(0, 3), Some(7.0 / 17.0));
+        copied.set(1, 0, 4).unwrap();
+        negated.remove(0, 1);
+        normalized.clear();
+        for unshared in [&negated.csr, &copied.csr, &normalized.csr] {
+            assert!(!Arc::ptr_eq(&m.csr, unshared));
+        }
+        assert_eq!(
+            (copied.nvals(), negated.nvals(), normalized.nvals()),
+            (5, 3, 0)
+        );
+        assert_eq!(m, fixture());
+        assert!(copied.is_valid() && negated.is_valid() && normalized.is_valid());
     }
 
     #[test]

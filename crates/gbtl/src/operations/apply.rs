@@ -72,17 +72,8 @@ where
     }
     check_matrix_mask(mask, c.nrows(), c.ncols())?;
     let timer = crate::hooks::KernelTimer::start();
-    let am = a.materialize();
-    let rows = (0..am.nrows())
-        .map(|i| {
-            let (cols, vals) = am.row(i);
-            cols.iter()
-                .copied()
-                .zip(vals.iter().map(|&v| f.apply(v)))
-                .collect()
-        })
-        .collect();
-    let t = Matrix::from_rows(am.nrows(), am.ncols(), rows);
+    // `f(A)` keeps `A`'s pattern: only the values are computed.
+    let t = a.materialize().map_values(|v| f.apply(v));
     write_matrix(c, mask, &accum, t, replace);
     timer.finish("apply/matrix");
     Ok(())

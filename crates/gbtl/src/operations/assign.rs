@@ -44,7 +44,7 @@
 use crate::error::{GblasError, Result};
 use crate::index::{IndexType, Indices};
 use crate::mask::{check_matrix_mask, check_vector_mask, MaskProbe, MatrixMask, VectorMask};
-use crate::matrix::Matrix;
+use crate::matrix::{CsrBuilder, Matrix};
 use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
@@ -237,16 +237,21 @@ where
             a.shape()
         )));
     }
-    assign_matrix_impl(c, mask, accum, rows, cols, replace, |r, region_cols| {
-        let (a_cols, a_vals) = a.row(r);
-        region_cols
-            .iter()
-            .map(|&(out_j, k)| {
+    assign_matrix_impl(
+        c,
+        mask,
+        accum,
+        rows,
+        cols,
+        replace,
+        |r, region_cols, out| {
+            let (a_cols, a_vals) = a.row(r);
+            out.extend(region_cols.iter().map(|&(out_j, k)| {
                 let v = a_cols.binary_search(&k).ok().map(|p| a_vals[p]);
                 (out_j, v)
-            })
-            .collect()
-    })
+            }));
+        },
+    )
 }
 
 /// `C⟨M, z⟩(i, j) = C(i, j) ⊙ val` — assign a constant into a region.
@@ -267,16 +272,22 @@ where
     rows.validate(c.nrows())?;
     cols.validate(c.ncols())?;
     check_matrix_mask(mask, c.nrows(), c.ncols())?;
-    assign_matrix_impl(c, mask, accum, rows, cols, replace, |_r, region_cols| {
-        region_cols
-            .iter()
-            .map(|&(out_j, _)| (out_j, Some(value)))
-            .collect()
-    })
+    assign_matrix_impl(
+        c,
+        mask,
+        accum,
+        rows,
+        cols,
+        replace,
+        |_r, region_cols, out| {
+            out.extend(region_cols.iter().map(|&(out_j, _)| (out_j, Some(value))));
+        },
+    )
 }
 
-/// Shared machinery: `region_row(r, cols)` yields the region's entries
-/// for region-row `r` as sorted `(output col, optional value)`.
+/// Shared machinery: `region_row(r, cols, out)` appends the region's
+/// entries for region-row `r` to `out` as sorted `(output col, optional
+/// value)`.
 fn assign_matrix_impl<T, Mk, A, F>(
     c: &mut Matrix<T>,
     mask: &Mk,
@@ -290,7 +301,7 @@ where
     T: Scalar,
     Mk: MatrixMask + ?Sized,
     A: Accum<T>,
-    F: Fn(IndexType, &[(IndexType, IndexType)]) -> Vec<(IndexType, Option<T>)>,
+    F: Fn(IndexType, &[(IndexType, IndexType)], &mut Vec<(IndexType, Option<T>)>) + Sync,
 {
     // Map: output row -> region row index.
     let mut row_of: Vec<Option<IndexType>> = vec![None; c.nrows()];
@@ -316,36 +327,35 @@ where
     // position the mask row does not allow, so leaving such a column out
     // of the region (Z = C there) changes only the work.
     let confine = mask.probe() == MaskProbe::Structural;
-    let (mut truthy, mut allowed_cols) = (Vec::new(), Vec::new());
-    let nrows = c.nrows();
-    let mut z_rows: Vec<Vec<(IndexType, T)>> = Vec::with_capacity(nrows);
-    #[allow(clippy::needless_range_loop)] // row_of and c.row share the index
-    for i in 0..nrows {
-        let (c_cols, c_vals) = c.row(i);
-        match row_of[i] {
-            None => {
+    let cur: &Matrix<T> = c;
+    let z = Matrix::from_row_fn(
+        cur.nrows(),
+        cur.ncols(),
+        || (Vec::new(), Vec::new(), Vec::new()),
+        |(truthy, allowed_cols, t_entries), i, out| {
+            let (c_cols, c_vals) = cur.row(i);
+            let Some(r) = row_of[i] else {
                 // Outside the row region: Z row = C row.
-                z_rows.push(c_cols.iter().copied().zip(c_vals.iter().copied()).collect());
-            }
-            Some(r) => {
-                let cols_here = if confine {
-                    truthy.clear();
-                    mask.truthy_cols_in_row(i, &mut truthy);
-                    allowed_cols.clear();
-                    allowed_cols.extend(truthy.iter().filter_map(|&j| {
-                        let q = region_cols.binary_search_by_key(&j, |&(out_j, _)| out_j);
-                        q.ok().map(|q| region_cols[q])
-                    }));
-                    &allowed_cols
-                } else {
-                    &region_cols
-                };
-                let t_entries = region_row(r, cols_here);
-                z_rows.push(merge_region_row(c_cols, c_vals, &t_entries, &accum));
-            }
-        }
-    }
-    let z = Matrix::from_rows(nrows, c.ncols(), z_rows);
+                out.extend(c_cols, c_vals);
+                return;
+            };
+            let cols_here = if confine {
+                truthy.clear();
+                mask.truthy_cols_in_row(i, truthy);
+                allowed_cols.clear();
+                allowed_cols.extend(truthy.iter().filter_map(|&j| {
+                    let q = region_cols.binary_search_by_key(&j, |&(out_j, _)| out_j);
+                    q.ok().map(|q| region_cols[q])
+                }));
+                &allowed_cols[..]
+            } else {
+                &region_cols[..]
+            };
+            t_entries.clear();
+            region_row(r, cols_here, t_entries);
+            merge_region_row(c_cols, c_vals, t_entries, &accum, out);
+        },
+    );
     finalize_matrix(c, mask, z, replace);
     Ok(())
 }
@@ -355,8 +365,8 @@ fn merge_region_row<T: Scalar, A: Accum<T>>(
     c_vals: &[T],
     region: &[(IndexType, Option<T>)],
     accum: &A,
-) -> Vec<(IndexType, T)> {
-    let mut out = Vec::with_capacity(c_cols.len() + region.len());
+    out: &mut CsrBuilder<T>,
+) {
     let (mut p, mut q) = (0, 0);
     loop {
         let (j, cv, in_region, tv) = if p < c_cols.len() && q < region.len() {
@@ -394,10 +404,9 @@ fn merge_region_row<T: Scalar, A: Accum<T>>(
             tv
         };
         if let Some(v) = v {
-            out.push((j, v));
+            out.push(j, v);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -9,14 +9,13 @@
 use crate::error::{GblasError, Result};
 use crate::index::IndexType;
 use crate::mask::{check_matrix_mask, check_vector_mask, MatrixMask, VectorMask};
-use crate::matrix::Matrix;
+use crate::matrix::{CsrBuilder, Matrix};
 use crate::ops::accum::Accum;
 use crate::ops::BinaryOp;
-use crate::parallel::row_map;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use crate::views::{MatrixArg, Replace};
-use crate::write::{write_matrix, write_vector};
+use crate::write::{union_merge_row, write_matrix, write_vector};
 
 /// `w⟨m, z⟩ = w ⊙ (u ⊕ v)` — union element-wise op on vectors.
 pub fn e_wise_add_vector<T, Mk, A, Op>(
@@ -226,16 +225,20 @@ where
 
     let am = a.materialize();
     let bm = b.materialize();
-    let rows = row_map(
+    let t = Matrix::from_row_fn(
         am.nrows(),
+        am.ncols(),
         || (),
-        |_, i| {
+        |_, i, out| {
             let (ac, av) = am.row(i);
             let (bc, bv) = bm.row(i);
-            merge_rows(op, ac, av, bc, bv, union)
+            if union {
+                union_merge_row(ac, av, bc, bv, |x, y| op.apply(x, y), out);
+            } else {
+                intersect_rows(op, ac, av, bc, bv, out);
+            }
         },
     );
-    let t = Matrix::from_rows(am.nrows(), am.ncols(), rows);
     write_matrix(c, mask, &accum, t, replace);
     timer.finish(if union {
         "ewise_add/matrix"
@@ -245,46 +248,28 @@ where
     Ok(())
 }
 
-fn merge_rows<T: Scalar, Op: BinaryOp<T>>(
+/// The intersection of two sorted rows into `out`, combining each
+/// shared column with `op`.
+fn intersect_rows<T: Scalar, Op: BinaryOp<T>>(
     op: Op,
     a_cols: &[IndexType],
     a_vals: &[T],
     b_cols: &[IndexType],
     b_vals: &[T],
-    union: bool,
-) -> Vec<(IndexType, T)> {
-    let mut out = Vec::with_capacity(if union {
-        a_cols.len() + b_cols.len()
-    } else {
-        a_cols.len().min(b_cols.len())
-    });
+    out: &mut CsrBuilder<T>,
+) {
     let (mut p, mut q) = (0, 0);
     while p < a_cols.len() && q < b_cols.len() {
         match a_cols[p].cmp(&b_cols[q]) {
             std::cmp::Ordering::Equal => {
-                out.push((a_cols[p], op.apply(a_vals[p], b_vals[q])));
+                out.push(a_cols[p], op.apply(a_vals[p], b_vals[q]));
                 p += 1;
                 q += 1;
             }
-            std::cmp::Ordering::Less => {
-                if union {
-                    out.push((a_cols[p], a_vals[p]));
-                }
-                p += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if union {
-                    out.push((b_cols[q], b_vals[q]));
-                }
-                q += 1;
-            }
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => q += 1,
         }
     }
-    if union {
-        out.extend(a_cols[p..].iter().copied().zip(a_vals[p..].iter().copied()));
-        out.extend(b_cols[q..].iter().copied().zip(b_vals[q..].iter().copied()));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -86,19 +86,17 @@ where
         col_map[src].push(k);
     }
 
-    let mut t_rows: Vec<Vec<(IndexType, T)>> = Vec::with_capacity(rn);
-    for (_, src_row) in rows.iter(am.nrows()) {
-        let (a_cols, a_vals) = am.row(src_row);
-        let mut row: Vec<(IndexType, T)> = Vec::new();
+    let t = Matrix::from_row_fn(rn, cn, Vec::new, |row: &mut Vec<(IndexType, T)>, k, out| {
+        let (a_cols, a_vals) = am.row(rows.select(k));
+        row.clear();
         for (&j, &v) in a_cols.iter().zip(a_vals) {
-            for &out_j in &col_map[j] {
-                row.push((out_j, v));
-            }
+            row.extend(col_map[j].iter().map(|&out_j| (out_j, v)));
         }
         row.sort_unstable_by_key(|&(j, _)| j);
-        t_rows.push(row);
-    }
-    let t = Matrix::from_rows(rn, cn, t_rows);
+        for &(j, v) in row.iter() {
+            out.push(j, v);
+        }
+    });
     write_matrix(c, mask, &accum, t, replace);
     Ok(())
 }

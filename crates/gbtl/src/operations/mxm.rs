@@ -40,7 +40,6 @@ use crate::mask::{check_matrix_mask, MaskProbe, MatrixMask};
 use crate::matrix::Matrix;
 use crate::ops::accum::Accum;
 use crate::ops::Semiring;
-use crate::parallel::row_map;
 use crate::scalar::Scalar;
 use crate::views::{MatrixArg, Replace};
 use crate::workspace::{Spa, Stamp};
@@ -182,10 +181,11 @@ fn spgemm<T: Scalar, S: Semiring<T>>(semiring: &S, a: &Matrix<T>, b: &Matrix<T>)
     let nrows = a.nrows();
     let ncols = b.ncols();
     let sr = *semiring;
-    let rows = row_map(
+    Matrix::from_row_fn(
         nrows,
+        ncols,
         || Spa::<T>::new(ncols),
-        move |spa, i| {
+        move |spa, i, out| {
             let (a_cols, a_vals) = a.row(i);
             for (&k, &av) in a_cols.iter().zip(a_vals) {
                 let (b_cols, b_vals) = b.row(k);
@@ -193,10 +193,9 @@ fn spgemm<T: Scalar, S: Semiring<T>>(semiring: &S, a: &Matrix<T>, b: &Matrix<T>)
                     spa.scatter(j, sr.mult(av, bv), |x, y| sr.add(x, y));
                 }
             }
-            spa.drain_sorted()
+            spa.drain_sorted_with(|j, v| out.push(j, v));
         },
-    );
-    Matrix::from_rows(nrows, ncols, rows)
+    )
 }
 
 /// Mask-guided dot-product SpGEMM: `T(i, j) = Aᵢ · (Bᵀ)ⱼ` computed only
@@ -212,19 +211,21 @@ where
     let nrows = a.nrows();
     let ncols = bt.nrows();
     let sr = *semiring;
-    let rows = row_map(nrows, Vec::<IndexType>::new, move |scratch, i| {
-        let a_row = a.row(i);
-        scratch.clear();
-        mask.truthy_cols_in_row(i, scratch);
-        let mut row: Vec<(IndexType, T)> = Vec::with_capacity(scratch.len());
-        for &j in scratch.iter() {
-            if let Some(dot) = sparse_dot(&sr, a_row, bt.row(j)) {
-                row.push((j, dot));
+    Matrix::from_row_fn(
+        nrows,
+        ncols,
+        Vec::<IndexType>::new,
+        move |scratch, i, out| {
+            let a_row = a.row(i);
+            scratch.clear();
+            mask.truthy_cols_in_row(i, scratch);
+            for &j in scratch.iter() {
+                if let Some(dot) = sparse_dot(&sr, a_row, bt.row(j)) {
+                    out.push(j, dot);
+                }
             }
-        }
-        row
-    });
-    Matrix::from_rows(nrows, ncols, rows)
+        },
+    )
 }
 
 /// Row-wise Gustavson SpGEMM with the mask stamped into the scatter
@@ -246,14 +247,15 @@ where
     let nrows = a.nrows();
     let ncols = b.ncols();
     let sr = *semiring;
-    let rows = row_map(
+    Matrix::from_row_fn(
         nrows,
+        ncols,
         || (Spa::<T>::new(ncols), Stamp::new(ncols), Vec::new()),
-        move |(spa, stamp, scratch): &mut (_, Stamp, Vec<IndexType>), i| {
+        move |(spa, stamp, scratch): &mut (_, Stamp, Vec<IndexType>), i, out| {
             scratch.clear();
             mask.truthy_cols_in_row(i, scratch);
             if keep_truthy && scratch.is_empty() {
-                return Vec::new();
+                return;
             }
             for &j in scratch.iter() {
                 stamp.set(j);
@@ -268,10 +270,9 @@ where
                 }
             }
             stamp.clear();
-            spa.drain_sorted()
+            spa.drain_sorted_with(|j, v| out.push(j, v));
         },
-    );
-    Matrix::from_rows(nrows, ncols, rows)
+    )
 }
 
 /// Mask-guided `C⟨M, z⟩ = C ⊙ (A ⊕.⊗ Bᵀ)` computing only entries whose

@@ -1,8 +1,10 @@
 //! Row-parallel kernels and the wave worker pool.
 //!
 //! Row-wise kernels (`mxm`, `mxv` gather form, eWise on matrices)
-//! produce each output row independently, so [`row_map`] splits them
-//! over scoped worker threads without any shared mutable state. Small
+//! produce each output row independently, so [`chunk_map`] splits them
+//! into one contiguous chunk per scoped worker thread, without any
+//! shared mutable state: [`row_map`] collects one value per row, and
+//! [`crate::matrix::Matrix`]'s result builder one CSR chunk each. Small
 //! problems stay sequential: below [`par_threshold`] rows the
 //! fork-join overhead outweighs the win (measured in
 //! `benches/ablation_parallel.rs`). The threshold defaults to
@@ -33,6 +35,7 @@
 
 use std::collections::VecDeque;
 use std::iter::Enumerate;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -61,60 +64,87 @@ fn worker_count(jobs: usize) -> usize {
         .min(jobs)
 }
 
-/// Map `f` over `0..nrows`, producing one output row each, in parallel
-/// when the backend is enabled and the problem is big enough.
-///
-/// `init` builds a per-thread scratch workspace (e.g. a
-/// [`crate::workspace::Spa`]); `f` receives the workspace and the row
-/// index.
+/// Split `0..nrows` into one contiguous chunk per worker, map `f` over
+/// the chunks — in parallel when the backend is enabled and the problem
+/// is big enough — and fold the results in row order with `concat`. A
+/// problem that stays sequential is the one chunk `f(0..nrows)` and
+/// never calls `concat`. A panicking chunk's payload is re-raised here
+/// once every chunk has finished.
 #[cfg(feature = "parallel")]
-pub fn row_map<W, R, I, F>(nrows: IndexType, init: I, f: F) -> Vec<R>
+pub fn chunk_map<R, F, C>(nrows: IndexType, f: F, concat: C) -> R
 where
     R: Send,
-    W: Send,
-    I: Fn() -> W + Send + Sync,
-    F: Fn(&mut W, IndexType) -> R + Send + Sync,
+    F: Fn(Range<IndexType>) -> R + Send + Sync,
+    C: FnMut(R, R) -> R,
 {
     let workers = worker_count(nrows);
     if nrows < par_threshold() || workers <= 1 {
-        return row_map_sequential(nrows, init, f);
+        return f(0..nrows);
     }
     let chunk = nrows.div_ceil(workers);
-    let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let init = &init;
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(nrows);
-                scope.spawn(move || {
-                    let mut w = init();
-                    (lo..hi).map(|i| f(&mut w, i)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("row_map worker panicked"))
-            .collect()
+    let slots: Vec<Mutex<Option<R>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+    run_scoped(workers, &|t| {
+        let out = f(t * chunk..((t + 1) * chunk).min(nrows));
+        *lock(&slots[t]) = Some(out);
     });
-    let mut out = Vec::with_capacity(nrows);
-    for c in chunks {
-        out.extend(c);
+    slots
+        .into_iter()
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .reduce(concat)
+        .unwrap_or_else(|| f(0..0))
+}
+
+/// Run `job(0)` … `job(workers - 1)` on scoped threads, one each, and
+/// re-raise the first panic payload in job order once all have joined.
+/// Not generic, so every [`chunk_map`] shares one copy of the spawning
+/// code.
+#[cfg(feature = "parallel")]
+fn run_scoped(workers: usize, job: &(dyn Fn(usize) + Sync)) {
+    let joined: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|t| scope.spawn(move || job(t))).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    for r in joined {
+        if let Err(payload) = r {
+            panic::resume_unwind(payload);
+        }
     }
-    out
 }
 
 /// Sequential fallback used when the `parallel` feature is disabled.
 #[cfg(not(feature = "parallel"))]
+pub fn chunk_map<R, F, C>(nrows: IndexType, f: F, _concat: C) -> R
+where
+    R: Send,
+    F: Fn(Range<IndexType>) -> R + Send + Sync,
+    C: FnMut(R, R) -> R,
+{
+    f(0..nrows)
+}
+
+/// Map `f` over `0..nrows`, producing one output row each, chunked by
+/// [`chunk_map`].
+///
+/// `init` builds a per-thread scratch workspace (e.g. a
+/// [`crate::workspace::Spa`]); `f` receives the workspace and the row
+/// index.
 pub fn row_map<W, R, I, F>(nrows: IndexType, init: I, f: F) -> Vec<R>
 where
     R: Send,
-    W: Send,
     I: Fn() -> W + Send + Sync,
     F: Fn(&mut W, IndexType) -> R + Send + Sync,
 {
-    row_map_sequential(nrows, init, f)
+    chunk_map(
+        nrows,
+        |rows| {
+            let mut w = init();
+            rows.map(|i| f(&mut w, i)).collect()
+        },
+        |mut head: Vec<R>, tail| {
+            head.extend(tail);
+            head
+        },
+    )
 }
 
 /// Force a sequential row map regardless of features — used by the
@@ -314,6 +344,32 @@ mod tests {
             scratch.len()
         });
         assert!(out.iter().all(|&l| l == 1));
+    }
+
+    /// A panicking row re-raises its own payload, whether the rows ran
+    /// inline or on workers.
+    #[test]
+    fn row_map_reraises_the_row_panic_payload() {
+        let payload = |n: IndexType| {
+            let err = panic::catch_unwind(|| {
+                row_map(
+                    n,
+                    || (),
+                    |_, i| {
+                        assert!(i + 1 < n, "row {i} of {n} failed");
+                        i
+                    },
+                )
+            })
+            .expect_err("panic propagates");
+            err.downcast_ref::<String>().cloned()
+        };
+        assert_eq!(payload(10).as_deref(), Some("row 9 of 10 failed"));
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+            return;
+        }
+        let n = 2 * PAR_THRESHOLD;
+        assert_eq!(payload(n), Some(format!("row {} of {n} failed", n - 1)));
     }
 
     #[test]

@@ -67,28 +67,36 @@ impl<T: Scalar> Spa<T> {
 
     /// Drain the occupied slots as sorted `(index, value)` pairs and
     /// reset the accumulator for the next row.
+    pub fn drain_sorted(&mut self) -> Vec<(IndexType, T)> {
+        let mut out = Vec::with_capacity(self.touched.len());
+        self.drain_sorted_with(|j, v| out.push((j, v)));
+        out
+    }
+
+    /// [`Spa::drain_sorted`] handing each pair to `emit` in ascending
+    /// index order instead of collecting them.
     ///
     /// Adaptive: a sparse drain sorts the touched list (`O(t log t)`);
     /// once more than an eighth of the domain is occupied the row is
     /// effectively dense and a bitmap sweep over `occupied`
     /// (`O(n)`, branch-predictable, no sort) is cheaper.
-    pub fn drain_sorted(&mut self) -> Vec<(IndexType, T)> {
-        let out: Vec<(IndexType, T)> = if self.touched.len() >= self.values.len() / 8 {
-            self.occupied
-                .iter()
-                .enumerate()
-                .filter(|(_, &occ)| occ)
-                .map(|(j, _)| (j, self.values[j]))
-                .collect()
+    pub fn drain_sorted_with(&mut self, mut emit: impl FnMut(IndexType, T)) {
+        if self.touched.len() >= self.values.len() / 8 {
+            for (j, &occ) in self.occupied.iter().enumerate() {
+                if occ {
+                    emit(j, self.values[j]);
+                }
+            }
         } else {
             self.touched.sort_unstable();
-            self.touched.iter().map(|&j| (j, self.values[j])).collect()
-        };
+            for &j in &self.touched {
+                emit(j, self.values[j]);
+            }
+        }
         for &j in &self.touched {
             self.occupied[j] = false;
         }
         self.touched.clear();
-        out
     }
 
     /// Reset without extracting.

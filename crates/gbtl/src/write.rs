@@ -45,7 +45,7 @@
 
 use crate::index::IndexType;
 use crate::mask::{MaskProbe, MatrixMask, VectorMask};
-use crate::matrix::Matrix;
+use crate::matrix::{CsrBuilder, Matrix};
 use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
@@ -280,45 +280,52 @@ pub fn merge_accum_matrix<T: Scalar, A: Accum<T>>(
     if !accum.is_active() {
         return t;
     }
-    let nrows = c.nrows();
-    let mut rows: Vec<Vec<(IndexType, T)>> = Vec::with_capacity(nrows);
-    for i in 0..nrows {
-        let (c_cols, c_vals) = c.row(i);
-        let (t_cols, t_vals) = t.row(i);
-        rows.push(union_merge_row(c_cols, c_vals, t_cols, t_vals, |cv, tv| {
-            accum.accum(cv, tv)
-        }));
-    }
-    Matrix::from_rows(nrows, c.ncols(), rows)
+    Matrix::from_row_fn(
+        c.nrows(),
+        c.ncols(),
+        || (),
+        |_, i, out| {
+            let (c_cols, c_vals) = c.row(i);
+            let (t_cols, t_vals) = t.row(i);
+            union_merge_row(
+                c_cols,
+                c_vals,
+                t_cols,
+                t_vals,
+                |cv, tv| accum.accum(cv, tv),
+                out,
+            );
+        },
+    )
 }
 
-/// Union-merge two sorted rows, combining collisions with `both`.
-fn union_merge_row<T: Scalar, F: Fn(T, T) -> T>(
+/// Union-merge two sorted rows into `out`, combining collisions with
+/// `both`.
+pub(crate) fn union_merge_row<T: Scalar, F: Fn(T, T) -> T>(
     a_cols: &[IndexType],
     a_vals: &[T],
     b_cols: &[IndexType],
     b_vals: &[T],
     both: F,
-) -> Vec<(IndexType, T)> {
-    let mut out = Vec::with_capacity(a_cols.len() + b_cols.len());
+    out: &mut CsrBuilder<T>,
+) {
     let (mut p, mut q) = (0, 0);
     while p < a_cols.len() && q < b_cols.len() {
         let (ac, bc) = (a_cols[p], b_cols[q]);
         if ac == bc {
-            out.push((ac, both(a_vals[p], b_vals[q])));
+            out.push(ac, both(a_vals[p], b_vals[q]));
             p += 1;
             q += 1;
         } else if ac < bc {
-            out.push((ac, a_vals[p]));
+            out.push(ac, a_vals[p]);
             p += 1;
         } else {
-            out.push((bc, b_vals[q]));
+            out.push(bc, b_vals[q]);
             q += 1;
         }
     }
-    out.extend(a_cols[p..].iter().copied().zip(a_vals[p..].iter().copied()));
-    out.extend(b_cols[q..].iter().copied().zip(b_vals[q..].iter().copied()));
-    out
+    out.extend(&a_cols[p..], &a_vals[p..]);
+    out.extend(&b_cols[q..], &b_vals[q..]);
 }
 
 /// Phase 2 for matrices.
@@ -540,7 +547,12 @@ mod tests {
 
     #[test]
     fn union_merge_row_basics() {
-        let out = union_merge_row(&[0, 2], &[1i32, 3], &[1, 2], &[10, 30], |a, b| a + b);
-        assert_eq!(out, vec![(0, 1), (1, 10), (2, 33)]);
+        let m = Matrix::from_row_fn(
+            1,
+            3,
+            || (),
+            |_, _, out| union_merge_row(&[0, 2], &[1i32, 3], &[1, 2], &[10, 30], |a, b| a + b, out),
+        );
+        assert_eq!(m.row(0), (&[0usize, 1, 2][..], &[1, 10, 33][..]));
     }
 }

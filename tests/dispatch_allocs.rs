@@ -23,7 +23,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pygb::{DType, LogicalSemiring, Matrix, Replace, Vector};
+use pygb::{apply, DType, LogicalSemiring, Matrix, Replace, UnaryOp, Vector};
 
 /// System allocator wrapper counting allocations and bytes on threads
 /// whose `COUNTING` flag is set.
@@ -160,4 +160,49 @@ fn masked_complement_bfs_mxv() {
         next.masked_complement(&levels).assign(expr).unwrap()
     });
     assert_at_most("frontier[~levels] = A.T @ frontier", counts, 41);
+}
+
+/// The bytes a call allocated cover one new `f64` value array and
+/// dispatch's small change: a copy of the index arrays alone would add
+/// more than the values.
+fn assert_values_only((_, bytes): (u64, u64), nvals: usize) {
+    let values = 8 * nvals as u64;
+    assert!(
+        bytes < values + 4096,
+        "{bytes} B per call for {values} B of values"
+    );
+}
+
+/// PageRank's graph: 4096 rows, four `Bool` out-edges each.
+fn graph4096() -> Matrix {
+    const N: usize = 4096;
+    let edges = (0..N).flat_map(|i| [1, 7, 19, 41].map(|k| (i, (i * 5 + k) % N, true)));
+    Matrix::from_triples(N, N, edges).unwrap()
+}
+
+/// PageRank's `m[None] = graph` (Fig. 7), at 4096 rows: the identity
+/// apply it lowers to shares the graph's pattern and copies only the
+/// values, so the count must not grow with `nrows`. (Rebuilt row by
+/// row, it made at least one allocation per row.)
+#[test]
+fn warm_identity_assign_shares_the_pattern() {
+    let g = graph4096();
+    let mut m = Matrix::new(g.nrows(), g.ncols(), DType::Fp64);
+    let counts = per_call(|| m.no_mask().assign(&g).unwrap());
+    assert_at_most("m[None] = g @ 4096 rows", counts, 20);
+    assert_values_only(counts, g.nvals());
+}
+
+/// PageRank's damping step `m[None] = apply(m)` under `Times 0.85`, at
+/// 4096 rows: like the identity, only the values are computed.
+#[test]
+fn warm_matrix_apply_shares_the_pattern() {
+    let g = graph4096();
+    let mut m = Matrix::new(g.nrows(), g.ncols(), DType::Fp64);
+    m.no_mask().assign(&g).unwrap();
+    let src = m.clone();
+    let _damp = UnaryOp::bound("Times", 0.85).unwrap().enter();
+    let counts = per_call(|| m.no_mask().assign(apply(&src)).unwrap());
+    assert_at_most("m[None] = apply(m) @ 4096 rows", counts, 22);
+    assert_values_only(counts, src.nvals());
 }

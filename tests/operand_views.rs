@@ -287,6 +287,44 @@ fn each_handle_sees_its_own_data_after_a_write() {
     }
 }
 
+/// `m[None] = g` (and `m[None] = apply(g)`) gives `m` the graph's
+/// pattern without copying it; a structural write to either matrix
+/// afterwards, or an in-place value write, is seen by that matrix
+/// alone — blocking and nonblocking, same dtype and cast.
+#[test]
+fn writing_a_copied_matrix_leaves_its_source_alone() {
+    for nonblocking in [false, true] {
+        for dtype in [DType::Fp64, DType::Int64] {
+            let context = format!("nonblocking={nonblocking} {dtype}");
+            let _nb = nonblocking.then(|| pygb_runtime::nonblocking().unwrap());
+            let g = ring(4);
+            let want = ring(4);
+            let mut m = Matrix::new(4, 4, dtype);
+            m.no_mask().assign(&g).unwrap();
+            let mut scaled = Matrix::new(4, 4, dtype);
+            {
+                let _u = pygb::UnaryOp::bound("Times", 3.0).unwrap().enter();
+                scaled.no_mask().assign(pygb::apply(&g)).unwrap();
+            }
+            m.set(0, 2, 5.0f64).unwrap();
+            m.set(1, 2, 7.0f64).unwrap();
+            scaled.set(2, 0, 9.0f64).unwrap();
+            assert_matrices_identical(&g, &want, &format!("{context}: source after writes"));
+            assert_eq!(
+                (m.nvals(), scaled.nvals(), g.nvals()),
+                (5, 5, 4),
+                "{context}"
+            );
+            assert_eq!(m.get(0, 2).map(|v| v.as_f64()), Some(5.0), "{context}");
+            assert_eq!(m.get(1, 2).map(|v| v.as_f64()), Some(7.0), "{context}");
+            assert_eq!(scaled.get(2, 3).map(|v| v.as_f64()), Some(3.0), "{context}");
+            assert_eq!(scaled.get(0, 2), None, "{context}: the other copy's entry");
+            assert_eq!(out_degrees(&g), [1, 1, 1, 1], "{context}: source views");
+            assert_eq!(masked_in(&g), 4, "{context}: source mask pattern");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // (c) counts.
 // ---------------------------------------------------------------------
