@@ -16,8 +16,8 @@
 //! observable.
 //!
 //! Every other kernel result is assembled by one builder,
-//! [`Matrix::from_row_fn`]: rows are computed independently, each chunk
-//! of rows fills its own [`CsrBuilder`], and the chunks are
+//! `Matrix::from_row_fn`: rows are computed independently, each chunk
+//! of rows fills its own `CsrBuilder`, and the chunks are
 //! concatenated.
 
 use std::sync::Arc;
