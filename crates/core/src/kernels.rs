@@ -452,22 +452,17 @@ fn k_ewise_mult_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
 }
 
 fn k_apply_m<T: Element>(args: &mut MatArgs) -> Result<(), JitError> {
-    let unary = args.unary.ok_or_else(|| bad("unary"))?;
+    let op = KindUnaryOp(args.unary.ok_or_else(|| bad("unary"))?);
     let mut c = take_c_m::<T>(args)?;
     let a = typed_m::<T>(&args.a, "a")?;
-    let (mask, accum) = (
-        mmask(&args.mask, args.complemented)?,
+    let r = gbtl::operations::apply_matrix(
+        &mut c,
+        &mmask(&args.mask, args.complemented)?,
         MaybeAccum(args.accum),
+        op,
+        view(a, args.at),
+        gbtl::Replace(args.replace),
     );
-    let (a, replace) = (view(a, args.at), gbtl::Replace(args.replace));
-    // `C[None] = A` lowers to the identity apply: copy the values rather
-    // than interpret the operator per entry.
-    let r = if unary == crate::expr::identity_unary() {
-        let op = gbtl::ops::unary::Identity::new();
-        gbtl::operations::apply_matrix(&mut c, &mask, accum, op, a, replace)
-    } else {
-        gbtl::operations::apply_matrix(&mut c, &mask, accum, KindUnaryOp(unary), a, replace)
-    };
     args.c = T::wrap_matrix(c);
     r.map_err(JitError::op)
 }

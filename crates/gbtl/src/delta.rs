@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 
 use crate::error::{GblasError, Result};
 use crate::index::IndexType;
-use crate::matrix::Matrix;
+use crate::matrix::{CsrBuilder, Matrix};
 use crate::scalar::Scalar;
 
 /// One pending mutation at a coordinate: the last write wins.
@@ -282,18 +282,11 @@ impl<T: Scalar> DeltaMatrix<T> {
     /// Per-row two-pointer splice of base CSR and pending overlay.
     fn splice(&self) -> Matrix<T> {
         let (nrows, ncols) = self.shape();
-        let cap = self.visible_nvals;
-        let mut row_ptr = Vec::with_capacity(nrows + 1);
-        row_ptr.push(0);
-        let mut col_idx: Vec<IndexType> = Vec::with_capacity(cap);
-        let mut values: Vec<T> = Vec::with_capacity(cap);
+        let mut out = CsrBuilder::new(nrows, self.visible_nvals);
         for i in 0..nrows {
             let (cols, vals) = self.base.row(i);
             match self.pending.get(&i) {
-                None => {
-                    col_idx.extend_from_slice(cols);
-                    values.extend_from_slice(vals);
-                }
+                None => out.extend(cols, vals),
                 Some(ops) => {
                     let mut b = 0;
                     let mut ops_it = ops.iter().peekable();
@@ -304,16 +297,14 @@ impl<T: Scalar> DeltaMatrix<T> {
                         match ops_it.peek() {
                             Some(&(&c, op)) if next_base_col.is_none_or(|bc| c < bc) => {
                                 if let EdgeOp::Insert(v) = op {
-                                    col_idx.push(c);
-                                    values.push(*v);
+                                    out.push(c, *v);
                                 }
                                 ops_it.next();
                             }
                             Some(&(&c, op)) if next_base_col == Some(c) => {
                                 // Op shadows the base entry.
                                 if let EdgeOp::Insert(v) = op {
-                                    col_idx.push(c);
-                                    values.push(*v);
+                                    out.push(c, *v);
                                 }
                                 ops_it.next();
                                 b += 1;
@@ -322,8 +313,7 @@ impl<T: Scalar> DeltaMatrix<T> {
                                 // Base entry unaffected, or both done.
                                 match next_base_col {
                                     Some(bc) => {
-                                        col_idx.push(bc);
-                                        values.push(vals[b]);
+                                        out.push(bc, vals[b]);
                                         b += 1;
                                     }
                                     None => break,
@@ -333,10 +323,11 @@ impl<T: Scalar> DeltaMatrix<T> {
                     }
                 }
             }
-            row_ptr.push(col_idx.len());
+            out.end_row();
         }
-        debug_assert_eq!(col_idx.len(), self.visible_nvals);
-        Matrix::from_csr_parts(nrows, ncols, row_ptr, col_idx, values)
+        let merged = out.finish(ncols);
+        debug_assert_eq!(merged.nvals(), self.visible_nvals);
+        merged
     }
 }
 

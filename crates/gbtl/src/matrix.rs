@@ -15,16 +15,17 @@
 //! unshares them first (`Arc::make_mut`), so sharing is never
 //! observable.
 //!
-//! Every other kernel result is assembled by one builder,
-//! `Matrix::from_row_fn`: rows are computed independently, each chunk
-//! of rows fills its own `CsrBuilder`, and the chunks are
-//! concatenated.
+//! Every other kernel result is appended, row by row in ascending
+//! column order, to one builder, `CsrBuilder`; row-parallel kernels
+//! go through `Matrix::from_row_fn`, where each chunk of rows fills
+//! its own builder and the chunks are concatenated.
 
 use std::sync::Arc;
 
 use crate::error::{GblasError, Result};
 use crate::index::IndexType;
 use crate::scalar::Scalar;
+use crate::vector::Vector;
 
 /// The CSR index arrays: the part of a matrix that does not depend on
 /// its element type.
@@ -179,56 +180,27 @@ impl<T: Scalar> Matrix<T> {
         Ok(Self::from_parts(nrows, ncols, row_ptr, col_idx, values))
     }
 
-    /// Internal: assemble a kernel result whose rows are computed
-    /// independently. `row(w, i, out)` appends row `i`'s entries to `out`
-    /// in ascending column order, with `w` a per-worker scratch built by
-    /// `init`. The rows are split into contiguous chunks by
-    /// [`crate::parallel::chunk_map`]; each chunk fills its own builder,
-    /// and the chunks are concatenated in row order.
+    /// Internal: assemble a row-parallel kernel's result. `row(w, i,
+    /// out)` appends row `i`'s entries to `out` in ascending column
+    /// order, with `w` a per-worker scratch built by `init`. The rows
+    /// are split into contiguous chunks by
+    /// [`crate::parallel::chunk_map`]; each chunk fills its own
+    /// [`CsrBuilder`], and the chunks are concatenated in row order.
     pub(crate) fn from_row_fn<W, I, F>(nrows: IndexType, ncols: IndexType, init: I, row: F) -> Self
     where
         I: Fn() -> W + Send + Sync,
         F: Fn(&mut W, IndexType, &mut CsrBuilder<T>) + Send + Sync,
     {
-        let out = crate::parallel::chunk_map(
-            nrows,
-            |rows| {
-                let mut w = init();
-                let mut out = CsrBuilder::with_rows(rows.len());
-                for i in rows {
-                    row(&mut w, i, &mut out);
-                    out.row_ptr.push(out.col_idx.len());
-                }
-                out
-            },
-            CsrBuilder::append,
-        );
-        let CsrBuilder {
-            row_ptr,
-            mut col_idx,
-            mut values,
-        } = out;
-        // The entry arrays grew by doubling; a result can live long (a
-        // kept answer, a graph), so it keeps no slack.
-        col_idx.shrink_to_fit();
-        values.shrink_to_fit();
-        Self::from_csr_parts(nrows, ncols, row_ptr, col_idx, values)
-    }
-
-    /// Internal: assemble directly from validated CSR arrays. The
-    /// caller guarantees the invariants checked by [`Matrix::is_valid`]
-    /// (monotone `row_ptr` of length `nrows + 1`, per-row strictly
-    /// ascending in-bounds columns, parallel `col_idx` / `values`).
-    pub(crate) fn from_csr_parts(
-        nrows: IndexType,
-        ncols: IndexType,
-        row_ptr: Vec<IndexType>,
-        col_idx: Vec<IndexType>,
-        values: Vec<T>,
-    ) -> Self {
-        let m = Self::from_parts(nrows, ncols, row_ptr, col_idx, values);
-        debug_assert!(m.is_valid());
-        m
+        let chunk = |rows: std::ops::Range<IndexType>| {
+            let mut w = init();
+            let mut out = CsrBuilder::new(rows.len(), 0);
+            for i in rows {
+                row(&mut w, i, &mut out);
+                out.end_row();
+            }
+            out
+        };
+        crate::parallel::chunk_map(nrows, chunk, CsrBuilder::append).finish(ncols)
     }
 
     /// Number of rows.
@@ -462,23 +434,35 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
-/// A chunk of kernel result rows being assembled — see
-/// [`Matrix::from_row_fn`], which opens and closes the rows.
+/// Sorted entries being appended, row after row: a kernel result's
+/// CSR arrays ([`CsrBuilder::new`], closed by [`CsrBuilder::finish`]),
+/// or a vector's entries as one open row ([`CsrBuilder::vector`],
+/// closed by [`CsrBuilder::into_vector`]). Apart from [`Matrix`]'s own
+/// constructors, the one place that lays out a result.
 pub(crate) struct CsrBuilder<T> {
-    /// Where each closed row ends in `col_idx`, after a leading 0.
+    /// Where each closed row ends in `col_idx`, after a leading 0;
+    /// empty in a vector's builder.
     row_ptr: Vec<IndexType>,
     col_idx: Vec<IndexType>,
     values: Vec<T>,
 }
 
 impl<T: Scalar> CsrBuilder<T> {
-    fn with_rows(rows: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
+    /// An empty builder with room for `rows` rows and `nnz` entries.
+    pub(crate) fn new(rows: usize, nnz: usize) -> Self {
+        let mut b = Self::vector(nnz);
+        b.row_ptr.reserve_exact(rows + 1);
+        b.row_ptr.push(0);
+        b
+    }
+
+    /// An empty builder for a vector's `nnz` entries: one open row, and
+    /// no row pointers to allocate.
+    pub(crate) fn vector(nnz: usize) -> Self {
         CsrBuilder {
-            row_ptr,
-            col_idx: Vec::new(),
-            values: Vec::new(),
+            row_ptr: Vec::new(),
+            col_idx: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
         }
     }
 
@@ -496,6 +480,12 @@ impl<T: Scalar> CsrBuilder<T> {
         self.values.extend_from_slice(vals);
     }
 
+    /// Close the open row; the next entries start a new one.
+    #[inline]
+    pub(crate) fn end_row(&mut self) {
+        self.row_ptr.push(self.col_idx.len());
+    }
+
     /// The rows of `self` followed by the rows of `next`.
     fn append(mut self, next: Self) -> Self {
         let base = self.col_idx.len();
@@ -503,6 +493,28 @@ impl<T: Scalar> CsrBuilder<T> {
             .extend(next.row_ptr[1..].iter().map(|&p| base + p));
         self.extend(&next.col_idx, &next.values);
         self
+    }
+
+    /// The closed rows as an `ncols`-wide matrix. The entry arrays may
+    /// have grown by doubling; a result can live long (a kept answer, a
+    /// graph), so it keeps no slack.
+    pub(crate) fn finish(self, ncols: IndexType) -> Matrix<T> {
+        let CsrBuilder {
+            row_ptr,
+            mut col_idx,
+            mut values,
+        } = self;
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        let m = Matrix::from_parts(row_ptr.len() - 1, ncols, row_ptr, col_idx, values);
+        debug_assert!(m.is_valid());
+        m
+    }
+
+    /// The open row's entries as a vector of `size`.
+    pub(crate) fn into_vector(self, size: IndexType) -> Vector<T> {
+        debug_assert!(self.row_ptr.is_empty());
+        Vector::from_sorted_entries(size, self.col_idx, self.values)
     }
 }
 

@@ -49,7 +49,7 @@ use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use crate::views::Replace;
-use crate::write::{finalize_matrix, finalize_vector, write_vector};
+use crate::write::{finalize_matrix, finalize_vector, write_vector, Run};
 
 /// `w⟨m, z⟩(i) = w(i) ⊙ u` — assign vector `u` into positions `ix` of `w`.
 pub fn assign_vector<T, Mk, A>(
@@ -155,60 +155,9 @@ fn merge_region_vector<T: Scalar, A: Accum<T>>(
     region: &[(IndexType, Option<T>)],
     accum: &A,
 ) -> Vector<T> {
-    let mut indices = Vec::with_capacity(c.nvals() + region.len());
-    let mut values = Vec::with_capacity(c.nvals() + region.len());
-    let mut ci = c.iter().peekable();
-    let mut ri = region.iter().copied().peekable();
-    loop {
-        enum Slot<T> {
-            COnly(T),
-            Region(Option<T>, Option<T>), // (c value, t value)
-        }
-        let (i, slot) = match (ci.peek().copied(), ri.peek().copied()) {
-            (Some((i, cv)), Some((j, tv))) => {
-                if i == j {
-                    ci.next();
-                    ri.next();
-                    (i, Slot::Region(Some(cv), tv))
-                } else if i < j {
-                    ci.next();
-                    (i, Slot::COnly(cv))
-                } else {
-                    ri.next();
-                    (j, Slot::Region(None, tv))
-                }
-            }
-            (Some((i, cv)), None) => {
-                ci.next();
-                (i, Slot::COnly(cv))
-            }
-            (None, Some((j, tv))) => {
-                ri.next();
-                (j, Slot::Region(None, tv))
-            }
-            (None, None) => break,
-        };
-        let out = match slot {
-            Slot::COnly(cv) => Some(cv),
-            Slot::Region(cv, tv) => {
-                if accum.is_active() {
-                    match (cv, tv) {
-                        (Some(c0), Some(t0)) => Some(accum.accum(c0, t0)),
-                        (Some(c0), None) => Some(c0),
-                        (None, Some(t0)) => Some(t0),
-                        (None, None) => None,
-                    }
-                } else {
-                    tv // region pattern replaced (None deletes)
-                }
-            }
-        };
-        if let Some(v) = out {
-            indices.push(i);
-            values.push(v);
-        }
-    }
-    Vector::from_sorted_entries(c.size(), indices, values)
+    let mut out = CsrBuilder::vector(c.nvals() + region.len());
+    merge_region_row((c.indices(), c.values()), region, accum, &mut out);
+    out.into_vector(c.size())
 }
 
 /// `C⟨M, z⟩(i, j) = C(i, j) ⊙ A` — assign matrix `a` into the region
@@ -237,21 +186,11 @@ where
             a.shape()
         )));
     }
-    assign_matrix_impl(
-        c,
-        mask,
-        accum,
-        rows,
-        cols,
-        replace,
-        |r, region_cols, out| {
-            let (a_cols, a_vals) = a.row(r);
-            out.extend(region_cols.iter().map(|&(out_j, k)| {
-                let v = a_cols.binary_search(&k).ok().map(|p| a_vals[p]);
-                (out_j, v)
-            }));
-        },
-    )
+    assign_matrix_impl(c, mask, accum, rows, cols, replace, |r, region, out| {
+        let (a_cols, a_vals) = a.row(r);
+        let at = |k| a_cols.binary_search(&k).ok().map(|p| a_vals[p]);
+        out.extend(region.iter().map(|&(out_j, k)| (out_j, at(k))));
+    })
 }
 
 /// `C⟨M, z⟩(i, j) = C(i, j) ⊙ val` — assign a constant into a region.
@@ -272,17 +211,9 @@ where
     rows.validate(c.nrows())?;
     cols.validate(c.ncols())?;
     check_matrix_mask(mask, c.nrows(), c.ncols())?;
-    assign_matrix_impl(
-        c,
-        mask,
-        accum,
-        rows,
-        cols,
-        replace,
-        |_r, region_cols, out| {
-            out.extend(region_cols.iter().map(|&(out_j, _)| (out_j, Some(value))));
-        },
-    )
+    assign_matrix_impl(c, mask, accum, rows, cols, replace, |_r, region, out| {
+        out.extend(region.iter().map(|&(out_j, _)| (out_j, Some(value))));
+    })
 }
 
 /// Shared machinery: `region_row(r, cols, out)` appends the region's
@@ -301,7 +232,7 @@ where
     T: Scalar,
     Mk: MatrixMask + ?Sized,
     A: Accum<T>,
-    F: Fn(IndexType, &[(IndexType, IndexType)], &mut Vec<(IndexType, Option<T>)>) + Sync,
+    F: Fn(IndexType, &[(IndexType, IndexType)], &mut Vec<(IndexType, Option<T>)>),
 {
     // Map: output row -> region row index.
     let mut row_of: Vec<Option<IndexType>> = vec![None; c.nrows()];
@@ -327,42 +258,40 @@ where
     // position the mask row does not allow, so leaving such a column out
     // of the region (Z = C there) changes only the work.
     let confine = mask.probe() == MaskProbe::Structural;
-    let cur: &Matrix<T> = c;
-    let z = Matrix::from_row_fn(
-        cur.nrows(),
-        cur.ncols(),
-        || (Vec::new(), Vec::new(), Vec::new()),
-        |(truthy, allowed_cols, t_entries), i, out| {
-            let (c_cols, c_vals) = cur.row(i);
-            let Some(r) = row_of[i] else {
-                // Outside the row region: Z row = C row.
-                out.extend(c_cols, c_vals);
-                return;
-            };
-            let cols_here = if confine {
-                truthy.clear();
-                mask.truthy_cols_in_row(i, truthy);
-                allowed_cols.clear();
-                allowed_cols.extend(truthy.iter().filter_map(|&j| {
-                    let q = region_cols.binary_search_by_key(&j, |&(out_j, _)| out_j);
-                    q.ok().map(|q| region_cols[q])
-                }));
-                &allowed_cols[..]
-            } else {
-                &region_cols[..]
-            };
-            t_entries.clear();
-            region_row(r, cols_here, t_entries);
-            merge_region_row(c_cols, c_vals, t_entries, &accum, out);
-        },
-    );
+    let (mut truthy, mut allowed_cols, mut t_entries) = (Vec::new(), Vec::new(), Vec::new());
+    let mut z = CsrBuilder::new(c.nrows(), c.nvals());
+    for (i, &region_row_i) in row_of.iter().enumerate() {
+        let Some(r) = region_row_i else {
+            // Outside the row region: Z row = C row.
+            let (c_cols, c_vals) = c.row(i);
+            z.extend(c_cols, c_vals);
+            z.end_row();
+            continue;
+        };
+        let cols_here = if confine {
+            truthy.clear();
+            mask.truthy_cols_in_row(i, &mut truthy);
+            allowed_cols.clear();
+            allowed_cols.extend(truthy.iter().filter_map(|&j| {
+                let q = region_cols.binary_search_by_key(&j, |&(out_j, _)| out_j);
+                q.ok().map(|q| region_cols[q])
+            }));
+            &allowed_cols
+        } else {
+            &region_cols
+        };
+        t_entries.clear();
+        region_row(r, cols_here, &mut t_entries);
+        merge_region_row(c.row(i), &t_entries, &accum, &mut z);
+        z.end_row();
+    }
+    let z = z.finish(c.ncols());
     finalize_matrix(c, mask, z, replace);
     Ok(())
 }
 
 fn merge_region_row<T: Scalar, A: Accum<T>>(
-    c_cols: &[IndexType],
-    c_vals: &[T],
+    (c_cols, c_vals): Run<'_, T>,
     region: &[(IndexType, Option<T>)],
     accum: &A,
     out: &mut CsrBuilder<T>,

@@ -7,7 +7,6 @@
 //! binary op.
 
 use crate::error::{GblasError, Result};
-use crate::index::IndexType;
 use crate::mask::{check_matrix_mask, check_vector_mask, MatrixMask, VectorMask};
 use crate::matrix::{CsrBuilder, Matrix};
 use crate::ops::accum::Accum;
@@ -15,7 +14,7 @@ use crate::ops::BinaryOp;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 use crate::views::{MatrixArg, Replace};
-use crate::write::{union_merge_row, write_matrix, write_vector};
+use crate::write::{union_merge_row, write_matrix, write_vector, Run};
 
 /// `w⟨m, z⟩ = w ⊙ (u ⊕ v)` — union element-wise op on vectors.
 pub fn e_wise_add_vector<T, Mk, A, Op>(
@@ -85,42 +84,15 @@ fn check_vector_dims<T: Scalar>(
 }
 
 fn union_vectors<T: Scalar, Op: BinaryOp<T>>(op: Op, u: &Vector<T>, v: &Vector<T>) -> Vector<T> {
-    let mut indices = Vec::with_capacity(u.nvals() + v.nvals());
-    let mut values = Vec::with_capacity(u.nvals() + v.nvals());
-    let mut ui = u.iter().peekable();
-    let mut vi = v.iter().peekable();
-    loop {
-        match (ui.peek().copied(), vi.peek().copied()) {
-            (Some((i, uv)), Some((j, vv))) => {
-                if i == j {
-                    indices.push(i);
-                    values.push(op.apply(uv, vv));
-                    ui.next();
-                    vi.next();
-                } else if i < j {
-                    indices.push(i);
-                    values.push(uv);
-                    ui.next();
-                } else {
-                    indices.push(j);
-                    values.push(vv);
-                    vi.next();
-                }
-            }
-            (Some((i, uv)), None) => {
-                indices.push(i);
-                values.push(uv);
-                ui.next();
-            }
-            (None, Some((j, vv))) => {
-                indices.push(j);
-                values.push(vv);
-                vi.next();
-            }
-            (None, None) => break,
-        }
-    }
-    Vector::from_sorted_entries(u.size(), indices, values)
+    let mut out = CsrBuilder::vector(u.nvals() + v.nvals());
+    let both = |x, y| op.apply(x, y);
+    union_merge_row(
+        (u.indices(), u.values()),
+        (v.indices(), v.values()),
+        both,
+        &mut out,
+    );
+    out.into_vector(u.size())
 }
 
 fn intersect_vectors<T: Scalar, Op: BinaryOp<T>>(
@@ -128,24 +100,14 @@ fn intersect_vectors<T: Scalar, Op: BinaryOp<T>>(
     u: &Vector<T>,
     v: &Vector<T>,
 ) -> Vector<T> {
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    let (ui, uvals) = (u.indices(), u.values());
-    let (vi, vvals) = (v.indices(), v.values());
-    let (mut p, mut q) = (0, 0);
-    while p < ui.len() && q < vi.len() {
-        match ui[p].cmp(&vi[q]) {
-            std::cmp::Ordering::Equal => {
-                indices.push(ui[p]);
-                values.push(op.apply(uvals[p], vvals[q]));
-                p += 1;
-                q += 1;
-            }
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-        }
-    }
-    Vector::from_sorted_entries(u.size(), indices, values)
+    let mut out = CsrBuilder::vector(0);
+    intersect_rows(
+        op,
+        (u.indices(), u.values()),
+        (v.indices(), v.values()),
+        &mut out,
+    );
+    out.into_vector(u.size())
 }
 
 /// `C⟨M, z⟩ = C ⊙ (A ⊕ B)` — union element-wise op on matrices.
@@ -230,12 +192,10 @@ where
         am.ncols(),
         || (),
         |_, i, out| {
-            let (ac, av) = am.row(i);
-            let (bc, bv) = bm.row(i);
             if union {
-                union_merge_row(ac, av, bc, bv, |x, y| op.apply(x, y), out);
+                union_merge_row(am.row(i), bm.row(i), |x, y| op.apply(x, y), out);
             } else {
-                intersect_rows(op, ac, av, bc, bv, out);
+                intersect_rows(op, am.row(i), bm.row(i), out);
             }
         },
     );
@@ -252,10 +212,8 @@ where
 /// shared column with `op`.
 fn intersect_rows<T: Scalar, Op: BinaryOp<T>>(
     op: Op,
-    a_cols: &[IndexType],
-    a_vals: &[T],
-    b_cols: &[IndexType],
-    b_vals: &[T],
+    (a_cols, a_vals): Run<'_, T>,
+    (b_cols, b_vals): Run<'_, T>,
     out: &mut CsrBuilder<T>,
 ) {
     let (mut p, mut q) = (0, 0);

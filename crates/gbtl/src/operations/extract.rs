@@ -8,7 +8,7 @@
 use crate::error::{GblasError, Result};
 use crate::index::{IndexType, Indices};
 use crate::mask::{check_matrix_mask, check_vector_mask, MatrixMask, VectorMask};
-use crate::matrix::Matrix;
+use crate::matrix::{CsrBuilder, Matrix};
 use crate::ops::accum::Accum;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
@@ -86,18 +86,20 @@ where
         col_map[src].push(k);
     }
 
-    let t = Matrix::from_row_fn(rn, cn, Vec::new, |row: &mut Vec<(IndexType, T)>, k, out| {
-        let (a_cols, a_vals) = am.row(rows.select(k));
+    let (mut row, mut t) = (Vec::new(), CsrBuilder::new(rn, 0));
+    for (_, src_row) in rows.iter(am.nrows()) {
+        let (a_cols, a_vals) = am.row(src_row);
         row.clear();
         for (&j, &v) in a_cols.iter().zip(a_vals) {
             row.extend(col_map[j].iter().map(|&out_j| (out_j, v)));
         }
         row.sort_unstable_by_key(|&(j, _)| j);
-        for &(j, v) in row.iter() {
-            out.push(j, v);
+        for &(j, v) in &row {
+            t.push(j, v);
         }
-    });
-    write_matrix(c, mask, &accum, t, replace);
+        t.end_row();
+    }
+    write_matrix(c, mask, &accum, t.finish(cn), replace);
     Ok(())
 }
 

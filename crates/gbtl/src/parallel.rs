@@ -70,13 +70,15 @@ fn worker_count(jobs: usize) -> usize {
 /// problem that stays sequential is the one chunk `f(0..nrows)` and
 /// never calls `concat`. A panicking chunk's payload is re-raised here
 /// once every chunk has finished.
-#[cfg(feature = "parallel")]
 pub fn chunk_map<R, F, C>(nrows: IndexType, f: F, concat: C) -> R
 where
     R: Send,
     F: Fn(Range<IndexType>) -> R + Send + Sync,
     C: FnMut(R, R) -> R,
 {
+    if !cfg!(feature = "parallel") {
+        return f(0..nrows);
+    }
     let workers = worker_count(nrows);
     if nrows < par_threshold() || workers <= 1 {
         return f(0..nrows);
@@ -98,7 +100,6 @@ where
 /// re-raise the first panic payload in job order once all have joined.
 /// Not generic, so every [`chunk_map`] shares one copy of the spawning
 /// code.
-#[cfg(feature = "parallel")]
 fn run_scoped(workers: usize, job: &(dyn Fn(usize) + Sync)) {
     let joined: Vec<std::thread::Result<()>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|t| scope.spawn(move || job(t))).collect();
@@ -109,17 +110,6 @@ fn run_scoped(workers: usize, job: &(dyn Fn(usize) + Sync)) {
             panic::resume_unwind(payload);
         }
     }
-}
-
-/// Sequential fallback used when the `parallel` feature is disabled.
-#[cfg(not(feature = "parallel"))]
-pub fn chunk_map<R, F, C>(nrows: IndexType, f: F, _concat: C) -> R
-where
-    R: Send,
-    F: Fn(Range<IndexType>) -> R + Send + Sync,
-    C: FnMut(R, R) -> R,
-{
-    f(0..nrows)
 }
 
 /// Map `f` over `0..nrows`, producing one output row each, chunked by

@@ -60,42 +60,15 @@ pub fn merge_accum_vector<T: Scalar, A: Accum<T>>(
     if !accum.is_active() {
         return t;
     }
-    let mut indices = Vec::with_capacity(c.nvals() + t.nvals());
-    let mut values = Vec::with_capacity(c.nvals() + t.nvals());
-    let mut ci = c.iter().peekable();
-    let mut ti = t.iter().peekable();
-    loop {
-        match (ci.peek().copied(), ti.peek().copied()) {
-            (Some((i, cv)), Some((j, tv))) => {
-                if i == j {
-                    indices.push(i);
-                    values.push(accum.accum(cv, tv));
-                    ci.next();
-                    ti.next();
-                } else if i < j {
-                    indices.push(i);
-                    values.push(cv);
-                    ci.next();
-                } else {
-                    indices.push(j);
-                    values.push(tv);
-                    ti.next();
-                }
-            }
-            (Some((i, cv)), None) => {
-                indices.push(i);
-                values.push(cv);
-                ci.next();
-            }
-            (None, Some((j, tv))) => {
-                indices.push(j);
-                values.push(tv);
-                ti.next();
-            }
-            (None, None) => break,
-        }
-    }
-    Vector::from_sorted_entries(c.size(), indices, values)
+    let mut out = CsrBuilder::vector(c.nvals() + t.nvals());
+    let both = |cv, tv| accum.accum(cv, tv);
+    union_merge_row(
+        (c.indices(), c.values()),
+        (t.indices(), t.values()),
+        both,
+        &mut out,
+    );
+    out.into_vector(c.size())
 }
 
 /// Phase 2 for vectors: merge `Z` into `C` under the mask and replace
@@ -118,7 +91,7 @@ pub fn finalize_vector<T: Scalar, M: VectorMask + ?Sized>(
         (c.indices(), c.values())
     };
     let zs = (z.indices(), z.values());
-    let mut out = with_capacity(keep.0.len() + zs.0.len());
+    let mut out = CsrBuilder::vector(keep.0.len() + zs.0.len());
     match truthy_allows(mask.probe()) {
         Some(allow) => select_structural(
             keep,
@@ -130,21 +103,13 @@ pub fn finalize_vector<T: Scalar, M: VectorMask + ?Sized>(
         ),
         None => select_each(keep, zs, |i| mask.allows(i), &mut out),
     }
-    *c = Vector::from_sorted_entries(c.size(), out.0, out.1);
+    *c = out.into_vector(c.size());
     crate::hooks::report_fact(|| (c.nvals(), c.size()));
 }
 
 /// One sorted run of entries — a vector's storage, or one matrix row —
 /// as parallel index and value slices.
-type Run<'a, T> = (&'a [IndexType], &'a [T]);
-
-/// Phase 2's output: indices and values, appended in ascending order (a
-/// matrix appends its rows one after another).
-type Out<T> = (Vec<IndexType>, Vec<T>);
-
-fn with_capacity<T>(n: usize) -> Out<T> {
-    (Vec::with_capacity(n), Vec::with_capacity(n))
-}
+pub(crate) type Run<'a, T> = (&'a [IndexType], &'a [T]);
 
 /// For a structural probe, whether a truthy stored entry allows its
 /// position (a plain mask) or forbids it (a complement); `None` for a
@@ -188,7 +153,7 @@ fn select_each<T: Scalar>(
     keep: Run<'_, T>,
     z: Run<'_, T>,
     mut allows: impl FnMut(IndexType) -> bool,
-    out: &mut Out<T>,
+    out: &mut CsrBuilder<T>,
 ) {
     let (mut p, mut q) = (0, 0);
     loop {
@@ -202,8 +167,7 @@ fn select_each<T: Scalar>(
         p += usize::from(ki == i);
         q += usize::from(zi == i);
         if let Some(v) = if allows(i) { zv } else { kv } {
-            out.0.push(i);
-            out.1.push(v);
+            out.push(i, v);
         }
     }
 }
@@ -221,7 +185,7 @@ fn select_structural<T: Scalar>(
     stored: &[IndexType],
     truthy: impl Fn(usize) -> bool,
     allow_truthy: bool,
-    out: &mut Out<T>,
+    out: &mut CsrBuilder<T>,
 ) {
     let (mut p, mut q, mut at) = (0, 0, 0);
     loop {
@@ -239,8 +203,7 @@ fn select_structural<T: Scalar>(
             } else {
                 (&z.0[q..zq], &z.1[q..zq])
             };
-            out.0.extend_from_slice(idx);
-            out.1.extend_from_slice(vals);
+            out.extend(idx, vals);
             (p, q) = (kp, zq);
         }
         if j == IndexType::MAX {
@@ -251,8 +214,7 @@ fn select_structural<T: Scalar>(
         p += usize::from(kv.is_some());
         q += usize::from(zv.is_some());
         if let Some(v) = if truthy(at) == allow_truthy { zv } else { kv } {
-            out.0.push(j);
-            out.1.push(v);
+            out.push(j, v);
         }
         at += 1;
     }
@@ -280,32 +242,19 @@ pub fn merge_accum_matrix<T: Scalar, A: Accum<T>>(
     if !accum.is_active() {
         return t;
     }
-    Matrix::from_row_fn(
-        c.nrows(),
-        c.ncols(),
-        || (),
-        |_, i, out| {
-            let (c_cols, c_vals) = c.row(i);
-            let (t_cols, t_vals) = t.row(i);
-            union_merge_row(
-                c_cols,
-                c_vals,
-                t_cols,
-                t_vals,
-                |cv, tv| accum.accum(cv, tv),
-                out,
-            );
-        },
-    )
+    let mut out = CsrBuilder::new(c.nrows(), c.nvals() + t.nvals());
+    for i in 0..c.nrows() {
+        union_merge_row(c.row(i), t.row(i), |cv, tv| accum.accum(cv, tv), &mut out);
+        out.end_row();
+    }
+    out.finish(c.ncols())
 }
 
 /// Union-merge two sorted rows into `out`, combining collisions with
 /// `both`.
 pub(crate) fn union_merge_row<T: Scalar, F: Fn(T, T) -> T>(
-    a_cols: &[IndexType],
-    a_vals: &[T],
-    b_cols: &[IndexType],
-    b_vals: &[T],
+    (a_cols, a_vals): Run<'_, T>,
+    (b_cols, b_vals): Run<'_, T>,
     both: F,
     out: &mut CsrBuilder<T>,
 ) {
@@ -342,9 +291,7 @@ pub fn finalize_matrix<T: Scalar, M: MatrixMask + ?Sized>(
     }
     let allow = truthy_allows(mask.probe());
     let nrows = c.nrows();
-    let mut out = with_capacity(if replace.0 { 0 } else { c.nvals() } + z.nvals());
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    row_ptr.push(0);
+    let mut out = CsrBuilder::new(nrows, if replace.0 { 0 } else { c.nvals() } + z.nvals());
     for i in 0..nrows {
         let keep = if replace.0 {
             (&[][..], &[][..])
@@ -363,9 +310,9 @@ pub fn finalize_matrix<T: Scalar, M: MatrixMask + ?Sized>(
             ),
             None => select_each(keep, zs, |j| mask.allows(i, j), &mut out),
         }
-        row_ptr.push(out.0.len());
+        out.end_row();
     }
-    *c = Matrix::from_csr_parts(nrows, c.ncols(), row_ptr, out.0, out.1);
+    *c = out.finish(c.ncols());
     crate::hooks::report_fact(|| (c.nvals(), c.nrows() * c.ncols()));
 }
 
@@ -536,10 +483,11 @@ mod tests {
                     (c.indices(), c.values())
                 };
                 let zs = (z.indices(), z.values());
-                let (mut each, mut walked) = ((Vec::new(), Vec::new()), (Vec::new(), Vec::new()));
+                let (mut each, mut walked) = (CsrBuilder::vector(0), CsrBuilder::vector(0));
                 select_each(keep, zs, allows, &mut each);
                 let truthy = |p| m.stored_truthy(p);
                 select_structural(keep, zs, m.stored_indices(), truthy, allow, &mut walked);
+                let (each, walked) = (each.into_vector(n), walked.into_vector(n));
                 assert_eq!(each, walked, "{label} {replace:?}");
             }
         }
@@ -547,12 +495,13 @@ mod tests {
 
     #[test]
     fn union_merge_row_basics() {
-        let m = Matrix::from_row_fn(
-            1,
-            3,
-            || (),
-            |_, _, out| union_merge_row(&[0, 2], &[1i32, 3], &[1, 2], &[10, 30], |a, b| a + b, out),
+        let mut out = CsrBuilder::vector(0);
+        let (a, b) = ((&[0, 2][..], &[1i32, 3][..]), (&[1, 2][..], &[10, 30][..]));
+        union_merge_row(a, b, |x, y| x + y, &mut out);
+        let v = out.into_vector(3);
+        assert_eq!(
+            (v.indices(), v.values()),
+            (&[0usize, 1, 2][..], &[1, 10, 33][..])
         );
-        assert_eq!(m.row(0), (&[0usize, 1, 2][..], &[1, 10, 33][..]));
     }
 }
